@@ -172,12 +172,6 @@ pub struct InstalledWorkload {
     pub plan_reserve: Option<ReserveId>,
     /// Post-run telemetry reader.
     pub probe: Box<dyn WorkloadProbe>,
-    /// The workload's natural activity period, if it has one (the pollers'
-    /// scaled poll interval). A fleet driver probing for steady states uses
-    /// it as the epoch length: probing much finer wastes probe scans,
-    /// probing much coarser classifies whole active periods as Dynamic.
-    /// `None` means "no obvious period" — the driver picks a default.
-    pub steady_hint: Option<SimDuration>,
     /// The feeds a policy engine may observe and re-rate, in install
     /// order. Empty for workloads that own their rates (the browser's
     /// internal taps are its own business).
@@ -194,7 +188,6 @@ impl InstalledWorkload {
         InstalledWorkload {
             plan_reserve: None,
             probe,
-            steady_hint: None,
             policy_taps: Vec::new(),
             drive_cap: None,
             respawns: Vec::new(),
@@ -344,7 +337,6 @@ impl WorkloadProgram for PollersWorkload {
         Ok(InstalledWorkload {
             plan_reserve,
             probe: Box::new(PollerProbe { log: handles.log }),
-            steady_hint: Some(env.interval(SimDuration::from_secs(60))),
             // Both pollers are classic background work: first in line for
             // away-time demotion.
             policy_taps: vec![
@@ -626,7 +618,6 @@ impl WorkloadProgram for OffloaderWorkload {
         Ok(InstalledWorkload {
             plan_reserve,
             probe: Box::new(OffloaderProbe { log }),
-            steady_hint: Some(interval),
             // Work items are deferrable compute: background by nature.
             policy_taps: vec![PolicyTapHandle {
                 tap,

@@ -228,7 +228,7 @@ fn scale_report(_c: &mut Criterion) {
     // --- Policy-heavy acceptance fleet: the user-aware lifetime-target
     // controller ticking on every device, byte-identical across 1/2/4
     // workers, and with the frozen fast-forward on vs off (policy ticks
-    // bound every steady epoch, so decisions land on the same instants).
+    // end every run span, so decisions land on the same instants).
     let policy = policy_scenario(devices);
     let start = Instant::now();
     let policy_single = run_fleet_with(&policy, 1);

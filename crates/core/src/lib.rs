@@ -91,7 +91,5 @@ pub use errors::GraphError;
 pub use graph::{Actor, GraphConfig, ReserveId, ResourceGraph, TapId};
 pub use kind::{Quantity, Rate, ResourceKind};
 pub use reserve::{Reserve, ReserveStats};
-#[allow(deprecated)]
-pub use sched::EnergyScheduler;
 pub use sched::{ResourceScheduler, SchedulerConfig, TaskId, TaskState};
 pub use tap::{RateSpec, Tap};

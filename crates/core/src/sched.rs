@@ -120,11 +120,6 @@ pub struct ResourceScheduler {
     quantum_cost: Option<(Power, Energy)>,
 }
 
-/// The scheduler's pre-multi-resource name, kept so existing call sites
-/// keep compiling.
-#[deprecated(note = "renamed to ResourceScheduler (reserves are now typed per ResourceKind)")]
-pub type EnergyScheduler = ResourceScheduler;
-
 impl ResourceScheduler {
     /// Creates an empty scheduler.
     pub fn new(config: SchedulerConfig) -> Self {
@@ -463,22 +458,6 @@ impl ResourceScheduler {
         self.ready_count > 0
     }
 
-    /// True when some Ready task could run right now — its energy reserve
-    /// is non-empty. Read-only (no throttle accounting, no queue rotation):
-    /// the kernel's steadiness probe asks this without perturbing the
-    /// round-robin state that [`ResourceScheduler::pick_next`] owns.
-    pub fn any_ready_runnable(&self, graph: &ResourceGraph) -> bool {
-        if self.ready_count == 0 {
-            return false;
-        }
-        self.tasks.iter().any(|(_, t)| {
-            t.state == TaskState::Ready
-                && t.reserves[ResourceKind::Energy.index()]
-                    .and_then(|r| graph.reserve(r))
-                    .is_some_and(|r| r.is_nonempty())
-        })
-    }
-
     /// All task ids, in creation order.
     pub fn task_ids(&self) -> Vec<TaskId> {
         self.tasks.iter().map(|(id, _)| TaskId(id)).collect()
@@ -666,18 +645,6 @@ mod tests {
         let c2 = g.reserve(r2).unwrap().stats().consumed;
         assert_eq!(c1, c2);
         assert_eq!(c1, Energy::from_microjoules(1_370));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_names_the_scheduler() {
-        // The pre-rename name must keep resolving for downstream code, but
-        // internal code constructs the scheduler by its real name — the
-        // alias appears only as this compile-time identity proof.
-        fn accepts_alias(_: &EnergyScheduler) {}
-        let s: ResourceScheduler = ResourceScheduler::new(SchedulerConfig::default());
-        accepts_alias(&s);
-        assert_eq!(s.quantum(), SchedulerConfig::default().quantum);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Each device gets its own [`Kernel`] built from its spec — battery
 //! capacity, seed, and workload topology with the device's jitter applied —
-//! run to the horizon with the kernel's bit-exact idle fast-forward on,
+//! run to the horizon in one loop whose spans end only at policy ticks and
+//! fault boundaries (the kernel's bit-exact fast paths cross the rest),
 //! then torn down into a compact report. Devices sharing nothing is what
 //! lets the executor shard them freely.
 //!
@@ -15,7 +16,7 @@
 
 use cinder_apps::{InstalledWorkload, OffloadSetup, WorkloadEnv};
 use cinder_core::{quota, ResourceKind, SchedulerConfig};
-use cinder_kernel::{Kernel, KernelConfig, PeripheralKind};
+use cinder_kernel::{Kernel, KernelConfig, PeripheralKind, RunProfile};
 use cinder_sim::{Energy, SimDuration, SimTime};
 
 use crate::fault_driver::FaultRuntime;
@@ -130,13 +131,10 @@ pub struct DeviceReport {
 pub struct DeviceScratch {
     /// Thread ids of the device under extraction (refilled per device).
     thread_ids: Vec<cinder_kernel::ThreadId>,
-    /// Epochs the steadiness probe certified as Steady (closed-form
-    /// advance), cumulative across every device this scratch has driven.
-    /// Telemetry only — deliberately *not* part of [`DeviceReport`], so a
-    /// report stays byte-identical with fast-forward on or off.
-    pub steady_epochs: u64,
-    /// Epochs the probe declined to certify (stepped), cumulative.
-    pub dynamic_epochs: u64,
+    /// The run-loop path counters of the most recent device. Telemetry
+    /// only — deliberately *not* part of [`DeviceReport`], so a report
+    /// stays byte-identical with fast-forward on or off.
+    pub profile: RunProfile,
 }
 
 /// [`simulate_device`] with caller-provided worker scratch (the executor's
@@ -194,7 +192,7 @@ fn simulate_device_inner(spec: &DeviceSpec, scratch: &mut DeviceScratch) -> Devi
 
     // The policy engine ticks on its own grid-aligned cadence; its first
     // decision lands before the run starts (a lifetime-target controller
-    // that waits a tick starts behind). Both run paths below clamp their
+    // that waits a tick starts behind). The run loop below clamps its
     // spans to `next_tick`, so a decision instant is always a span
     // boundary — the chunk-safe `run_span` guarantees the observables
     // read there are identical however the surrounding spans were split,
@@ -207,113 +205,41 @@ fn simulate_device_inner(spec: &DeviceSpec, scratch: &mut DeviceScratch) -> Devi
         rt.apply(&mut kernel, spec);
     }
 
+    // One loop, identical with fast-forward on or off: spans end only at
+    // policy ticks and fault boundaries, where the runtimes act between
+    // spans. The chunk-safe `run_span` makes the split points invisible,
+    // and the kernel's own fast paths cross everything in between.
     let end = SimTime::ZERO + spec.horizon;
-    if spec.fast_forward {
-        // Epoch-partitioned run: before each epoch, ask the kernel's
-        // read-only steadiness probe whether anything *can* happen before
-        // the epoch end. A certified epoch is Steady — the kernel's frozen
-        // fast-forward crosses it in O(1) — and an uncertified one is
-        // Dynamic, stepped quantum by quantum (with the idle skip still
-        // compressing quiet stretches inside it). The partition is
-        // observational: epochs run through the chunk-safe
-        // [`Kernel::run_span`], whose split points do not perturb the
-        // boundary instruction stream, and the skips are bit-identical to
-        // stepping — so the report matches the un-partitioned run byte for
-        // byte (the `steady_vs_stepped` differential proves it).
-        // Round the epoch up to the quantum grid: the probe's jump is
-        // quantum-floored, so an off-grid epoch could never certify its
-        // own end.
-        let quantum_us = spec.quantum.as_micros().max(1);
-        let hint_us = installed
-            .steady_hint
-            .unwrap_or(SimDuration::from_secs(60))
-            .as_micros()
-            .max(quantum_us);
-        let epoch = SimDuration::from_micros(hint_us.div_ceil(quantum_us) * quantum_us);
-        // Adaptive cadence: the probe costs a few µs, so probing at the
-        // workload's period all day is measurable overhead on devices that
-        // never settle. Double the stride every epoch (capped at 32) — the
-        // partition telemetry coarsens near phase transitions, but the
-        // in-loop fast-forward inside `run_span` still compresses every
-        // certifiable quantum regardless of where the split points fall,
-        // and split points never perturb results.
-        let mut stride: u64 = 1;
-        let mut now = kernel.now();
-        while now < end {
-            // Fault boundaries due at `now` fire before the span: the
-            // clamp below guarantees the kernel never ran past one.
-            if let Some(frt) = fault_rt.as_mut() {
-                frt.apply(&mut kernel, &mut installed.respawns, now);
-            }
-            let mut target = end.min(now + epoch * stride);
-            // A pending policy re-rate bounds the epoch: nothing may be
-            // certified Steady across a decision instant, because the
-            // decision can change tap rates and drive levels.
-            if let Some(rt) = policy_rt.as_ref() {
-                target = target.min(rt.next_tick());
-            }
-            // A pending fault boundary bounds it the same way: a flap or
-            // kill changes what the span would have computed.
-            if let Some(boundary) = fault_rt.as_ref().and_then(|frt| frt.next_boundary()) {
-                if boundary > now {
-                    target = target.min(boundary);
-                }
-            }
-            // Steady = the probe certifies past the last quantum boundary
-            // before `target` (the jump is quantum-floored, so `t` can sit
-            // up to one quantum shy of an off-grid final target).
-            let steady = kernel
-                .steadiness_probe(target)
-                .is_some_and(|t| t + spec.quantum > target);
-            if steady {
-                scratch.steady_epochs += stride;
-            } else {
-                scratch.dynamic_epochs += stride;
-            }
-            stride = (stride * 2).min(32);
-            kernel.run_span(target);
-            let landed = kernel.now();
-            // `run_span` only advances to quantum boundaries; force
-            // progress past a sub-quantum tail so the loop terminates.
-            now = if landed > now { landed } else { target };
-            if let Some(rt) = policy_rt.as_mut() {
-                if rt.due(now) && now < end {
-                    rt.apply(&mut kernel, spec);
-                }
+    let mut now = kernel.now();
+    while now < end {
+        // Fault boundaries due at `now` fire before the span: the clamp
+        // below guarantees the kernel never ran past one.
+        if let Some(frt) = fault_rt.as_mut() {
+            frt.apply(&mut kernel, &mut installed.respawns, now);
+        }
+        let mut target = end;
+        if let Some(rt) = policy_rt.as_ref() {
+            target = target.min(rt.next_tick());
+        }
+        if let Some(boundary) = fault_rt.as_ref().and_then(|frt| frt.next_boundary()) {
+            if boundary > now {
+                target = target.min(boundary);
             }
         }
-    } else if policy_rt.is_some() || fault_rt.is_some() {
-        // Stepped run with a policy and/or fault injector: chunk the
-        // horizon at decision instants and fault boundaries. `run_span`
-        // split-point invariance makes this byte-identical to the
-        // fast-forward path above.
-        let mut now = kernel.now();
-        while now < end {
-            if let Some(frt) = fault_rt.as_mut() {
-                frt.apply(&mut kernel, &mut installed.respawns, now);
-            }
-            let mut target = end;
-            if let Some(rt) = policy_rt.as_ref() {
-                target = target.min(rt.next_tick());
-            }
-            if let Some(boundary) = fault_rt.as_ref().and_then(|frt| frt.next_boundary()) {
-                if boundary > now {
-                    target = target.min(boundary);
-                }
-            }
-            kernel.run_span(target);
-            let landed = kernel.now();
-            now = if landed > now { landed } else { target };
-            if let Some(rt) = policy_rt.as_mut() {
-                if rt.due(now) && now < end {
-                    rt.apply(&mut kernel, spec);
-                }
+        kernel.run_span(target);
+        let landed = kernel.now();
+        // `run_span` only advances to quantum boundaries; force progress
+        // past a sub-quantum tail so the loop terminates.
+        now = if landed > now { landed } else { target };
+        if let Some(rt) = policy_rt.as_mut() {
+            if rt.due(now) && now < end {
+                rt.apply(&mut kernel, spec);
             }
         }
     }
-    // Settle radio/meter/flows at the horizon for extraction (a no-op for
-    // the unchunked path's already-settled kernel).
+    // Settle radio/meter/flows at the horizon for extraction.
     kernel.run_until(end);
+    scratch.profile = kernel.run_profile();
     extract_report(
         spec,
         &kernel,
@@ -671,6 +597,36 @@ mod tests {
             throttled.net_bytes < free.net_bytes,
             "blocked sends never reach the radio"
         );
+    }
+
+    #[test]
+    fn run_profile_accounts_for_every_quantum() {
+        // One device of every workload tag, fast-forward on and off: the
+        // path counters sum to exactly the quanta the run advanced.
+        let mut seen = Vec::new();
+        for spec in Scenario::all_workloads("profile", 5, 11).specs() {
+            if seen.contains(&spec.workload.tag()) {
+                continue;
+            }
+            seen.push(spec.workload.tag());
+            for fast_forward in [true, false] {
+                let spec = DeviceSpec {
+                    horizon: SimDuration::from_secs(900),
+                    fast_forward,
+                    ..spec.clone()
+                };
+                let mut scratch = DeviceScratch::default();
+                simulate_device_with(&spec, &mut scratch);
+                assert_eq!(
+                    scratch.profile.quanta(),
+                    spec.horizon.as_micros() / spec.quantum.as_micros(),
+                    "{} ff={fast_forward}: {:?}",
+                    spec.workload.tag(),
+                    scratch.profile
+                );
+            }
+        }
+        assert_eq!(seen.len(), 9, "every tag covered: {seen:?}");
     }
 
     #[test]

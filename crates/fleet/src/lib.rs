@@ -34,8 +34,9 @@
 //! * [`scenario`] — the population model: workload mixture, battery and
 //!   rate jitter, optional §9 data-plan quota.
 //! * [`device`] — builds one kernel from a [`scenario::DeviceSpec`], runs
-//!   it (steady epochs fast-forwarded, dynamic epochs stepped), and
-//!   extracts a compact [`device::DeviceReport`].
+//!   it in one loop whose spans end only at policy ticks and fault
+//!   boundaries (the kernel's fast paths cross the rest), and extracts a
+//!   compact [`device::DeviceReport`].
 //! * [`executor`] — shards devices across `std::thread` workers into a
 //!   retained [`slab::ReportSlab`].
 //! * [`slab`] — struct-of-arrays storage of per-device telemetry.

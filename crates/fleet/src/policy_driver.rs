@@ -72,9 +72,9 @@ impl PolicyRuntime {
         &self.trace
     }
 
-    /// The next instant a decision is due; the device loop never lets a
-    /// steady epoch cross it (a pending re-rate bounds certification,
-    /// same shape as the probe's deadline and event guards).
+    /// The next instant a decision is due; the device loop ends every run
+    /// span there (a pending re-rate can change tap rates and drive
+    /// levels, so no jump may cross it).
     pub fn next_tick(&self) -> SimTime {
         self.next_tick
     }

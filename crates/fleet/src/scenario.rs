@@ -297,8 +297,8 @@ impl Scenario {
     /// hour or two, after which the device sits in a frozen steady state
     /// — pollers blocked in netd's pool, the spinner Ready but unfundable
     /// — for the rest of the day. This is the regime where the kernel's
-    /// frozen fast-forward turns the tail into O(1) per epoch instead of
-    /// ten quanta per second. (The uncooperative pollers are deliberately
+    /// frozen fast-forward turns the tail into a handful of jumps instead
+    /// of ten quanta per second. (The uncooperative pollers are deliberately
     /// absent: their radio energy is unbilled, so their graph never
     /// freezes and they would only measure live-phase cost.)
     pub fn steady_heavy(name: &str, seed: u64, devices: u32) -> Scenario {

@@ -188,7 +188,7 @@ fn offload_disabled_fleet_is_byte_identical_to_baseline() {
 }
 
 /// Offloaders ride the steady-state fast-forward bit-identically: a
-/// blocked offload is a wake source the probe must respect, so turning
+/// blocked offload is a wake source every jump must respect, so turning
 /// the fast-forward off cannot change a single report byte.
 #[test]
 fn offloaders_ride_fast_forward_byte_identically() {

@@ -4,7 +4,7 @@
 //! * `policy_heavy` fleets are byte-identical across 1/2/4 workers, in
 //!   both the retained and the streaming path.
 //! * Fast-forward on vs off yields byte-identical per-device reports with
-//!   a policy ticking (a pending re-rate must bound the steady epoch).
+//!   a policy ticking (a pending re-rate must end the run span).
 //! * A checkpointed split run with policies enabled equals a single run
 //!   byte-for-byte through the v4 text format.
 //! * Old checkpoint format versions (v1–v3) are rejected with an error

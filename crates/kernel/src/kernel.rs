@@ -90,8 +90,10 @@ pub struct KernelConfig {
     /// device ends in; with only `idle_skip` it steps (and round-robins the
     /// scheduler) every quantum forever. Bit-identical by construction:
     /// throttled-quanta accounting is replayed in bulk and flows settle
-    /// over the span exactly as when stepped. Off by default, like
-    /// `idle_skip`.
+    /// over the span exactly as when stepped. While netd pools, the
+    /// reduced stepper hands each boundary back to the full loop once the
+    /// graph is frozen, so the jump engages inside one long span. Off by
+    /// default, like `idle_skip`.
     pub fast_forward: bool,
 }
 
@@ -164,6 +166,32 @@ pub struct FaultCounters {
     pub link_blocked_sends: u64,
     /// Offload attempts rejected because the link was down.
     pub link_rejected_offloads: u64,
+}
+
+/// Where the run loop's simulated time went: always-on plain counters,
+/// never part of any report, so they cannot move a digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunProfile {
+    /// Quanta stepped by the full loop.
+    pub full_quanta: u64,
+    /// Quanta stepped in reduced form (flow tick and net poll only) while
+    /// a net stack pooled.
+    pub reduced_quanta: u64,
+    /// Quanta crossed by idle jumps (`KernelConfig::idle_skip`).
+    pub idle_quanta: u64,
+    /// Quanta crossed by frozen jumps (`KernelConfig::fast_forward`).
+    pub frozen_quanta: u64,
+    /// Idle jumps taken.
+    pub idle_jumps: u64,
+    /// Frozen jumps taken.
+    pub frozen_jumps: u64,
+}
+
+impl RunProfile {
+    /// Every quantum the run loop advanced, whichever path took it.
+    pub fn quanta(&self) -> u64 {
+        self.full_quanta + self.reduced_quanta + self.idle_quanta + self.frozen_quanta
+    }
 }
 
 /// Events on the kernel timeline.
@@ -283,8 +311,8 @@ pub struct Kernel {
     /// Threads currently blocked on an offload response — the O(1) guard
     /// the fast-forward paths consult: a waiter's wake is always a queued
     /// event (response delivery or deadline), so a non-empty count with an
-    /// empty event queue is an invariant violation the steadiness probe
-    /// refuses to certify over.
+    /// empty event queue is an invariant violation both jumps refuse to
+    /// certify over.
     offload_waiters: usize,
     /// Kernel-wide offload telemetry.
     offload_stats: OffloadStats,
@@ -294,6 +322,8 @@ pub struct Kernel {
     link_down: bool,
     /// Fault-injection telemetry.
     faults: FaultCounters,
+    /// Run-loop path counters.
+    profile: RunProfile,
 }
 
 impl Kernel {
@@ -355,6 +385,7 @@ impl Kernel {
             offload_stats: OffloadStats::default(),
             link_down: false,
             faults: FaultCounters::default(),
+            profile: RunProfile::default(),
             now: SimTime::ZERO,
             config,
         }
@@ -489,6 +520,11 @@ impl Kernel {
     /// Fault-injection telemetry (all zeros on a fault-free run).
     pub fn fault_counters(&self) -> FaultCounters {
         self.faults
+    }
+
+    /// How the run loop has advanced so far, per path.
+    pub fn run_profile(&self) -> RunProfile {
+        self.profile
     }
 
     /// Takes the radio link down until `until` (exclusive), applying
@@ -1306,7 +1342,8 @@ impl Kernel {
     /// the next call's first iteration, so splitting a run into spans
     /// replays the *identical* instruction stream: `run_span(t₁); …;
     /// run_until(t_n)` is bit-equal to `run_until(t_n)` for any grid or
-    /// off-grid split points. The fleet's epoch driver runs on this.
+    /// off-grid split points. The fleet's device loop runs on this,
+    /// splitting its spans only at policy ticks and fault boundaries.
     pub fn run_span(&mut self, end: SimTime) {
         let quantum = self.sched.quantum();
         while self.now + quantum <= end {
@@ -1322,6 +1359,7 @@ impl Kernel {
             let total = self.platform.total(self.arm9.radio().extra_power());
             self.meter.set_power(t, total);
             self.now = t + quantum;
+            self.profile.full_quanta += 1;
             if ran.is_none() {
                 let jumped = self.config.fast_forward && self.skip_frozen_quanta(end);
                 if !jumped && self.config.idle_skip {
@@ -1417,6 +1455,8 @@ impl Kernel {
             return;
         }
         self.now += jump;
+        self.profile.idle_quanta += jump.div_duration(quantum);
+        self.profile.idle_jumps += 1;
         // Every-quantum stepping runs each flow/decay tick at its own
         // boundary, before any event that fires later. The landing
         // iteration delivers events *before* flowing, so ticks the jump
@@ -1517,100 +1557,14 @@ impl Kernel {
         // proved it, and the frozen graph keeps it true).
         self.sched.bulk_throttle(&self.graph, skipped);
         self.now += quantum * skipped;
+        self.profile.frozen_quanta += skipped;
+        self.profile.frozen_jumps += 1;
         // Settle the skipped flow ticks up to the boundary before landing
         // (see skip_idle_quanta: the landing iteration flows the last one).
         // With the graph frozen this is O(taps): only carries advance.
         self.graph
             .flow_until(SimTime::from_micros(self.now.as_micros() - quantum_us));
         true
-    }
-
-    /// Conservatively certifies the longest prefix of `(now, horizon]` in
-    /// which provably *nothing* can happen: no thread can run (none Ready,
-    /// or every Ready task unfundable under a frozen graph), the net
-    /// stack's polls are no-ops, no byte-quota retry can submit, every lit
-    /// peripheral stays funded, and no event or radio transition is due.
-    /// Returns the first quantum boundary at or after the earliest wake
-    /// source (capped at `horizon`), or `None` when nothing beyond the
-    /// next quantum is certifiable.
-    ///
-    /// Read-only and advisory: it composes the same guards the in-loop
-    /// fast-forwards (`Kernel::skip_idle_quanta`,
-    /// `Kernel::skip_frozen_quanta`) re-verify as they run, so a *steady*
-    /// verdict predicts that [`Kernel::run_until`] will cross the span in
-    /// O(1) — the fleet driver uses it to classify each device epoch as
-    /// steady (closed-form advance) or dynamic (stepped) without
-    /// perturbing the kernel.
-    pub fn steadiness_probe(&self, horizon: SimTime) -> Option<SimTime> {
-        let quantum = self.sched.quantum();
-        if self.sched.any_ready_runnable(&self.graph) {
-            return None;
-        }
-        let frozen = self.graph.flow_is_frozen();
-        if self.sched.has_ready() && !frozen {
-            // A starved Ready thread wakes as soon as a tap refills its
-            // reserve — sub-quantum, not certifiable.
-            return None;
-        }
-        let radio_active = self.arm9.radio().is_active();
-        let radio_next = self.arm9.radio().next_transition();
-        if let Some(stack) = &self.net {
-            if !(stack.is_idle()
-                || self.net_poll_snappable
-                    && frozen
-                    && stack.poll_inert_while_frozen(&self.graph, radio_active, radio_next))
-            {
-                return None;
-            }
-        }
-        // Mirrors the in-loop guards: a downed link makes every held send
-        // inert (the LinkUp event bounds the certificate), otherwise a
-        // covered — or plan-less — held send submits at the next poll.
-        if self.byte_waiters > 0 && !self.link_down {
-            let pinned = self.threads.iter().any(|t| {
-                !t.exited
-                    && t.pending_send.is_some_and(|p| {
-                        match self.sched.reserve_for(t.task, ResourceKind::NetworkBytes) {
-                            Some(plan) => {
-                                self.plan_covers(plan, p.tx_bytes, p.rx_bytes)
-                                    || (!frozen && self.graph.has_inbound_tap(plan))
-                            }
-                            None => true,
-                        }
-                    })
-            });
-            if pinned {
-                return None;
-            }
-        }
-        // Offload clause: a thread blocked in the `offload` syscall wakes
-        // on its response delivery or its deadline, both queued events, so
-        // the event bound below already lands the probe on the right
-        // boundary. If waiters are outstanding with *no* event queued the
-        // wake-schedulability invariant is broken — never certify a span
-        // over a thread that cannot be woken.
-        if self.offload_waiters > 0 && self.events.peek_time().is_none() {
-            return None;
-        }
-        let mut wake = horizon;
-        if let Some(t) = self.events.peek_time() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = radio_next {
-            wake = wake.min(t);
-        }
-        let gap = wake.saturating_since(self.now);
-        if gap <= quantum {
-            return None;
-        }
-        let quantum_us = quantum.as_micros();
-        let to_wake = gap.as_micros().div_ceil(quantum_us);
-        let to_end = horizon.saturating_since(self.now).div_duration(quantum);
-        let jump = quantum * to_wake.min(to_end);
-        if !self.peripherals_cover_span(jump) {
-            return None;
-        }
-        Some(self.now + jump)
     }
 
     /// Steps quanta in reduced form while the net stack is busy (pooling)
@@ -1646,6 +1600,13 @@ impl Kernel {
                 // the poll then runs on schedule.
                 return;
             }
+            if self.config.fast_forward && self.graph.flow_is_frozen() {
+                // A frozen graph is what the frozen jump certifies over:
+                // hand the boundary back before polling, so the full loop
+                // replays it and the jump gets to look again. Without this
+                // one long span steps a drained, pooling device to `end`.
+                return;
+            }
             self.net_poll(t);
             if self.sched.has_ready()
                 || self.arm9.radio().next_transition() != radio_before
@@ -1656,6 +1617,7 @@ impl Kernel {
                 return;
             }
             self.now = t + quantum;
+            self.profile.reduced_quanta += 1;
         }
     }
 

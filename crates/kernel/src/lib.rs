@@ -46,7 +46,8 @@ pub mod program;
 pub use cinder_faults::FlapSemantics;
 pub use errors::KernelError;
 pub use kernel::{
-    Ctx, DownloadGrant, FaultCounters, Kernel, KernelConfig, KernelObservables, ThreadId,
+    Ctx, DownloadGrant, FaultCounters, Kernel, KernelConfig, KernelObservables, RunProfile,
+    ThreadId,
 };
 pub use netstack::{NetEnv, NetStack, SendRequest, SendVerdict};
 pub use object::{Body, KObject, ObjectId, ObjectKind};

@@ -226,3 +226,50 @@ fn idle_tail_meters_exactly() {
     let expected = 699_000 * 1_000 + 137_000 / 100;
     assert_eq!(k.meter().total_energy().as_microjoules(), expected);
 }
+
+/// The fleet's kernel shape: 100 ms quanta on the 100 ms flow grid, a
+/// small battery, and both fast paths on or off.
+fn drained_coop_kernel(fast_forward: bool) -> Kernel {
+    let mut k = Kernel::new(KernelConfig {
+        seed: 11,
+        battery: Energy::from_joules(100),
+        idle_skip: true,
+        fast_forward,
+        sched: cinder_core::SchedulerConfig {
+            quantum: SimDuration::from_millis(100),
+            ..cinder_core::SchedulerConfig::default()
+        },
+        ..KernelConfig::default()
+    });
+    let netd = CoopNetd::with_defaults(k.graph_mut());
+    k.install_net(Box::new(netd));
+    let log = PollerLog::shared();
+    let r_rss = tapped(&mut k, "rss", 37_500);
+    let r_mail = tapped(&mut k, "mail", 37_500);
+    k.spawn_unprivileged("rss", Box::new(PeriodicPoller::rss(log.clone())), r_rss);
+    k.spawn_unprivileged("mail", Box::new(PeriodicPoller::mail(log)), r_mail);
+    k
+}
+
+/// The frozen hand-off: a coop-netd device whose battery drains within
+/// the first hour, run as *one* `run_until(24 h)`, must leave netd's
+/// reduced stepper once the graph freezes and cross the frozen tail in a
+/// handful of frozen jumps — bit-identical to the stepped run.
+#[test]
+fn drained_netd_device_jumps_its_frozen_tail_in_one_span() {
+    let day = SimTime::from_secs(24 * 3_600);
+    let mut stepped = drained_coop_kernel(false);
+    stepped.run_until(day);
+    let mut fast = drained_coop_kernel(true);
+    fast.run_until(day);
+    assert_eq!(fingerprint(&stepped), fingerprint(&fast));
+    let quanta = 24 * 36_000;
+    let profile = fast.run_profile();
+    assert_eq!(profile.quanta(), quanta, "{profile:?}");
+    assert_eq!(stepped.run_profile().quanta(), quanta);
+    assert_eq!(stepped.run_profile().frozen_jumps, 0);
+    assert!(profile.frozen_jumps <= 8, "{profile:?}");
+    // The battery is gone within two hours; everything after is jumped.
+    assert!(profile.frozen_quanta >= quanta - 2 * 36_000, "{profile:?}");
+    assert!(profile.reduced_quanta + profile.full_quanta <= 2 * 36_000);
+}
