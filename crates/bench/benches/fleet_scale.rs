@@ -227,7 +227,7 @@ fn scale_report(_c: &mut Criterion) {
 
     // --- Policy-heavy acceptance fleet: the user-aware lifetime-target
     // controller ticking on every device, byte-identical across 1/2/4
-    // workers, and with the frozen fast-forward on vs off (policy ticks
+    // workers, and with the fast-forward on vs off (policy ticks
     // end every run span, so decisions land on the same instants).
     let policy = policy_scenario(devices);
     let start = Instant::now();
@@ -322,9 +322,9 @@ fn scale_report(_c: &mut Criterion) {
 
     // --- Steady-heavy fast-forward acceptance: small-battery fleets whose
     // resource graphs drain and freeze mid-run. The same devices simulate
-    // with the frozen fast-forward on (the fleet default) and off, both
-    // single-threaded; reports must match bit-for-bit and the skip must buy
-    // a large speedup on the dead tail.
+    // with the fast-forward on (the fleet default) and off, both
+    // single-threaded; reports must match bit-for-bit and the pooled and
+    // frozen jumps must buy a large speedup.
     let steady = Scenario::steady_heavy("fleet-scale-steady", 2_028, 200);
     let steady_dev_h = 200.0 * steady.horizon.as_secs_f64() / 3_600.0;
     let start = Instant::now();

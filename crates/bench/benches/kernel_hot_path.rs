@@ -17,6 +17,10 @@
 //!   fast-forward (the coverage guard proves the span enforcement-free),
 //!   bit-identically on the metered energy *and* the peripheral's drained
 //!   energy.
+//! * **netd-pooling** — §6.4's cooperative pollers for one hour on the
+//!   fleet's 100 ms quantum, with `fast_forward` on vs off (`idle_skip` on
+//!   in both): the pooled jump's closed form against netd's reduced
+//!   stepper, bit-identical on every reserve, the meter, and the poll log.
 //!
 //! Writes `BENCH_kernel_hot_path.json` at the repo root.
 #![allow(missing_docs)]
@@ -24,9 +28,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-use cinder_core::{Actor, RateSpec};
+use cinder_apps::build_pollers;
+use cinder_core::{Actor, RateSpec, SchedulerConfig};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, PeripheralKind, Program, Step};
 use cinder_label::Label;
+use cinder_net::CoopNetd;
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
 
 /// Simulated span per measured run.
@@ -131,6 +137,34 @@ fn backlit_idle_kernel(idle_skip: bool) -> Kernel {
     k
 }
 
+/// Simulated span of the netd-pooling case.
+const POOLING_SECS: u64 = 3_600;
+
+/// §6.4's coop pollers on a fleet-shaped kernel (100 ms quanta), with the
+/// given `fast_forward`: both threads spend most of the hour blocked in
+/// netd while their feeds fill its pool.
+fn netd_pooling_kernel(fast_forward: bool) -> (Kernel, cinder_apps::PollerHandles) {
+    let mut k = Kernel::new(KernelConfig {
+        idle_skip: true,
+        fast_forward,
+        sched: SchedulerConfig {
+            quantum: SimDuration::from_millis(100),
+            ..SchedulerConfig::default()
+        },
+        ..KernelConfig::default()
+    });
+    let netd = CoopNetd::with_defaults(k.graph_mut());
+    k.install_net(Box::new(netd));
+    let handles = build_pollers(
+        &mut k,
+        Power::from_microwatts(37_513),
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(60),
+    )
+    .unwrap();
+    (k, handles)
+}
+
 fn run(mut k: Kernel) -> Kernel {
     k.run_until(SimTime::from_secs(SIM_SECS));
     k
@@ -153,6 +187,18 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
     });
     group.bench_function("backlit_idle_idle_skip", |b| {
         b.iter_with_setup(|| backlit_idle_kernel(true), run)
+    });
+    group.finish();
+    let mut group = c.benchmark_group("kernel_hot_path_1h");
+    let run_pooling = |(mut k, _): (Kernel, cinder_apps::PollerHandles)| {
+        k.run_until(SimTime::from_secs(POOLING_SECS));
+        k
+    };
+    group.bench_function("netd_pooling_reduced", |b| {
+        b.iter_with_setup(|| netd_pooling_kernel(false), run_pooling)
+    });
+    group.bench_function("netd_pooling_fast_forward", |b| {
+        b.iter_with_setup(|| netd_pooling_kernel(true), run_pooling)
     });
     group.finish();
 }
@@ -207,14 +253,58 @@ fn hot_path_report(_c: &mut Criterion) {
         backlit_drain >= Energy::from_joules(300),
         "600 s of 555 mW drained through the flow engine: {backlit_drain}"
     );
+    // netd pooling: pooled jumps against the reduced stepper. Everything
+    // observable must match — every reserve's balance and flow stats, the
+    // meter, the radio, and when each poll went out.
+    let run_pooling = |fast_forward: bool| {
+        let mut wall_ms = f64::INFINITY;
+        let mut seen = None;
+        for _ in 0..5 {
+            let (mut k, handles) = netd_pooling_kernel(fast_forward);
+            let start = Instant::now();
+            k.run_until(SimTime::from_secs(POOLING_SECS));
+            wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            let reserves: Vec<_> = k
+                .graph()
+                .reserves()
+                .map(|(_, r)| (r.balance(), r.stats()))
+                .collect();
+            let observed = (
+                reserves,
+                k.meter().total_energy(),
+                k.arm9().radio().stats().activations,
+                handles.log.borrow().sends.clone(),
+            );
+            seen = Some((observed, k.run_profile()));
+        }
+        let (observed, profile) = seen.expect("ran");
+        (wall_ms, observed, profile)
+    };
+    let (pool_ms, pool_observed, _) = run_pooling(false);
+    let (pool_ff_ms, pool_ff_observed, pool_profile) = run_pooling(true);
+    assert_eq!(
+        pool_observed, pool_ff_observed,
+        "pooled jumps must be bit-identical to netd's reduced stepper"
+    );
+    assert!(
+        pool_profile.pooled_jumps > 0,
+        "the pooling case must take pooled jumps: {pool_profile:?}"
+    );
+    let pooled_share = pool_profile.pooled_quanta as f64 / pool_profile.quanta() as f64;
+    let pool_speedup = pool_ms / pool_ff_ms;
+
     let quanta = SIM_SECS * 100; // default 10 ms quantum
     let skip_speedup = idle_ms / skip_ms;
     let backlit_speedup = backlit_ms / backlit_skip_ms;
     println!(
         "kernel_hot_path: busy {busy_ms:.2} ms ({:.0} ns/quantum), duty-cycled {duty_ms:.2} ms, \
          idle {idle_ms:.2} ms vs idle_skip {skip_ms:.3} ms ({skip_speedup:.0}x), backlit idle \
-         {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x)",
-        busy_ms * 1e6 / quanta as f64
+         {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x), netd pooling \
+         1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
+         quanta in {} pooled jumps)",
+        busy_ms * 1e6 / quanta as f64,
+        pooled_share * 100.0,
+        pool_profile.pooled_jumps
     );
 
     let json = format!(
@@ -226,9 +316,14 @@ fn hot_path_report(_c: &mut Criterion) {
          \"metered_energy_bit_identical\": true }},\n  \"backlit_idle\": {{ \"no_skip_wall_ms\": \
          {backlit_ms:.3}, \"idle_skip_wall_ms\": {backlit_skip_ms:.4}, \"skip_speedup\": \
          {backlit_speedup:.1}, \"backlight_drain_j\": {:.3}, \"forced_shutdowns\": {backlit_cuts}, \
+         \"observables_bit_identical\": true }},\n  \"netd_pooling\": {{ \"sim_seconds\": \
+         {POOLING_SECS}, \"quantum_ms\": 100, \"reduced_wall_ms\": {pool_ms:.3}, \
+         \"fast_forward_wall_ms\": {pool_ff_ms:.4}, \"skip_speedup\": {pool_speedup:.1}, \
+         \"pooled_jumps\": {}, \"pooled_quanta_share\": {pooled_share:.3}, \
          \"observables_bit_identical\": true }}\n}}\n",
         busy_ms * 1e6 / quanta as f64,
-        backlit_drain.as_microjoules() as f64 / 1e6
+        backlit_drain.as_microjoules() as f64 / 1e6,
+        pool_profile.pooled_jumps
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

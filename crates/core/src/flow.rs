@@ -212,18 +212,21 @@ impl FlowEngine {
     /// decay-eligible balance is non-positive or small enough that its
     /// per-tick leak rounds to zero. Mirrors the run planner's inert-decay
     /// test; `ResourceGraph::flow_is_frozen` composes it with the
-    /// starved-taps check.
+    /// starved-taps check. Reserves for which `skip` holds are left out
+    /// (the pooled-run certificate bounds its swept waiters separately).
     pub(crate) fn decay_is_inert(
         &self,
         reserves: &Arena<Reserve>,
         decay_ppm_per_tick: u64,
+        skip: impl Fn(RawId) -> bool,
     ) -> bool {
         decay_ppm_per_tick == 0
             || self.decay_eligible.iter().all(|&rid| {
-                reserves.get(rid).is_none_or(|r| {
-                    let b = r.balance();
-                    !b.is_positive() || !b.scale_ppm(decay_ppm_per_tick).is_positive()
-                })
+                skip(rid)
+                    || reserves.get(rid).is_none_or(|r| {
+                        let b = r.balance();
+                        !b.is_positive() || !b.scale_ppm(decay_ppm_per_tick).is_positive()
+                    })
             })
     }
 

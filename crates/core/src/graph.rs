@@ -190,6 +190,113 @@ impl GraphTotals {
     }
 }
 
+/// Why [`ResourceGraph::pooled_run`] refused to certify a pooled run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolRefusal {
+    /// A waiter holds a positive balance its next sweep would move.
+    WaiterHolds,
+    /// A live tap the closed form does not cover: proportional, draining
+    /// a waiter or the pool, filling the pool, or refilling a drained
+    /// source.
+    LiveFlow,
+    /// The global decay could move a microjoule during the run.
+    LiveDecay,
+    /// Not one whole tick fits: the shortfall, a source's coverage, or a
+    /// sink's decay floor is reached within it, the wake bound allows
+    /// none, or nothing flows.
+    NoRoom,
+}
+
+/// A [`ResourceGraph::pool_plan`] classification of the live taps.
+struct PoolPlan {
+    /// Distinct waiters, in sweep order.
+    waiters: Vec<PoolWaiter>,
+    /// Covered sources and their balances, µJ.
+    sources: Vec<(ReserveId, u128)>,
+    /// Decaying sinks that are not swept, and their balances, µJ: each
+    /// must stay under the decay-rounding floor (a reserve climbing out
+    /// of debt, say).
+    sinks: Vec<(ReserveId, i128)>,
+    /// Covered taps.
+    taps: Vec<PoolTap>,
+    /// The decay leak per tick, ppm.
+    ppm: u128,
+}
+
+struct PoolWaiter {
+    id: ReserveId,
+    /// Balance at the start of the run (≤ 0), µJ.
+    start: i128,
+    /// Subject to the global decay.
+    decays: bool,
+    /// The most one tick can deliver into it, µJ.
+    worst_tick: u128,
+}
+
+/// Where a covered tap delivers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum PoolSink {
+    /// Index into [`PoolPlan::waiters`].
+    Waiter(usize),
+    /// Index into [`PoolPlan::sinks`].
+    Floor(usize),
+    /// A reserve the decay never touches.
+    Exempt,
+}
+
+struct PoolTap {
+    /// Index into [`PoolPlan::sources`].
+    source: usize,
+    sink: PoolSink,
+    /// `rate_µW × tick_µs`.
+    step: u128,
+    carry: u128,
+}
+
+impl PoolTap {
+    /// µJ moved over `ticks` unclamped ticks ([`Tap::bulk_advance_const`]).
+    fn moved(&self, ticks: u64) -> u128 {
+        (self.carry + self.step * ticks as u128) / 1_000_000
+    }
+}
+
+impl PoolPlan {
+    /// µJ the covered taps selected by `pick` move over `ticks` ticks.
+    fn moved(&self, ticks: u64, pick: impl Fn(&PoolTap) -> bool) -> u128 {
+        self.taps
+            .iter()
+            .filter(|t| pick(t))
+            .map(|t| t.moved(ticks))
+            .sum()
+    }
+
+    /// Whether a `ticks`-tick run keeps every covered source strictly
+    /// positive, every floor-bound sink under the decay-rounding floor,
+    /// and the cumulative sweep below `shortfall`. Each is monotone in
+    /// `ticks`.
+    fn fits(&self, ticks: u64, shortfall: Energy) -> bool {
+        let covered = self
+            .sources
+            .iter()
+            .enumerate()
+            .all(|(i, &(_, balance))| self.moved(ticks, |t| t.source == i) < balance);
+        let floored = self.sinks.iter().enumerate().all(|(i, &(_, start))| {
+            let level = start + self.moved(ticks, |t| t.sink == PoolSink::Floor(i)) as i128;
+            level <= 0 || (level as u128) * self.ppm < 1_000_000
+        });
+        let swept: i128 = self
+            .waiters
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let inflow = self.moved(ticks, |t| t.sink == PoolSink::Waiter(i));
+                (w.start + inflow as i128).max(0)
+            })
+            .sum();
+        covered && floored && swept < shortfall.as_microjoules() as i128
+    }
+}
+
 /// The resource consumption graph.
 pub struct ResourceGraph {
     reserves: Arena<Reserve>,
@@ -1000,7 +1107,225 @@ impl ResourceGraph {
             }
         }
         self.flow
-            .decay_is_inert(&self.reserves, self.decay_ppm_per_tick)
+            .decay_is_inert(&self.reserves, self.decay_ppm_per_tick, |_| false)
+    }
+
+    /// Certifies a *pooled run*: how many of the next flow ticks (at most
+    /// `max_ticks`) can be settled in closed form when each tick is
+    /// followed by a sweep of every reserve in `waiters` whole into `pool`
+    /// (netd's pooling poll, [`ResourceGraph::sweep_kernel`]) and the
+    /// cumulative sweep must stay below `shortfall`. Read-only;
+    /// [`ResourceGraph::settle_pooled`] applies a certified run.
+    ///
+    /// The certificate:
+    ///
+    /// * no waiter holds a positive balance (each was just swept, or is in
+    ///   debt), none is the pool, and none drains through a tap;
+    /// * every live tap is constant and either *starved* — an empty source
+    ///   no tap refills, so only its carry advances — or *covered*: its
+    ///   source stays strictly positive after every covered tap it feeds
+    ///   has moved its whole run, so no transfer clamps and the graph
+    ///   never freezes;
+    /// * decay cannot move a microjoule: the pool and every other covered
+    ///   sink is exempt, a waiter (whose balance after a tick is at most
+    ///   that tick's delivery, since it starts each tick at or below zero,
+    ///   and the worst such delivery leaks nothing), or a sink that stays
+    ///   under the decay-rounding floor for the whole run (a sleeping
+    ///   thread's reserve climbing out of debt); every other eligible
+    ///   balance leaks nothing and only shrinks;
+    /// * the run's cumulative sweep stays below `shortfall`.
+    ///
+    /// Under it, a waiter starting at `w ≤ 0` that receives `D` over the
+    /// run ends at `min(0, w + D)` and sweeps `max(0, w + D)`, exactly the
+    /// sum of its per-tick sweeps, and every tap's carry telescopes
+    /// exactly as the flow engine's closed form does.
+    pub fn pooled_run(
+        &self,
+        waiters: &[ReserveId],
+        pool: ReserveId,
+        max_ticks: u64,
+        shortfall: Energy,
+    ) -> Result<u64, PoolRefusal> {
+        let plan = self.pool_plan(waiters, pool)?;
+        let fits = |ticks: u64| plan.fits(ticks, shortfall);
+        if max_ticks == 0 || !fits(1) {
+            return Err(PoolRefusal::NoRoom);
+        }
+        // Both bounds are monotone in the run length: gallop, then bisect.
+        let (mut lo, mut hi) = (1, 2);
+        while hi <= max_ticks && fits(hi) {
+            lo = hi;
+            hi = hi.saturating_mul(2);
+        }
+        let mut hi = hi.min(max_ticks + 1);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
+    }
+
+    /// Applies a run [`ResourceGraph::pooled_run`] certified: every live
+    /// tap advances `ticks` in closed form, every waiter is swept into
+    /// `pool`, and the flow clock moves `ticks` ticks. Returns the total
+    /// swept, which netd's memoised shortfall must be advanced by.
+    pub fn settle_pooled(&mut self, waiters: &[ReserveId], pool: ReserveId, ticks: u64) -> Energy {
+        let dt = self.config.flow_tick;
+        for (_, tap) in self.taps.iter_mut() {
+            if !matches!(tap.rate(), RateSpec::Const(p) if p.as_microwatts() > 0) {
+                continue;
+            }
+            let (source, sink) = (tap.source(), tap.sink());
+            let covered = self
+                .reserves
+                .get(source.0)
+                .is_some_and(|r| r.balance().is_positive());
+            if !covered {
+                tap.bulk_advance_const_starved(ticks, dt);
+                continue;
+            }
+            let amount = tap.bulk_advance_const(ticks, dt);
+            self.reserves
+                .get_mut(source.0)
+                .expect("probed above")
+                .debit_outflow(amount);
+            self.reserves
+                .get_mut(sink.0)
+                .expect("taps to dead sinks are GC'd")
+                .credit(amount);
+        }
+        let mut swept = Energy::ZERO;
+        for (i, &w) in waiters.iter().enumerate() {
+            if !waiters[..i].contains(&w) {
+                swept += self.sweep_kernel(w, pool);
+            }
+        }
+        self.now += dt * ticks;
+        swept
+    }
+
+    /// Classifies the live taps for [`ResourceGraph::pooled_run`].
+    fn pool_plan(&self, waiters: &[ReserveId], pool: ReserveId) -> Result<PoolPlan, PoolRefusal> {
+        let ppm = self.decay_ppm_per_tick as u128;
+        let pool_kind = match self.reserves.get(pool.0) {
+            Some(r) if r.is_decay_exempt() || r.kind() != ResourceKind::Energy || ppm == 0 => {
+                r.kind()
+            }
+            _ => return Err(PoolRefusal::LiveDecay),
+        };
+        let mut plan = PoolPlan {
+            waiters: Vec::with_capacity(waiters.len()),
+            sources: Vec::new(),
+            sinks: Vec::new(),
+            taps: Vec::new(),
+            ppm,
+        };
+        for &w in waiters {
+            if plan.waiters.iter().any(|pw| pw.id == w) {
+                continue;
+            }
+            let r = self.reserves.get(w.0).ok_or(PoolRefusal::LiveFlow)?;
+            if w == pool || r.kind() != pool_kind || self.flow.outbound(w.0).next().is_some() {
+                return Err(PoolRefusal::LiveFlow);
+            }
+            if r.balance().is_positive() {
+                return Err(PoolRefusal::WaiterHolds);
+            }
+            let decays = ppm > 0 && r.kind() == ResourceKind::Energy && !r.is_decay_exempt();
+            plan.waiters.push(PoolWaiter {
+                id: w,
+                start: r.balance().as_microjoules() as i128,
+                decays,
+                worst_tick: 0,
+            });
+        }
+        let dt_us = self.config.flow_tick.as_micros() as u128;
+        for (_, tap) in self.taps.iter() {
+            let step = match tap.rate() {
+                RateSpec::Const(p) => p.as_microwatts() as u128 * dt_us,
+                RateSpec::Proportional { ppm_per_s } if ppm_per_s > 0 => {
+                    return Err(PoolRefusal::LiveFlow)
+                }
+                RateSpec::Proportional { .. } => continue,
+            };
+            if step == 0 {
+                continue;
+            }
+            let (source, sink) = (tap.source(), tap.sink());
+            if source == pool || sink == pool || plan.waiters.iter().any(|w| w.id == source) {
+                return Err(PoolRefusal::LiveFlow);
+            }
+            let balance = self
+                .reserves
+                .get(source.0)
+                .map_or(Energy::ZERO, |r| r.balance());
+            if !balance.is_positive() {
+                // Starved: only the carry moves, provided nothing refills it.
+                if self.flow.has_inbound(source.0) {
+                    return Err(PoolRefusal::LiveFlow);
+                }
+                continue;
+            }
+            let target = match plan.waiters.iter().position(|w| w.id == sink) {
+                Some(i) => {
+                    plan.waiters[i].worst_tick += step.div_ceil(1_000_000);
+                    PoolSink::Waiter(i)
+                }
+                None => {
+                    let r = self.reserves.get(sink.0).ok_or(PoolRefusal::LiveFlow)?;
+                    if ppm == 0 || r.is_decay_exempt() || r.kind() != ResourceKind::Energy {
+                        PoolSink::Exempt
+                    } else {
+                        let i = match plan.sinks.iter().position(|s| s.0 == sink) {
+                            Some(i) => i,
+                            None => {
+                                plan.sinks
+                                    .push((sink, r.balance().as_microjoules() as i128));
+                                plan.sinks.len() - 1
+                            }
+                        };
+                        PoolSink::Floor(i)
+                    }
+                }
+            };
+            let src = match plan.sources.iter().position(|s| s.0 == source) {
+                Some(i) => i,
+                None => {
+                    plan.sources
+                        .push((source, balance.as_microjoules() as u128));
+                    plan.sources.len() - 1
+                }
+            };
+            plan.taps.push(PoolTap {
+                source: src,
+                sink: target,
+                step,
+                carry: tap.remainder(),
+            });
+        }
+        if plan.taps.is_empty() {
+            // Nothing flows: the graph is frozen (or about to be).
+            return Err(PoolRefusal::NoRoom);
+        }
+        if plan
+            .waiters
+            .iter()
+            .any(|w| w.decays && w.worst_tick * ppm >= 1_000_000)
+        {
+            return Err(PoolRefusal::LiveDecay);
+        }
+        let swept = |rid: RawId| plan.waiters.iter().any(|w| w.id.0 == rid);
+        if !self
+            .flow
+            .decay_is_inert(&self.reserves, self.decay_ppm_per_tick, swept)
+        {
+            return Err(PoolRefusal::LiveDecay);
+        }
+        Ok(plan)
     }
 
     /// The naive per-tick reference model the `FlowEngine` replaced:

@@ -88,7 +88,7 @@ pub use accounting::PowerEstimator;
 pub use arena::{Arena, RawId};
 pub use decay::DecayConfig;
 pub use errors::GraphError;
-pub use graph::{Actor, GraphConfig, ReserveId, ResourceGraph, TapId};
+pub use graph::{Actor, GraphConfig, PoolRefusal, ReserveId, ResourceGraph, TapId};
 pub use kind::{Quantity, Rate, ResourceKind};
 pub use reserve::{Reserve, ReserveStats};
 pub use sched::{ResourceScheduler, SchedulerConfig, TaskId, TaskState};

@@ -630,6 +630,30 @@ mod tests {
     }
 
     #[test]
+    fn pooled_jumps_cover_steady_pooling() {
+        // Every coop-poller device of the steady fleet: pooled jumps cross
+        // at least 70% of the quanta netd spends pooling (jumped or
+        // stepped in reduced form). Counts are deterministic.
+        let mut coop = 0;
+        for spec in Scenario::steady_heavy("coverage", 2011, 24).specs() {
+            if spec.workload != (Workload::Pollers { coop: true }) {
+                continue;
+            }
+            coop += 1;
+            let mut scratch = DeviceScratch::default();
+            simulate_device_with(&spec, &mut scratch);
+            let p = scratch.profile;
+            let pooling = p.pooled_quanta + p.reduced_quanta;
+            assert!(
+                p.pooled_quanta * 10 >= pooling * 7,
+                "device {}: {p:?}",
+                spec.id
+            );
+        }
+        assert!(coop >= 10, "{coop} coop devices");
+    }
+
+    #[test]
     fn every_mixed_workload_simulates() {
         for spec in Scenario::all_workloads("all", 9, 10).specs() {
             let mut quick = spec.clone();

@@ -194,9 +194,10 @@ pub struct DeviceSpec {
     pub data_plan: Option<DataPlan>,
     /// Offload economy, if the scenario carries one.
     pub offload: Option<OffloadProfile>,
-    /// Enable the kernel's frozen fast-forward
+    /// Enable the kernel's frozen and pooled fast-forward
     /// ([`cinder_kernel::KernelConfig::fast_forward`]): bit-exact
-    /// closed-form advance through drained steady states. Fleet scenarios
+    /// closed-form advance through drained steady states and netd's
+    /// pooling spans. Fleet scenarios
     /// default to `true`; the differential tests flip it off to prove the
     /// reports identical either way.
     pub fast_forward: bool,
@@ -297,8 +298,8 @@ impl Scenario {
     /// hour or two, after which the device sits in a frozen steady state
     /// — pollers blocked in netd's pool, the spinner Ready but unfundable
     /// — for the rest of the day. This is the regime where the kernel's
-    /// frozen fast-forward turns the tail into a handful of jumps instead
-    /// of ten quanta per second. (The uncooperative pollers are deliberately
+    /// fast-forward turns the pooling spans and the frozen tail into a few
+    /// dozen jumps instead of ten quanta per second. (The uncooperative pollers are deliberately
     /// absent: their radio energy is unbilled, so their graph never
     /// freezes and they would only measure live-phase cost.)
     pub fn steady_heavy(name: &str, seed: u64, devices: u32) -> Scenario {

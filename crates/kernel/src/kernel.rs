@@ -17,8 +17,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cinder_core::{
-    quota, Actor, GraphConfig, Quantity, RateSpec, ReserveId, ResourceGraph, ResourceKind,
-    ResourceScheduler, SchedulerConfig, TapId, TaskId, TaskState,
+    quota, Actor, GraphConfig, PoolRefusal, Quantity, RateSpec, ReserveId, ResourceGraph,
+    ResourceKind, ResourceScheduler, SchedulerConfig, TapId, TaskId, TaskState,
 };
 use cinder_faults::FlapSemantics;
 use cinder_hw::{
@@ -81,18 +81,23 @@ pub struct KernelConfig {
     /// faster, which is what makes fleet-scale studies practical. Off by
     /// default so single-device experiments run the literal paper loop.
     pub idle_skip: bool,
-    /// Fast-forward *frozen* spans: quanta in which threads exist (Ready
-    /// but provably unfundable, or blocked in a pooling net stack) yet the
-    /// whole device is provably inert — the resource graph is frozen
-    /// ([`cinder_core::ResourceGraph::flow_is_frozen`]), the stack's polls
-    /// replay byte-identically, and no event or radio transition is due.
-    /// This is the drained-battery steady state every long-horizon fleet
-    /// device ends in; with only `idle_skip` it steps (and round-robins the
-    /// scheduler) every quantum forever. Bit-identical by construction:
-    /// throttled-quanta accounting is replayed in bulk and flows settle
-    /// over the span exactly as when stepped. While netd pools, the
-    /// reduced stepper hands each boundary back to the full loop once the
-    /// graph is frozen, so the jump engages inside one long span. Off by
+    /// Fast-forward spans `idle_skip` cannot cross, with two more jump
+    /// kinds of the run loop's one certificate:
+    ///
+    /// * *frozen* — threads exist (Ready but provably unfundable, or
+    ///   blocked in a pooling net stack) yet the whole device is inert:
+    ///   the resource graph is frozen
+    ///   ([`cinder_core::ResourceGraph::flow_is_frozen`]), the stack's
+    ///   polls sweep nothing, and no event or radio transition is due —
+    ///   the drained-battery state every long-horizon fleet device ends in;
+    /// * *pooled* — nothing Ready while netd pools: the waiters' constant
+    ///   feeds and netd's sweeps settle whole flow ticks in closed form
+    ///   ([`cinder_core::ResourceGraph::pooled_run`]) up to the tick before
+    ///   the pool could reach its grant threshold.
+    ///
+    /// Bit-identical by construction: throttled-quanta accounting is
+    /// replayed in bulk, flows and sweeps settle exactly as when stepped,
+    /// and netd's memoised refusal advances by the total swept. Off by
     /// default, like `idle_skip`.
     pub fast_forward: bool,
 }
@@ -181,17 +186,122 @@ pub struct RunProfile {
     pub idle_quanta: u64,
     /// Quanta crossed by frozen jumps (`KernelConfig::fast_forward`).
     pub frozen_quanta: u64,
+    /// Quanta crossed by pooled jumps (`KernelConfig::fast_forward`).
+    pub pooled_quanta: u64,
     /// Idle jumps taken.
     pub idle_jumps: u64,
     /// Frozen jumps taken.
     pub frozen_jumps: u64,
+    /// Pooled jumps taken.
+    pub pooled_jumps: u64,
+    /// Certificate refusals, indexed by `Obstacle as usize` (see
+    /// [`RunProfile::refused`]).
+    pub refusals: [u64; Obstacle::ALL.len()],
 }
 
 impl RunProfile {
     /// Every quantum the run loop advanced, whichever path took it.
     pub fn quanta(&self) -> u64 {
-        self.full_quanta + self.reduced_quanta + self.idle_quanta + self.frozen_quanta
+        self.full_quanta
+            + self.reduced_quanta
+            + self.idle_quanta
+            + self.frozen_quanta
+            + self.pooled_quanta
     }
+
+    /// How often the certificate refused to jump for `obstacle`.
+    pub fn refused(&self, obstacle: Obstacle) -> u64 {
+        self.refusals[obstacle as usize]
+    }
+}
+
+/// Why the run loop's certificate refused to jump after a quantum that
+/// ran nothing (tallied in [`RunProfile::refused`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Obstacle {
+    /// A thread is Ready and the graph is live, so it may be funded at any
+    /// boundary.
+    Ready,
+    /// An event, radio transition, or the span's end is due within the
+    /// next quantum (pooled jumps: before the next flow tick settles).
+    WakeDue,
+    /// An offload waiter has no queued wake event — an invariant the
+    /// jumps refuse to trust.
+    OffloadWaiter,
+    /// A send held on its byte quota may be submitted, or its plan
+    /// refilled, at a poll inside the span.
+    ByteWaiter,
+    /// A lit peripheral is not provably funded across the span.
+    Peripheral,
+    /// The pooling stack's polls are not certified: no memoised grant
+    /// check, a granted backlog, a downed link, a poll clock off the flow
+    /// grid, or `fast_forward` off.
+    NetPolls,
+    /// A waiter holds energy its next sweep would move.
+    WaiterHolds,
+    /// A live tap outside the pooled closed form (for the frozen jump: any
+    /// tap that can still deliver).
+    LiveFlow,
+    /// The global decay could move a microjoule inside the span.
+    LiveDecay,
+    /// Not one whole flow tick fits before netd's shortfall, a source's
+    /// coverage, or the wake bound.
+    NoRoom,
+}
+
+impl Obstacle {
+    /// Every obstacle, in tally order.
+    pub const ALL: [Obstacle; 10] = [
+        Obstacle::Ready,
+        Obstacle::WakeDue,
+        Obstacle::OffloadWaiter,
+        Obstacle::ByteWaiter,
+        Obstacle::Peripheral,
+        Obstacle::NetPolls,
+        Obstacle::WaiterHolds,
+        Obstacle::LiveFlow,
+        Obstacle::LiveDecay,
+        Obstacle::NoRoom,
+    ];
+
+    /// Whether the next net poll may clear it: netd re-establishes its
+    /// memo, the poll clock returns to the flow grid, waiters are swept.
+    fn clears_at_poll(self) -> bool {
+        matches!(self, Obstacle::NetPolls | Obstacle::WaiterHolds)
+    }
+}
+
+impl From<PoolRefusal> for Obstacle {
+    fn from(refusal: PoolRefusal) -> Self {
+        match refusal {
+            PoolRefusal::WaiterHolds => Obstacle::WaiterHolds,
+            PoolRefusal::LiveFlow => Obstacle::LiveFlow,
+            PoolRefusal::LiveDecay => Obstacle::LiveDecay,
+            PoolRefusal::NoRoom => Obstacle::NoRoom,
+        }
+    }
+}
+
+/// A certified jump: the run loop may cross `quanta` boundaries at once.
+#[derive(Debug)]
+struct Jump {
+    quanta: u64,
+    kind: JumpKind,
+}
+
+#[derive(Debug)]
+enum JumpKind {
+    /// Nothing Ready, the stack idle: only flows and the meter integrate.
+    Idle,
+    /// The graph is frozen: Ready threads stay unfundable, polls replay.
+    Frozen,
+    /// netd pools: `ticks` flow ticks, each followed by a sweep of
+    /// `waiters` into `pool`, settle in closed form.
+    Pooled {
+        pool: ReserveId,
+        waiters: Vec<ReserveId>,
+        ticks: u64,
+    },
 }
 
 /// Events on the kernel timeline.
@@ -284,7 +394,7 @@ pub struct Kernel {
     /// by the kernel, so slots are stable).
     task_to_thread: Vec<Option<ThreadId>>,
     /// Live threads holding a send blocked on their byte quota — the O(1)
-    /// guard that lets `skip_idle_quanta` avoid rescanning threads.
+    /// guard that lets the jump certificate avoid rescanning threads.
     byte_waiters: usize,
     /// Reserve-gated peripheral slots, indexed by [`PeripheralKind::index`].
     peripherals: [PeripheralSlot; PeripheralKind::COUNT],
@@ -1342,7 +1452,10 @@ impl Kernel {
     /// the next call's first iteration, so splitting a run into spans
     /// replays the *identical* instruction stream: `run_span(t₁); …;
     /// run_until(t_n)` is bit-equal to `run_until(t_n)` for any grid or
-    /// off-grid split points. The fleet's device loop runs on this,
+    /// off-grid split points. After each quantum that ran nothing the loop
+    /// consults its one certificate (idle, frozen, or pooled jump, or
+    /// netd's reduced stepper); every jump stops at `end`, so a split
+    /// point only shortens a jump. The fleet's device loop runs on this,
     /// splitting its spans only at policy ticks and fault boundaries.
     pub fn run_span(&mut self, end: SimTime) {
         let quantum = self.sched.quantum();
@@ -1361,74 +1474,97 @@ impl Kernel {
             self.now = t + quantum;
             self.profile.full_quanta += 1;
             if ran.is_none() {
-                let jumped = self.config.fast_forward && self.skip_frozen_quanta(end);
-                if !jumped && self.config.idle_skip {
-                    self.skip_idle_quanta(end);
-                }
+                self.jump_or_reduce(end);
             }
         }
     }
 
-    /// Jumps `now` over quantum boundaries that provably change nothing:
-    /// no thread is Ready (Blocked threads are revived only by queued
-    /// events), the net stack has no queued work, and neither an event nor
-    /// a radio phase transition falls inside the skipped span.
+    /// After a quantum that ran nothing: jump if [`Kernel::certify`]
+    /// allows it, and while netd pools with the CPU idle, step the rest in
+    /// reduced form (`idle_skip`). A refusal is tallied per [`Obstacle`].
+    fn jump_or_reduce(&mut self, end: SimTime) {
+        if !(self.config.idle_skip || self.config.fast_forward) {
+            return;
+        }
+        let retry = match self.certify(end) {
+            Ok(jump) => {
+                let pooled = matches!(jump.kind, JumpKind::Pooled { .. });
+                self.land(jump);
+                if !pooled {
+                    return;
+                }
+                true
+            }
+            Err(obstacle) => {
+                self.profile.refusals[obstacle as usize] += 1;
+                self.config.fast_forward && obstacle.clears_at_poll()
+            }
+        };
+        if self.config.idle_skip
+            && !self.sched.has_ready()
+            && self.net.as_ref().is_some_and(|n| !n.is_idle())
+        {
+            self.step_net_busy_quanta(end, retry);
+        }
+    }
+
+    /// The run loop's one certificate. Read-only: it decides whether the
+    /// quanta from `now` on provably change nothing the loop could not
+    /// settle in closed form, and which jump crosses them;
+    /// [`Kernel::land`] applies the verdict. Three kinds, each bit-identical
+    /// to stepping every quantum:
     ///
-    /// The jump lands on the first quantum boundary at or after the
-    /// earliest wake source, exactly the boundary where the ordinary loop
-    /// would first see it, so results are bit-identical to stepping every
-    /// quantum: taps and decay integrate over arbitrary spans in
-    /// `flow_until`, and the meter holds the (constant) idle power until
-    /// the next `set_power`.
-    fn skip_idle_quanta(&mut self, end: SimTime) {
-        if self.sched.has_ready() {
-            return;
-        }
-        if self.net.as_ref().is_some_and(|n| !n.is_idle()) {
-            // The stack is pooling (netd holding queued sends): quanta are
-            // not skippable, but they are *reducible* — only the tick-grid
-            // work (flows, net polls) can change anything while the CPU is
-            // provably idle.
-            self.step_net_busy_quanta(end);
-            return;
-        }
-        // A send blocked on its byte quota is re-checked at every net poll,
-        // so quanta are not skippable while a tap may be refilling the
-        // plan — or while the plan already covers the send (a link flap
-        // can hold covered, even plan-less, sends). A plan with no inbound
-        // tap that does not yet cover provably stays uncovered across the
-        // span — nothing else runs inside a skipped span, and events only
-        // ever *debit* byte reserves — so an exhausted dead-end plan (the
-        // mid-hour scenario's tail) does not pin the loop to per-quantum
-        // stepping. While the link is down no held send can move at all
-        // (polls are no-ops), so waiters never pin a downed span; the
-        // queued LinkUp event bounds the jump instead. The `byte_waiters`
-        // counter makes the no-waiter common case O(1); with waiters, each
-        // plan's inbound check is O(1) off the flow engine's index (no tap
-        // scan).
-        if self.byte_waiters > 0 && !self.link_down {
-            let refillable_waiter = self.threads.iter().any(|t| {
-                !t.exited
-                    && t.pending_send.is_some_and(|p| {
-                        match self.sched.reserve_for(t.task, ResourceKind::NetworkBytes) {
-                            Some(plan) => {
-                                self.plan_covers(plan, p.tx_bytes, p.rx_bytes)
-                                    || self.graph.has_inbound_tap(plan)
-                            }
-                            None => true,
-                        }
+    /// * **Idle** (`idle_skip`) — nothing Ready, the stack idle: only flows
+    ///   and the meter integrate until the next wake source.
+    /// * **Frozen** (`fast_forward`) — the graph is frozen
+    ///   ([`ResourceGraph::flow_is_frozen`]): Ready threads stay unfundable
+    ///   and a pooling stack's sweeps are all zero until the next wake.
+    /// * **Pooled** (`fast_forward`) — nothing Ready and netd pools: each
+    ///   flow tick's constant taps fill the waiters, each poll sweeps them
+    ///   into the pool, and netd's memoised refusal holds, so whole ticks
+    ///   settle in closed form ([`ResourceGraph::pooled_run`]).
+    fn certify(&self, end: SimTime) -> Result<Jump, Obstacle> {
+        let ready = self.sched.has_ready();
+        let stack_idle = self.net.as_ref().is_none_or(|n| n.is_idle());
+        let mut refusal = if ready {
+            Obstacle::Ready
+        } else {
+            Obstacle::NetPolls
+        };
+        if self.config.fast_forward {
+            match self.certify_frozen(end, ready) {
+                Ok(quanta) => {
+                    return Ok(Jump {
+                        quanta,
+                        kind: JumpKind::Frozen,
                     })
-            });
-            if refillable_waiter {
-                return;
+                }
+                Err(obstacle) => refusal = obstacle,
             }
         }
+        if !ready && stack_idle && self.config.idle_skip {
+            return self.certify_idle(end).map(|quanta| Jump {
+                quanta,
+                kind: JumpKind::Idle,
+            });
+        }
+        if !ready && !stack_idle && self.config.fast_forward {
+            return self.certify_pooled(end);
+        }
+        Err(refusal)
+    }
+
+    /// Whole quanta the idle and frozen jumps may cross: up to the first
+    /// boundary at or after the earliest wake source — exactly the
+    /// boundary where the ordinary loop would first see it — capped so
+    /// `now` never passes a boundary the loop would not reach before `end`.
+    fn quanta_to_wake(&self, end: SimTime) -> Result<u64, Obstacle> {
         // An offload waiter's wake is always a queued event — the response
-        // delivery or the deadline — so `events.peek_time()` below bounds
-        // the jump. An empty event queue with waiters outstanding would
-        // strand a blocked thread; refuse to skip rather than trust it.
+        // delivery or the deadline — so the event bound below sees it. An
+        // empty event queue with waiters outstanding would strand a blocked
+        // thread; refuse to jump rather than trust it.
         if self.offload_waiters > 0 && self.events.peek_time().is_none() {
-            return;
+            return Err(Obstacle::OffloadWaiter);
         }
         let mut wake = end;
         if let Some(t) = self.events.peek_time() {
@@ -1440,131 +1576,217 @@ impl Kernel {
         let quantum = self.sched.quantum();
         let gap = wake.saturating_since(self.now);
         if gap <= quantum {
-            return;
+            return Err(Obstacle::WakeDue);
         }
-        let quantum_us = quantum.as_micros();
-        // ceil(gap / quantum), capped so `now` never passes a boundary the
-        // ordinary loop would not itself have reached before `end`.
-        let to_wake = gap.as_micros().div_ceil(quantum_us);
+        let to_wake = gap.as_micros().div_ceil(quantum.as_micros());
         let to_end = end.saturating_since(self.now).div_duration(quantum);
-        let jump = quantum * to_wake.min(to_end);
-        // A lit peripheral is only steady state while its reserve provably
-        // funds the whole span; near-empty reserves pin the slow path so
-        // the forced shutdown lands on the exact boundary it always would.
-        if !self.peripherals_cover_span(jump) {
-            return;
-        }
-        self.now += jump;
-        self.profile.idle_quanta += jump.div_duration(quantum);
-        self.profile.idle_jumps += 1;
-        // Every-quantum stepping runs each flow/decay tick at its own
-        // boundary, before any event that fires later. The landing
-        // iteration delivers events *before* flowing, so ticks the jump
-        // passed over must be settled here (nothing else can touch the
-        // graph inside the span — that is what made it skippable). The
-        // tick grid is a multiple of the quantum grid, so every skipped
-        // tick is ≤ the boundary before landing; a tick exactly at the
-        // landing boundary stays for the landing iteration, as in the
-        // base loop.
-        self.graph
-            .flow_until(SimTime::from_micros(self.now.as_micros() - quantum_us));
+        Ok(to_wake.min(to_end))
     }
 
-    /// Fast-forwards *frozen* spans — quanta where threads exist but the
-    /// device is provably inert. [`Kernel::skip_idle_quanta`] handles the
-    /// truly idle device (nothing Ready, stack idle); this handles the two
-    /// steady states it cannot: Ready-but-unfundable threads (a drained
-    /// battery round-robins the scheduler every quantum forever) and
-    /// threads blocked in a pooling stack whose sweeps can no longer
-    /// contribute anything. Returns `true` if it jumped.
-    ///
-    /// The certificate, checked cheapest-first:
-    ///
-    /// * no lit peripheral (enforcement needs per-quantum funding checks);
-    /// * the net stack is idle, or — on a poll grid aligned with the
-    ///   quantum grid — certifies its polls replay byte-identically while
-    ///   the graph is frozen ([`NetStack::poll_inert_while_frozen`]);
-    /// * no byte-blocked send is submittable (a frozen graph keeps an
-    ///   uncovered plan uncovered: events only ever debit byte reserves);
-    /// * the graph is frozen: no tap can deliver and decay leaks round to
-    ///   zero ([`cinder_core::ResourceGraph::flow_is_frozen`]) — so no
-    ///   reserve can refill and no Ready task can become fundable;
-    /// * no event or radio transition falls inside the span.
-    ///
-    /// Landing mirrors `skip_idle_quanta` exactly; the one addition is
-    /// replaying the scheduler's throttled-quanta accounting in bulk
-    /// ([`cinder_core::ResourceScheduler::bulk_throttle`]) — each skipped
-    /// boundary would have run one all-throttle `pick_next`, which leaves
-    /// the round-robin queue bit-identically unchanged.
-    fn skip_frozen_quanta(&mut self, end: SimTime) -> bool {
-        if self.enabled_peripherals != 0 {
-            return false;
-        }
-        let radio_active = self.arm9.radio().is_active();
-        let radio_next = self.arm9.radio().next_transition();
-        if let Some(stack) = &self.net {
-            if !(stack.is_idle()
-                || self.net_poll_snappable
-                    && stack.poll_inert_while_frozen(&self.graph, radio_active, radio_next))
-            {
-                return false;
-            }
-        }
-        // With the link down nothing is submittable (polls are no-ops) and
-        // the LinkUp event bounds the jump; otherwise a held send whose
-        // plan covers it — or that has no plan at all (link-flap holds) —
-        // would be submitted at the next poll, so the span is not frozen.
-        if self.byte_waiters > 0 && !self.link_down {
-            let submittable = self.threads.iter().any(|t| {
+    /// Whether a send held on its byte quota could move at a poll inside
+    /// the span: its plan already covers it, it has no plan at all (a link
+    /// flap can hold plan-less sends), or — when `refillable` counts — a
+    /// tap may refill the plan. A plan with no inbound tap that does not
+    /// yet cover provably stays uncovered: nothing else runs inside a
+    /// jumped span, and events only ever *debit* byte reserves, so an
+    /// exhausted dead-end plan does not pin the loop. While the link is
+    /// down no held send can move at all (polls are no-ops) and the queued
+    /// LinkUp event bounds the jump instead. The `byte_waiters` counter
+    /// makes the common no-waiter case O(1).
+    fn held_send_may_move(&self, refillable: bool) -> bool {
+        self.byte_waiters > 0
+            && !self.link_down
+            && self.threads.iter().any(|t| {
                 !t.exited
                     && t.pending_send.is_some_and(|p| {
                         match self.sched.reserve_for(t.task, ResourceKind::NetworkBytes) {
-                            Some(plan) => self.plan_covers(plan, p.tx_bytes, p.rx_bytes),
+                            Some(plan) => {
+                                self.plan_covers(plan, p.tx_bytes, p.rx_bytes)
+                                    || refillable && self.graph.has_inbound_tap(plan)
+                            }
                             None => true,
                         }
                     })
+            })
+    }
+
+    /// The idle certificate: nothing is Ready (checked by the caller), the
+    /// stack is idle, no held send can move, and every lit peripheral is
+    /// funded across the span — near-empty reserves pin the slow path so a
+    /// forced shutdown lands on the exact boundary it always would.
+    fn certify_idle(&self, end: SimTime) -> Result<u64, Obstacle> {
+        // A tap may refill a waiting plan mid-span, so refills count here.
+        if self.held_send_may_move(true) {
+            return Err(Obstacle::ByteWaiter);
+        }
+        let quanta = self.quanta_to_wake(end)?;
+        if !self.peripherals_cover_span(self.sched.quantum() * quanta) {
+            return Err(Obstacle::Peripheral);
+        }
+        Ok(quanta)
+    }
+
+    /// The frozen certificate: no lit peripheral (enforcement needs
+    /// per-quantum funding checks); the graph is frozen — no tap can
+    /// deliver and decay leaks round to zero, so no reserve can refill and
+    /// no Ready task can become fundable; a pooling stack's polls reduce
+    /// to zero sweeps against a standing refusal ([`NetStack::pooling`]);
+    /// and no held send is submittable (a frozen graph keeps an uncovered
+    /// plan uncovered).
+    fn certify_frozen(&self, end: SimTime, ready: bool) -> Result<u64, Obstacle> {
+        if self.enabled_peripherals != 0 {
+            return Err(Obstacle::Peripheral);
+        }
+        let quanta = self.quanta_to_wake(end)?;
+        if !self.graph.flow_is_frozen() {
+            return Err(if ready {
+                Obstacle::Ready
+            } else {
+                Obstacle::LiveFlow
             });
-            if submittable {
-                return false;
+        }
+        if let Some(stack) = self.net.as_ref().filter(|n| !n.is_idle()) {
+            let radio = self.arm9.radio();
+            let inert = self.net_poll_snappable
+                && stack
+                    .pooling(&self.graph, radio.is_active(), radio.next_transition())
+                    .is_some_and(|p| {
+                        p.shortfall.is_positive()
+                            && p.waiters.iter().all(|w| {
+                                self.graph
+                                    .reserve(w.reserve)
+                                    .is_none_or(|r| !r.balance().is_positive())
+                            })
+                    });
+            if !inert {
+                return Err(Obstacle::NetPolls);
             }
         }
-        // Same offload-waiter invariant as `skip_idle_quanta`: a waiter's
-        // wake must be a queued event for the jump bound to see it.
+        if self.held_send_may_move(false) {
+            return Err(Obstacle::ByteWaiter);
+        }
+        Ok(quanta)
+    }
+
+    /// The pooled certificate. Nothing is Ready and the stack pools
+    /// (checked by the caller); then, cheapest first:
+    ///
+    /// * no lit peripheral and no held send (every poll re-checks them);
+    /// * every flow tick is followed by exactly one poll: the link is up,
+    ///   the poll clock sits on the tick just settled, and the flow grid
+    ///   refines the quantum grid;
+    /// * the stack's polls reduce to sweeps against a standing refusal
+    ///   ([`NetStack::pooling`]: for netd, its memoised failed grant check
+    ///   matches the live pool and radio);
+    /// * the graph's half ([`ResourceGraph::pooled_run`]): the waiters'
+    ///   constant feeds and every other live tap settle in closed form,
+    ///   decay moves nothing, and the cumulative sweep stays below the
+    ///   shortfall.
+    ///
+    /// The run ends before any tick whose boundary meets an event or a
+    /// radio transition, and its last quantum ends by `end`; it lands one
+    /// quantum past its last tick, where the reduced stepper would stand.
+    fn certify_pooled(&self, end: SimTime) -> Result<Jump, Obstacle> {
+        if self.enabled_peripherals != 0 {
+            return Err(Obstacle::Peripheral);
+        }
+        if self.byte_waiters > 0 {
+            return Err(Obstacle::ByteWaiter);
+        }
         if self.offload_waiters > 0 && self.events.peek_time().is_none() {
-            return false;
+            return Err(Obstacle::OffloadWaiter);
         }
-        let mut wake = end;
-        if let Some(t) = self.events.peek_time() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = radio_next {
-            wake = wake.min(t);
+        let tick = self.config.graph.flow_tick;
+        let settled = self.graph.now();
+        if self.link_down
+            || !self.net_poll_snappable
+            || self.last_net_poll != Some(settled)
+            || settled + tick < self.now
+        {
+            return Err(Obstacle::NetPolls);
         }
         let quantum = self.sched.quantum();
-        let gap = wake.saturating_since(self.now);
-        if gap <= quantum {
-            return false;
+        // The last tick's boundary must precede every wake source, and its
+        // quantum must end by `end`.
+        let mut last_us = end.as_micros().saturating_sub(quantum.as_micros());
+        let radio = self.arm9.radio();
+        for wake in [self.events.peek_time(), radio.next_transition()]
+            .into_iter()
+            .flatten()
+        {
+            last_us = last_us.min(wake.as_micros().saturating_sub(1));
         }
-        if !self.graph.flow_is_frozen() {
-            return false;
+        let max_ticks = last_us.saturating_sub(settled.as_micros()) / tick.as_micros();
+        if max_ticks == 0 {
+            return Err(Obstacle::WakeDue);
         }
-        let quantum_us = quantum.as_micros();
-        let to_wake = gap.as_micros().div_ceil(quantum_us);
-        let to_end = end.saturating_since(self.now).div_duration(quantum);
-        let skipped = to_wake.min(to_end);
-        // Each skipped boundary's `pick_next` throttles every Ready task
-        // (all provably unfundable: the call that just returned `None`
-        // proved it, and the frozen graph keeps it true).
-        self.sched.bulk_throttle(&self.graph, skipped);
-        self.now += quantum * skipped;
-        self.profile.frozen_quanta += skipped;
-        self.profile.frozen_jumps += 1;
-        // Settle the skipped flow ticks up to the boundary before landing
-        // (see skip_idle_quanta: the landing iteration flows the last one).
-        // With the graph frozen this is O(taps): only carries advance.
-        self.graph
-            .flow_until(SimTime::from_micros(self.now.as_micros() - quantum_us));
-        true
+        let stack = self.net.as_ref().ok_or(Obstacle::NetPolls)?;
+        let pooling = stack
+            .pooling(&self.graph, radio.is_active(), radio.next_transition())
+            .ok_or(Obstacle::NetPolls)?;
+        let waiters: Vec<ReserveId> = pooling.waiters.iter().map(|w| w.reserve).collect();
+        let ticks = self
+            .graph
+            .pooled_run(&waiters, pooling.pool, max_ticks, pooling.shortfall)?;
+        let landing = settled + tick * ticks + quantum;
+        Ok(Jump {
+            quanta: landing.since(self.now).div_duration(quantum),
+            kind: JumpKind::Pooled {
+                pool: pooling.pool,
+                waiters,
+                ticks,
+            },
+        })
+    }
+
+    /// Lands a certified jump.
+    ///
+    /// Idle and frozen jumps: each crossed boundary's `pick_next` would
+    /// have throttled every Ready task (the frozen certificate keeps them
+    /// unfundable; idle jumps have none), which
+    /// [`ResourceScheduler::bulk_throttle`] replays in bulk, leaving the
+    /// round-robin queue bit-identically unchanged. Stepping runs each
+    /// flow tick at its own boundary, before any event that fires later,
+    /// while the landing iteration delivers events *before* flowing, so
+    /// the crossed ticks settle here up to the boundary before landing (a
+    /// tick exactly at the landing boundary stays for the landing
+    /// iteration, as in the base loop). The meter holds the constant power
+    /// until the next `set_power`.
+    ///
+    /// Pooled jumps: the graph settles the run's ticks and sweeps, netd's
+    /// memo advances by the total swept, and the poll clock moves to the
+    /// last tick — exactly where the reduced stepper would leave them.
+    fn land(&mut self, jump: Jump) {
+        let quantum = self.sched.quantum();
+        match jump.kind {
+            JumpKind::Idle | JumpKind::Frozen => {
+                self.sched.bulk_throttle(&self.graph, jump.quanta);
+                self.now += quantum * jump.quanta;
+                self.graph.flow_until(SimTime::from_micros(
+                    self.now.as_micros() - quantum.as_micros(),
+                ));
+            }
+            JumpKind::Pooled {
+                pool,
+                ref waiters,
+                ticks,
+            } => {
+                let swept = self.graph.settle_pooled(waiters, pool, ticks);
+                if let Some(stack) = self.net.as_mut() {
+                    stack.settle_pooled(swept);
+                }
+                self.last_net_poll = Some(self.graph.now());
+                self.now += quantum * jump.quanta;
+            }
+        }
+        let p = &mut self.profile;
+        let (quanta, jumps) = match jump.kind {
+            JumpKind::Idle => (&mut p.idle_quanta, &mut p.idle_jumps),
+            JumpKind::Frozen => (&mut p.frozen_quanta, &mut p.frozen_jumps),
+            JumpKind::Pooled { .. } => (&mut p.pooled_quanta, &mut p.pooled_jumps),
+        };
+        *quanta += jump.quanta;
+        *jumps += 1;
     }
 
     /// Steps quanta in reduced form while the net stack is busy (pooling)
@@ -1580,7 +1802,11 @@ impl Kernel {
     /// replays that boundary, where `flow_until` (time already reached) and
     /// `net_poll` (cadence already satisfied) are no-ops, and completes the
     /// quantum with real scheduling and metering.
-    fn step_net_busy_quanta(&mut self, end: SimTime) {
+    ///
+    /// The certificate is consulted again only when a poll may have
+    /// changed its inputs: after the first poll that follows a pooled
+    /// landing or a refusal the poll can clear (`retry`).
+    fn step_net_busy_quanta(&mut self, end: SimTime, mut retry: bool) {
         let quantum = self.sched.quantum();
         while self.now + quantum <= end {
             let t = self.now;
@@ -1603,10 +1829,10 @@ impl Kernel {
             if self.config.fast_forward && self.graph.flow_is_frozen() {
                 // A frozen graph is what the frozen jump certifies over:
                 // hand the boundary back before polling, so the full loop
-                // replays it and the jump gets to look again. Without this
-                // one long span steps a drained, pooling device to `end`.
+                // replays it and the certificate gets to look again.
                 return;
             }
+            let polled_before = self.last_net_poll;
             self.net_poll(t);
             if self.sched.has_ready()
                 || self.arm9.radio().next_transition() != radio_before
@@ -1618,6 +1844,18 @@ impl Kernel {
             }
             self.now = t + quantum;
             self.profile.reduced_quanta += 1;
+            if retry && self.last_net_poll != polled_before {
+                retry = match self.certify(end) {
+                    Ok(jump) => {
+                        self.land(jump);
+                        true
+                    }
+                    Err(obstacle) => {
+                        self.profile.refusals[obstacle as usize] += 1;
+                        false
+                    }
+                };
+            }
         }
     }
 

@@ -46,10 +46,10 @@ pub mod program;
 pub use cinder_faults::FlapSemantics;
 pub use errors::KernelError;
 pub use kernel::{
-    Ctx, DownloadGrant, FaultCounters, Kernel, KernelConfig, KernelObservables, RunProfile,
-    ThreadId,
+    Ctx, DownloadGrant, FaultCounters, Kernel, KernelConfig, KernelObservables, Obstacle,
+    RunProfile, ThreadId,
 };
-pub use netstack::{NetEnv, NetStack, SendRequest, SendVerdict};
+pub use netstack::{NetEnv, NetStack, Pooling, SendRequest, SendVerdict};
 pub use object::{Body, KObject, ObjectId, ObjectKind};
 pub use offload::{
     OffloadBackend, OffloadOutcome, OffloadRequest, OffloadStats, OffloadStatus, OffloadVerdict,

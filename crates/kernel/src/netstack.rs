@@ -8,7 +8,7 @@
 
 use cinder_core::{ReserveId, ResourceGraph};
 use cinder_hw::Arm9;
-use cinder_sim::{SimDuration, SimRng, SimTime};
+use cinder_sim::{Energy, SimDuration, SimRng, SimTime};
 
 use crate::kernel::ThreadId;
 
@@ -168,29 +168,44 @@ pub trait NetStack {
         false
     }
 
-    /// Whether `poll` at this instant would provably change *nothing* —
-    /// given the caller's promise that over the probed span no reserve
-    /// balance in `graph` can change (the graph is frozen, see
-    /// `ResourceGraph::flow_is_frozen`) and the radio holds
-    /// `radio_active` / `radio_next_transition` throughout. The kernel's
-    /// frozen fast-forward skips a *non-idle* stack's polls only under
-    /// this certificate, so a drained device blocked in the stack does
-    /// not pin the run loop to per-quantum stepping forever.
+    /// The stack's standing refusal, if its polls provably reduce to
+    /// sweeps: given the caller's promise that the radio holds
+    /// `radio_active` / `radio_next_transition` throughout and that only
+    /// those sweeps touch the pool, every `poll` from now on moves each
+    /// waiter's positive balance into the pool, wakes nobody, and keeps
+    /// refusing for as long as the cumulative sweep stays below the
+    /// returned shortfall. The kernel's pooled and frozen fast-forwards
+    /// jump a pooling stack's polls only under this certificate (a frozen
+    /// span is the case where every sweep is zero).
     ///
-    /// The default answers with [`NetStack::is_idle`]: an idle stack's
-    /// poll is a no-op by that contract, and `false` is always safe —
-    /// merely slower. Pooling stacks can certify more: netd proves its
-    /// memoised failed-grant check replays byte-identically while its
-    /// waiters' reserves stay empty.
-    fn poll_inert_while_frozen(
+    /// The default, `None`, is always safe — merely slower. netd proves it
+    /// off its memoised failed grant check.
+    fn pooling(
         &self,
         graph: &ResourceGraph,
         radio_active: bool,
         radio_next_transition: Option<SimTime>,
-    ) -> bool {
+    ) -> Option<Pooling<'_>> {
         let _ = (graph, radio_active, radio_next_transition);
-        self.is_idle()
+        None
     }
+
+    /// Records that `swept` reached the pool through polls the kernel
+    /// settled in closed form under a [`NetStack::pooling`] certificate.
+    fn settle_pooled(&mut self, swept: Energy) {
+        let _ = swept;
+    }
+}
+
+/// A pooling stack's certified refusal (see [`NetStack::pooling`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Pooling<'a> {
+    /// The reserve the sweeps fill.
+    pub pool: ReserveId,
+    /// The blocked requests, whose reserves each poll sweeps in order.
+    pub waiters: &'a [SendRequest],
+    /// What the sweeps must still add before the grant check could pass.
+    pub shortfall: Energy,
 }
 
 #[cfg(test)]

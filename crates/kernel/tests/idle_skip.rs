@@ -1,14 +1,16 @@
-//! Differential tests for the idle fast-forward (`KernelConfig::idle_skip`).
+//! Differential tests for the run loop's fast paths (`KernelConfig::idle_skip`
+//! and `KernelConfig::fast_forward`: idle, frozen, and pooled jumps).
 //!
-//! The flag must be a pure wall-clock optimisation: every observable — the
-//! meter's integrated energy, every reserve balance, radio statistics,
-//! per-thread accounting — is bit-identical with and without it, across
-//! sleeping workloads, radio episodes, and the pooling (netd) stack whose
-//! blocked senders must keep being polled.
+//! The flags must be a pure wall-clock optimisation: every observable — the
+//! meter's integrated energy, every reserve balance and accounting stat,
+//! radio statistics, per-thread accounting — is bit-identical with and
+//! without them, across sleeping workloads, radio episodes, and the pooling
+//! (netd) stack whose blocked senders must keep being polled. Each test
+//! checks through `Kernel::run_profile` that the path it targets ran.
 
 use cinder_apps::{PeriodicPoller, PollerLog};
-use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId};
-use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Step};
+use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig};
+use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, Step};
 use cinder_label::Label;
 use cinder_net::{CoopNetd, UncoopStack};
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
@@ -20,6 +22,7 @@ struct Fingerprint {
     meter_uj: i64,
     balances: Vec<i64>,
     consumed: Vec<i64>,
+    flowed: Vec<[i64; 3]>,
     radio_activations: u64,
     radio_tx: u64,
     radio_rx: u64,
@@ -40,6 +43,14 @@ fn fingerprint(k: &Kernel) -> Fingerprint {
             .graph()
             .reserves()
             .map(|(_, r)| r.stats().consumed.as_microjoules())
+            .collect(),
+        flowed: k
+            .graph()
+            .reserves()
+            .map(|(_, r)| {
+                let s = r.stats();
+                [s.inflow, s.outflow, s.decayed].map(|e| e.as_microjoules())
+            })
             .collect(),
         radio_activations: k.arm9().radio().stats().activations,
         radio_tx: k.arm9().radio().stats().tx_bytes,
@@ -72,17 +83,23 @@ fn tapped(k: &mut Kernel, name: &str, uw: u64) -> ReserveId {
         .graph_mut()
         .create_reserve(&root, name, Label::default_label())
         .unwrap();
+    feed(k, battery, r, uw);
+    r
+}
+
+fn feed(k: &mut Kernel, source: ReserveId, sink: ReserveId, uw: u64) {
+    let root = Actor::kernel();
+    let name = format!("tap-{}", k.graph().tap_count());
     k.graph_mut()
         .create_tap(
             &root,
-            &format!("{name}-tap"),
-            battery,
-            r,
+            &name,
+            source,
+            sink,
             RateSpec::constant(Power::from_microwatts(uw)),
             Label::default_label(),
         )
         .unwrap();
-    r
 }
 
 /// Sleep-heavy square wave (the shape idle skip accelerates most), with
@@ -272,4 +289,208 @@ fn drained_netd_device_jumps_its_frozen_tail_in_one_span() {
     // The battery is gone within two hours; everything after is jumped.
     assert!(profile.frozen_quanta >= quanta - 2 * 36_000, "{profile:?}");
     assert!(profile.reduced_quanta + profile.full_quanta <= 2 * 36_000);
+}
+
+/// The pooled jump's rig: coop netd and a set of pollers with the given
+/// `(feed µW, first poll s, interval s, rx bytes)`, on a `quantum_ms`
+/// scheduler, with the paper's decay or none.
+struct PoolRig {
+    quantum_ms: u64,
+    decay: bool,
+    pollers: Vec<(u64, u64, u64, u64)>,
+    /// An extra constant tap (µW) from the battery into a decay-exempt
+    /// side reserve.
+    side_sink: Option<u64>,
+    /// At the end of second `.0`, bill the first poller's reserve `.1` J
+    /// after the fact (into debt, like a late reply).
+    debit: Option<(u64, i64)>,
+}
+
+/// What a pooled run leaves behind: the fingerprint, the poll log, the
+/// lowest balance any poller reserve showed at a span end, and the
+/// path counters.
+type PoolRun = (Fingerprint, Vec<SimTime>, i64, cinder_kernel::RunProfile);
+
+impl PoolRig {
+    fn run(&self, idle_skip: bool, fast_forward: bool, secs: u64) -> PoolRun {
+        let mut graph = GraphConfig::default();
+        if !self.decay {
+            graph.decay = None;
+        }
+        let mut k = Kernel::new(KernelConfig {
+            seed: 5,
+            idle_skip,
+            fast_forward,
+            graph,
+            sched: SchedulerConfig {
+                quantum: SimDuration::from_millis(self.quantum_ms),
+                ..SchedulerConfig::default()
+            },
+            ..KernelConfig::default()
+        });
+        let netd = CoopNetd::with_defaults(k.graph_mut());
+        k.install_net(Box::new(netd));
+        let log = PollerLog::shared();
+        let mut reserves = Vec::new();
+        for (i, &(uw, start, interval, rx)) in self.pollers.iter().enumerate() {
+            let r = tapped(&mut k, &format!("poller{i}"), uw);
+            let poller = PeriodicPoller::new(
+                SimTime::from_secs(start),
+                SimDuration::from_secs(interval),
+                256,
+                rx,
+                log.clone(),
+            );
+            k.spawn_unprivileged(&format!("poller{i}"), Box::new(poller), r);
+            reserves.push(r);
+        }
+        if let Some(uw) = self.side_sink {
+            let root = Actor::kernel();
+            let side = k
+                .graph_mut()
+                .create_reserve(&root, "side", Label::default_label())
+                .unwrap();
+            k.graph_mut().set_decay_exempt(&root, side, true).unwrap();
+            let battery = k.battery();
+            feed(&mut k, battery, side, uw);
+        }
+        // One-second spans: split points are invisible to the run, and
+        // their ends sample the poller reserves.
+        let mut lowest = 0;
+        for s in 1..=secs {
+            k.run_span(SimTime::from_secs(s));
+            if let Some((_, joules)) = self.debit.filter(|&(at, _)| at == s) {
+                k.graph_mut()
+                    .consume_with_debt(&Actor::kernel(), reserves[0], Energy::from_joules(joules))
+                    .unwrap();
+            }
+            for &r in &reserves {
+                lowest = lowest.min(k.reserve_level(r).as_microjoules());
+            }
+        }
+        k.run_until(SimTime::from_secs(secs));
+        let sends = log.borrow().sends.clone();
+        (fingerprint(&k), sends, lowest, k.run_profile())
+    }
+
+    /// Runs stepped (both fast paths off), reduced-only (`idle_skip`),
+    /// and with every fast path on; asserts all three agree exactly and
+    /// returns the fast run.
+    fn differential(&self, secs: u64) -> PoolRun {
+        let stepped = self.run(false, false, secs);
+        let reduced = self.run(true, false, secs);
+        let fast = self.run(true, true, secs);
+        assert_eq!(stepped.0, fast.0, "fingerprint");
+        assert_eq!(stepped.1, fast.1, "poll log");
+        assert_eq!(reduced.0, fast.0, "fingerprint vs reduced");
+        assert_eq!(reduced.1, fast.1, "poll log vs reduced");
+        assert_eq!(reduced.3.pooled_jumps, 0);
+        assert!(!stepped.1.is_empty(), "scenario must grant some polls");
+        let quanta = secs * 1_000 / self.quantum_ms;
+        assert_eq!(fast.3.quanta(), quanta, "{:?}", fast.3);
+        fast
+    }
+}
+
+/// Jittered feeds leave non-zero tap carries at every jump boundary; the
+/// closed form telescopes them exactly, on the fleet's 100 ms quantum and
+/// on the paper's 10 ms quantum under the 100 ms flow tick.
+#[test]
+fn pooled_jumps_match_stepping_with_jittered_feeds() {
+    for quantum_ms in [100, 10] {
+        let rig = PoolRig {
+            quantum_ms,
+            decay: true,
+            pollers: vec![(37_513, 0, 60, 8_192), (36_977, 15, 60, 4_096)],
+            side_sink: None,
+            debit: None,
+        };
+        let (_, _, _, profile) = rig.differential(900);
+        assert!(profile.pooled_jumps >= 3, "{profile:?}");
+        assert!(
+            profile.pooled_quanta > profile.reduced_quanta,
+            "{profile:?}"
+        );
+    }
+}
+
+/// Bills landing after the fact drive a poller's reserve into debt: a
+/// large reply while it sleeps, and a root debit while it waits in netd,
+/// where its sweeps move nothing until it turns positive. The jumps
+/// settle both climbs back exactly.
+#[test]
+fn pooled_jumps_settle_waiters_in_debt() {
+    let rig = PoolRig {
+        quantum_ms: 100,
+        decay: true,
+        pollers: vec![(37_500, 0, 60, 2_000_000), (38_100, 15, 60, 4_096)],
+        side_sink: None,
+        debit: Some((30, 3)),
+    };
+    let (_, _, lowest, profile) = rig.differential(900);
+    assert!(lowest < 0, "a reply must drive a reserve into debt");
+    assert!(profile.pooled_jumps > 0, "{profile:?}");
+}
+
+/// A rich sender keeps bringing the radio up; the pollers pool through
+/// its tails, where netd's memo carries an active radio signature and
+/// every transition bounds the jump. (Decay off: the rich sender's
+/// reserve refills between its sends, which a decaying graph refuses.)
+#[test]
+fn pooled_jumps_respect_radio_tails() {
+    let rig = PoolRig {
+        quantum_ms: 10,
+        decay: false,
+        pollers: vec![
+            (37_500, 0, 60, 8_192),
+            (37_500, 15, 60, 4_096),
+            (400_000, 7, 23, 1_024),
+        ],
+        side_sink: None,
+        debit: None,
+    };
+    let (fp, _, _, profile) = rig.differential(900);
+    assert!(fp.radio_activations >= 5, "{fp:?}");
+    assert!(profile.pooled_jumps > 0, "{profile:?}");
+}
+
+/// One poller waits while the other sleeps. With decay on, the sleeper's
+/// filling reserve soon crosses the decay-rounding floor, so the
+/// certificate refuses most of those phases; with decay off its growth is
+/// inert and they are jumped too.
+#[test]
+fn pooled_jumps_with_one_waiter_and_a_sleeper() {
+    let pollers = vec![(37_500, 0, 60, 8_192), (37_500, 40, 60, 4_096)];
+    let decaying = PoolRig {
+        quantum_ms: 100,
+        decay: true,
+        pollers: pollers.clone(),
+        side_sink: None,
+        debit: None,
+    };
+    let (_, _, _, profile) = decaying.differential(900);
+    assert!(profile.refused(Obstacle::LiveDecay) > 0, "{profile:?}");
+    let decay_free = PoolRig {
+        decay: false,
+        ..decaying
+    };
+    let (_, _, _, free) = decay_free.differential(900);
+    assert!(free.pooled_jumps > profile.pooled_jumps, "{free:?}");
+    assert!(free.pooled_quanta > profile.pooled_quanta);
+}
+
+/// A constant tap into a decay-exempt side reserve (the fault layer's
+/// fade sink has this shape) settles alongside the waiters' feeds.
+#[test]
+fn pooled_jumps_carry_a_decay_exempt_side_sink() {
+    let rig = PoolRig {
+        quantum_ms: 100,
+        decay: true,
+        pollers: vec![(37_500, 0, 60, 8_192), (37_500, 15, 60, 4_096)],
+        side_sink: Some(1_234),
+        debit: None,
+    };
+    let (fp, _, _, profile) = rig.differential(900);
+    assert!(profile.pooled_jumps >= 3, "{profile:?}");
+    assert!(fp.balances.iter().any(|&b| b > 0));
 }

@@ -18,7 +18,7 @@
 //! global half-life, as the process is trusted not to hoard energy."
 
 use cinder_core::{Actor, ReserveId, ResourceGraph};
-use cinder_kernel::{NetEnv, NetStack, SendRequest, SendVerdict, ThreadId};
+use cinder_kernel::{NetEnv, NetStack, Pooling, SendRequest, SendVerdict, ThreadId};
 use cinder_label::Label;
 use cinder_sim::Energy;
 
@@ -38,12 +38,6 @@ impl Default for NetdConfig {
     }
 }
 
-/// A queued, blocked send request.
-#[derive(Debug, Clone, Copy)]
-struct Waiting {
-    req: SendRequest,
-}
-
 /// A memoised failed grant check (see `CoopNetd::pending_check`).
 #[derive(Debug, Clone, Copy)]
 struct PendingCheck {
@@ -60,7 +54,8 @@ struct PendingCheck {
 pub struct CoopNetd {
     config: NetdConfig,
     pool: ReserveId,
-    waiting: Vec<Waiting>,
+    /// Queued, blocked send requests, in arrival order.
+    waiting: Vec<SendRequest>,
     /// Threads whose queued requests were granted as part of a *newcomer's*
     /// batch; reported (and woken) at the next `poll`.
     granted_backlog: Vec<ThreadId>,
@@ -179,7 +174,7 @@ impl NetStack for CoopNetd {
         // is sufficient energy to turn the radio on and perform the
         // transmissions requested by the waiting threads, Cinder debits the
         // reserve and permits the threads to proceed."
-        let mut batch: Vec<SendRequest> = self.waiting.iter().map(|w| w.req).collect();
+        let mut batch: Vec<SendRequest> = self.waiting.clone();
         batch.push(req);
         let cost = self.estimate(env, &batch);
         let need = self.threshold(cost);
@@ -203,11 +198,11 @@ impl NetStack for CoopNetd {
             self.grant(env, &batch, cost);
             // Waiters granted alongside the newcomer wake at the next poll.
             self.granted_backlog
-                .extend(self.waiting.drain(..).map(|w| w.req.thread));
+                .extend(self.waiting.drain(..).map(|w| w.thread));
             SendVerdict::Sent
         } else {
             self.contribute(env, req.reserve);
-            self.waiting.push(Waiting { req });
+            self.waiting.push(req);
             SendVerdict::Blocked
         }
     }
@@ -221,7 +216,7 @@ impl NetStack for CoopNetd {
         // (indexed copies: `SendRequest` is `Copy`, no temporary vector).
         let mut contributed = Energy::ZERO;
         for i in 0..self.waiting.len() {
-            let reserve = self.waiting[i].req.reserve;
+            let reserve = self.waiting[i].reserve;
             contributed += self.contribute(env, reserve);
         }
         let radio = env.arm9.radio();
@@ -247,7 +242,7 @@ impl NetStack for CoopNetd {
         }
         let mut requests = std::mem::take(&mut self.batch_scratch);
         requests.clear();
-        requests.extend(self.waiting.iter().map(|w| w.req));
+        requests.extend_from_slice(&self.waiting);
         let cost = self.estimate(env, &requests);
         let threshold = self.threshold(cost);
         if pool >= threshold {
@@ -278,48 +273,45 @@ impl NetStack for CoopNetd {
         self.waiting.is_empty() && self.granted_backlog.is_empty()
     }
 
-    fn poll_inert_while_frozen(
+    fn pooling(
         &self,
         graph: &ResourceGraph,
         radio_active: bool,
         radio_next_transition: Option<cinder_sim::SimTime>,
-    ) -> bool {
-        // A frozen-graph poll replays exactly when (a) there is no granted
-        // backlog to wake, (b) every waiter's reserve holds nothing, so the
-        // per-tick sweep contributes zero, and (c) the memoised failed
-        // check matches the live pool and radio signature — then `poll`
-        // rewrites `pending_check` with its own values (contributed = 0 <
-        // shortfall, which a full check stores as positive) and returns no
-        // wakes: a bitwise no-op, for as many ticks as the freeze lasts.
-        // Without a memoised check the full estimate could *grant* from an
-        // already-sufficient pool, so it is never skippable.
+    ) -> Option<Pooling<'_>> {
+        // A poll reduces to sweeps when (a) there is no granted backlog to
+        // wake and (b) the memoised failed check matches the live pool and
+        // radio signature: then each poll takes the memo path, which
+        // refuses while the cumulative contribution stays below the
+        // memoised shortfall and rewrites the memo with exactly that
+        // shortfall less the contribution. Without a memoised check the
+        // full estimate could *grant* from an already-sufficient pool, so
+        // nothing is certified.
         if !self.granted_backlog.is_empty() {
-            return false;
+            return None;
         }
-        if self.waiting.is_empty() {
-            return true;
-        }
-        let Some(chk) = self.pending_check else {
-            return false;
-        };
-        if chk.radio_active != radio_active
-            || chk.radio_next_transition != radio_next_transition
-            || !chk.shortfall.is_positive()
-        {
-            return false;
+        let chk = self.pending_check?;
+        if chk.radio_active != radio_active || chk.radio_next_transition != radio_next_transition {
+            return None;
         }
         let pool = graph
             .reserve(self.pool)
             .map(|r| r.balance())
             .unwrap_or(Energy::ZERO);
-        if pool != chk.expected_pool {
-            return false;
-        }
-        self.waiting.iter().all(|w| {
-            graph
-                .reserve(w.req.reserve)
-                .is_none_or(|r| !r.balance().is_positive())
+        (pool == chk.expected_pool).then_some(Pooling {
+            pool: self.pool,
+            waiters: &self.waiting,
+            shortfall: chk.shortfall,
         })
+    }
+
+    fn settle_pooled(&mut self, swept: Energy) {
+        // The memo after the settled polls, exactly as they would have
+        // rewritten it one contribution at a time.
+        if let Some(chk) = self.pending_check.as_mut() {
+            chk.shortfall -= swept;
+            chk.expected_pool += swept;
+        }
     }
 }
 
