@@ -3,9 +3,9 @@
 //! Each device gets its own [`Kernel`] built from its spec — battery
 //! capacity, seed, and workload topology with the device's jitter applied —
 //! run to the horizon in one loop whose spans end only at policy ticks and
-//! fault boundaries (the kernel's bit-exact fast paths cross the rest),
-//! then torn down into a compact report. Devices sharing nothing is what
-//! lets the executor shard them freely.
+//! fault boundaries (the kernel's bit-exact idle, frozen, and pooled jumps
+//! cross the rest), then torn down into a compact report. Devices sharing
+//! nothing is what lets the executor shard them freely.
 //!
 //! The driver is workload-agnostic: [`crate::scenario::Workload::program`] resolves the
 //! spec's tag to a [`cinder_apps::WorkloadProgram`], which shapes the

@@ -24,7 +24,8 @@
 //!   [`cinder_sim::SimRng::split`]`(i)` — an independent child stream — so
 //!   its behaviour does not depend on how many devices surround it.
 //! * Devices never share state; each runs its own [`cinder_kernel::Kernel`]
-//!   to the horizon (with the kernel's bit-exact idle fast-forward on).
+//!   to the horizon (with the kernel's bit-exact idle, frozen, and pooled
+//!   jumps on).
 //! * The executor assembles results **by device id**, so the aggregate
 //!   report is byte-identical for *any* worker thread count — property
 //!   tests in `tests/fleet_props.rs` enforce this.
@@ -35,8 +36,8 @@
 //!   rate jitter, optional §9 data-plan quota.
 //! * [`device`] — builds one kernel from a [`scenario::DeviceSpec`], runs
 //!   it in one loop whose spans end only at policy ticks and fault
-//!   boundaries (the kernel's fast paths cross the rest), and extracts a
-//!   compact [`device::DeviceReport`].
+//!   boundaries (the kernel's jump certificate crosses the rest), and
+//!   extracts a compact [`device::DeviceReport`].
 //! * [`executor`] — shards devices across `std::thread` workers into a
 //!   retained [`slab::ReportSlab`].
 //! * [`slab`] — struct-of-arrays storage of per-device telemetry.

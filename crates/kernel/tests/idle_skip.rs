@@ -83,23 +83,17 @@ fn tapped(k: &mut Kernel, name: &str, uw: u64) -> ReserveId {
         .graph_mut()
         .create_reserve(&root, name, Label::default_label())
         .unwrap();
-    feed(k, battery, r, uw);
-    r
-}
-
-fn feed(k: &mut Kernel, source: ReserveId, sink: ReserveId, uw: u64) {
-    let root = Actor::kernel();
-    let name = format!("tap-{}", k.graph().tap_count());
     k.graph_mut()
         .create_tap(
             &root,
-            &name,
-            source,
-            sink,
+            &format!("{name}-tap"),
+            battery,
+            r,
             RateSpec::constant(Power::from_microwatts(uw)),
             Label::default_label(),
         )
         .unwrap();
+    r
 }
 
 /// Sleep-heavy square wave (the shape idle skip accelerates most), with
@@ -252,9 +246,9 @@ fn drained_coop_kernel(fast_forward: bool) -> Kernel {
         battery: Energy::from_joules(100),
         idle_skip: true,
         fast_forward,
-        sched: cinder_core::SchedulerConfig {
+        sched: SchedulerConfig {
             quantum: SimDuration::from_millis(100),
-            ..cinder_core::SchedulerConfig::default()
+            ..SchedulerConfig::default()
         },
         ..KernelConfig::default()
     });
@@ -345,14 +339,10 @@ impl PoolRig {
             reserves.push(r);
         }
         if let Some(uw) = self.side_sink {
-            let root = Actor::kernel();
-            let side = k
-                .graph_mut()
-                .create_reserve(&root, "side", Label::default_label())
+            let side = tapped(&mut k, "side", uw);
+            k.graph_mut()
+                .set_decay_exempt(&Actor::kernel(), side, true)
                 .unwrap();
-            k.graph_mut().set_decay_exempt(&root, side, true).unwrap();
-            let battery = k.battery();
-            feed(&mut k, battery, side, uw);
         }
         // One-second spans: split points are invisible to the run, and
         // their ends sample the poller reserves.
