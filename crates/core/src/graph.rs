@@ -196,14 +196,13 @@ pub enum PoolRefusal {
     /// A waiter holds a positive balance its next sweep would move.
     WaiterHolds,
     /// A live tap the closed form does not cover: proportional, draining
-    /// a waiter or the pool, filling the pool, or refilling a drained
-    /// source.
+    /// a waiter or the pool, filling the pool or a decaying reserve that
+    /// is not swept, or refilling a drained source.
     LiveFlow,
     /// The global decay could move a microjoule during the run.
     LiveDecay,
-    /// Not one whole tick fits: the shortfall, a source's coverage, or a
-    /// sink's decay floor is reached within it, the wake bound allows
-    /// none, or nothing flows.
+    /// Not one whole tick fits: the shortfall or a source's coverage is
+    /// reached within it, the wake bound allows none, or nothing flows.
     NoRoom,
 }
 
@@ -213,14 +212,8 @@ struct PoolPlan {
     waiters: Vec<PoolWaiter>,
     /// Covered sources and their balances, µJ.
     sources: Vec<(ReserveId, u128)>,
-    /// Decaying sinks that are not swept, and their balances, µJ: each
-    /// must stay under the decay-rounding floor (a reserve climbing out
-    /// of debt, say).
-    sinks: Vec<(ReserveId, i128)>,
     /// Covered taps.
     taps: Vec<PoolTap>,
-    /// The decay leak per tick, ppm.
-    ppm: u128,
 }
 
 struct PoolWaiter {
@@ -233,21 +226,12 @@ struct PoolWaiter {
     worst_tick: u128,
 }
 
-/// Where a covered tap delivers.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PoolSink {
-    /// Index into [`PoolPlan::waiters`].
-    Waiter(usize),
-    /// Index into [`PoolPlan::sinks`].
-    Floor(usize),
-    /// A reserve the decay never touches.
-    Exempt,
-}
-
 struct PoolTap {
     /// Index into [`PoolPlan::sources`].
     source: usize,
-    sink: PoolSink,
+    /// Index into [`PoolPlan::waiters`], or `None` for a sink the decay
+    /// never touches.
+    waiter: Option<usize>,
     /// `rate_µW × tick_µs`.
     step: u128,
     carry: u128,
@@ -271,29 +255,24 @@ impl PoolPlan {
     }
 
     /// Whether a `ticks`-tick run keeps every covered source strictly
-    /// positive, every floor-bound sink under the decay-rounding floor,
-    /// and the cumulative sweep below `shortfall`. Each is monotone in
-    /// `ticks`.
+    /// positive and the cumulative sweep below `shortfall`. Both are
+    /// monotone in `ticks`.
     fn fits(&self, ticks: u64, shortfall: Energy) -> bool {
         let covered = self
             .sources
             .iter()
             .enumerate()
             .all(|(i, &(_, balance))| self.moved(ticks, |t| t.source == i) < balance);
-        let floored = self.sinks.iter().enumerate().all(|(i, &(_, start))| {
-            let level = start + self.moved(ticks, |t| t.sink == PoolSink::Floor(i)) as i128;
-            level <= 0 || (level as u128) * self.ppm < 1_000_000
-        });
         let swept: i128 = self
             .waiters
             .iter()
             .enumerate()
             .map(|(i, w)| {
-                let inflow = self.moved(ticks, |t| t.sink == PoolSink::Waiter(i));
+                let inflow = self.moved(ticks, |t| t.waiter == Some(i));
                 (w.start + inflow as i128).max(0)
             })
             .sum();
-        covered && floored && swept < shortfall.as_microjoules() as i128
+        covered && swept < shortfall.as_microjoules() as i128
     }
 }
 
@@ -1126,12 +1105,10 @@ impl ResourceGraph {
     ///   source stays strictly positive after every covered tap it feeds
     ///   has moved its whole run, so no transfer clamps and the graph
     ///   never freezes;
-    /// * decay cannot move a microjoule: the pool and every other covered
-    ///   sink is exempt, a waiter (whose balance after a tick is at most
-    ///   that tick's delivery, since it starts each tick at or below zero,
-    ///   and the worst such delivery leaks nothing), or a sink that stays
-    ///   under the decay-rounding floor for the whole run (a sleeping
-    ///   thread's reserve climbing out of debt); every other eligible
+    /// * decay cannot move a microjoule: the pool and every covered sink
+    ///   but the waiters are exempt; a waiter's balance after a tick is at
+    ///   most that tick's delivery (it starts each tick at or below zero),
+    ///   and the worst such delivery leaks nothing; every other eligible
     ///   balance leaks nothing and only shrinks;
     /// * the run's cumulative sweep stays below `shortfall`.
     ///
@@ -1220,9 +1197,7 @@ impl ResourceGraph {
         let mut plan = PoolPlan {
             waiters: Vec::with_capacity(waiters.len()),
             sources: Vec::new(),
-            sinks: Vec::new(),
             taps: Vec::new(),
-            ppm,
         };
         for &w in waiters {
             if plan.waiters.iter().any(|pw| pw.id == w) {
@@ -1270,28 +1245,19 @@ impl ResourceGraph {
                 }
                 continue;
             }
-            let target = match plan.waiters.iter().position(|w| w.id == sink) {
-                Some(i) => {
-                    plan.waiters[i].worst_tick += step.div_ceil(1_000_000);
-                    PoolSink::Waiter(i)
-                }
+            let waiter = plan.waiters.iter().position(|w| w.id == sink);
+            match waiter {
+                Some(i) => plan.waiters[i].worst_tick += step.div_ceil(1_000_000),
                 None => {
-                    let r = self.reserves.get(sink.0).ok_or(PoolRefusal::LiveFlow)?;
-                    if ppm == 0 || r.is_decay_exempt() || r.kind() != ResourceKind::Energy {
-                        PoolSink::Exempt
-                    } else {
-                        let i = match plan.sinks.iter().position(|s| s.0 == sink) {
-                            Some(i) => i,
-                            None => {
-                                plan.sinks
-                                    .push((sink, r.balance().as_microjoules() as i128));
-                                plan.sinks.len() - 1
-                            }
-                        };
-                        PoolSink::Floor(i)
+                    let exempt = self
+                        .reserves
+                        .get(sink.0)
+                        .is_some_and(|r| r.is_decay_exempt() || r.kind() != ResourceKind::Energy);
+                    if !exempt && ppm > 0 {
+                        return Err(PoolRefusal::LiveFlow);
                     }
                 }
-            };
+            }
             let src = match plan.sources.iter().position(|s| s.0 == source) {
                 Some(i) => i,
                 None => {
@@ -1302,7 +1268,7 @@ impl ResourceGraph {
             };
             plan.taps.push(PoolTap {
                 source: src,
-                sink: target,
+                waiter,
                 step,
                 carry: tap.remainder(),
             });

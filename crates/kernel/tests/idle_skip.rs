@@ -405,9 +405,9 @@ fn pooled_jumps_match_stepping_with_jittered_feeds() {
 }
 
 /// Bills landing after the fact drive a poller's reserve into debt: a
-/// large reply while it sleeps, and a root debit while it waits in netd,
-/// where its sweeps move nothing until it turns positive. The jumps
-/// settle both climbs back exactly.
+/// large reply while it sleeps (its filling reserve refuses the jump),
+/// and a root debit while it waits in netd, where its sweeps move nothing
+/// until it turns positive — which the jump settles exactly.
 #[test]
 fn pooled_jumps_settle_waiters_in_debt() {
     let rig = PoolRig {
@@ -445,9 +445,8 @@ fn pooled_jumps_respect_radio_tails() {
 }
 
 /// One poller waits while the other sleeps. With decay on, the sleeper's
-/// filling reserve soon crosses the decay-rounding floor, so the
-/// certificate refuses most of those phases; with decay off its growth is
-/// inert and they are jumped too.
+/// filling reserve would leak, so the certificate refuses those phases;
+/// with decay off its growth is inert and they are jumped too.
 #[test]
 fn pooled_jumps_with_one_waiter_and_a_sleeper() {
     let pollers = vec![(37_500, 0, 60, 8_192), (37_500, 40, 60, 4_096)];
@@ -459,7 +458,7 @@ fn pooled_jumps_with_one_waiter_and_a_sleeper() {
         debit: None,
     };
     let (_, _, _, profile) = decaying.differential(900);
-    assert!(profile.refused(Obstacle::LiveDecay) > 0, "{profile:?}");
+    assert!(profile.refused(Obstacle::LiveFlow) > 0, "{profile:?}");
     let decay_free = PoolRig {
         decay: false,
         ..decaying
