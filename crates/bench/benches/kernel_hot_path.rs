@@ -21,6 +21,11 @@
 //!   fleet's 100 ms quantum, with `fast_forward` on vs off (`idle_skip` on
 //!   in both): the pooled jump's closed form against netd's reduced
 //!   stepper, bit-identical on every reserve, the meter, and the poll log.
+//! * **retrying-pollers** — the same rig with the fault layer's bounded
+//!   retry: a backoff wake leaves a Ready poller whose reserve netd keeps
+//!   sweeping, which `fast_forward` crosses with gated pooled jumps and
+//!   the stepped run pays quantum by quantum — bit-identical on the same
+//!   observables plus every thread's throttled time.
 //!
 //! Writes `BENCH_kernel_hot_path.json` at the repo root.
 #![allow(missing_docs)]
@@ -28,8 +33,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-use cinder_apps::build_pollers;
+use cinder_apps::build_pollers_with_retry;
 use cinder_core::{Actor, RateSpec, SchedulerConfig};
+use cinder_fleet::{FaultConfig, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, PeripheralKind, Program, Step};
 use cinder_label::Label;
 use cinder_net::CoopNetd;
@@ -140,10 +146,19 @@ fn backlit_idle_kernel(idle_skip: bool) -> Kernel {
 /// Simulated span of the netd-pooling case.
 const POOLING_SECS: u64 = 3_600;
 
+/// The fault-heavy fleet's client retry policy.
+fn heavy_retry() -> Option<RetryPolicy> {
+    FaultConfig::heavy(0).retry
+}
+
 /// §6.4's coop pollers on a fleet-shaped kernel (100 ms quanta), with the
-/// given `fast_forward`: both threads spend most of the hour blocked in
-/// netd while their feeds fill its pool.
-fn netd_pooling_kernel(fast_forward: bool) -> (Kernel, cinder_apps::PollerHandles) {
+/// given `fast_forward` and retry policy: both threads spend most of the
+/// hour waiting on netd while their feeds fill its pool — blocked, or
+/// (retrying) Ready after a backoff wake with netd sweeping their reserves.
+fn netd_pooling_kernel(
+    fast_forward: bool,
+    retry: Option<RetryPolicy>,
+) -> (Kernel, cinder_apps::PollerHandles) {
     let mut k = Kernel::new(KernelConfig {
         idle_skip: true,
         fast_forward,
@@ -155,11 +170,12 @@ fn netd_pooling_kernel(fast_forward: bool) -> (Kernel, cinder_apps::PollerHandle
     });
     let netd = CoopNetd::with_defaults(k.graph_mut());
     k.install_net(Box::new(netd));
-    let handles = build_pollers(
+    let handles = build_pollers_with_retry(
         &mut k,
         Power::from_microwatts(37_513),
         SimDuration::from_secs(60),
         SimDuration::from_secs(60),
+        retry,
     )
     .unwrap();
     (k, handles)
@@ -195,10 +211,16 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
         k
     };
     group.bench_function("netd_pooling_reduced", |b| {
-        b.iter_with_setup(|| netd_pooling_kernel(false), run_pooling)
+        b.iter_with_setup(|| netd_pooling_kernel(false, None), run_pooling)
     });
     group.bench_function("netd_pooling_fast_forward", |b| {
-        b.iter_with_setup(|| netd_pooling_kernel(true), run_pooling)
+        b.iter_with_setup(|| netd_pooling_kernel(true, None), run_pooling)
+    });
+    group.bench_function("retrying_pollers_ff_off", |b| {
+        b.iter_with_setup(|| netd_pooling_kernel(false, heavy_retry()), run_pooling)
+    });
+    group.bench_function("retrying_pollers_fast_forward", |b| {
+        b.iter_with_setup(|| netd_pooling_kernel(true, heavy_retry()), run_pooling)
     });
     group.finish();
 }
@@ -255,12 +277,13 @@ fn hot_path_report(_c: &mut Criterion) {
     );
     // netd pooling: pooled jumps against the reduced stepper. Everything
     // observable must match — every reserve's balance and flow stats, the
-    // meter, the radio, and when each poll went out.
-    let run_pooling = |fast_forward: bool| {
+    // meter, the radio, when each poll went out, and how long each thread
+    // was throttled.
+    let run_pooling = |fast_forward: bool, retry: Option<RetryPolicy>| {
         let mut wall_ms = f64::INFINITY;
         let mut seen = None;
         for _ in 0..5 {
-            let (mut k, handles) = netd_pooling_kernel(fast_forward);
+            let (mut k, handles) = netd_pooling_kernel(fast_forward, retry);
             let start = Instant::now();
             k.run_until(SimTime::from_secs(POOLING_SECS));
             wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
@@ -269,19 +292,21 @@ fn hot_path_report(_c: &mut Criterion) {
                 .reserves()
                 .map(|(_, r)| (r.balance(), r.stats()))
                 .collect();
+            let throttled: Vec<_> = k.thread_id_iter().map(|t| k.thread_throttled(t)).collect();
             let observed = (
                 reserves,
                 k.meter().total_energy(),
                 k.arm9().radio().stats().activations,
                 handles.log.borrow().sends.clone(),
+                throttled,
             );
             seen = Some((observed, k.run_profile()));
         }
         let (observed, profile) = seen.expect("ran");
         (wall_ms, observed, profile)
     };
-    let (pool_ms, pool_observed, _) = run_pooling(false);
-    let (pool_ff_ms, pool_ff_observed, pool_profile) = run_pooling(true);
+    let (pool_ms, pool_observed, _) = run_pooling(false, None);
+    let (pool_ff_ms, pool_ff_observed, pool_profile) = run_pooling(true, None);
     assert_eq!(
         pool_observed, pool_ff_observed,
         "pooled jumps must be bit-identical to netd's reduced stepper"
@@ -292,6 +317,20 @@ fn hot_path_report(_c: &mut Criterion) {
     );
     let pooled_share = pool_profile.pooled_quanta as f64 / pool_profile.quanta() as f64;
     let pool_speedup = pool_ms / pool_ff_ms;
+    // Retrying pollers: gated jumps against the ff-off loop, which steps
+    // every quantum a swept Ready poller waits out in full.
+    let (retry_ms, retry_observed, _) = run_pooling(false, heavy_retry());
+    let (retry_ff_ms, retry_ff_observed, retry_profile) = run_pooling(true, heavy_retry());
+    assert_eq!(
+        retry_observed, retry_ff_observed,
+        "gated jumps must be bit-identical to stepping"
+    );
+    assert!(
+        retry_profile.gated_quanta > 0,
+        "the retrying case must cross gated Ready quanta: {retry_profile:?}"
+    );
+    let gated_share = retry_profile.gated_quanta as f64 / retry_profile.quanta() as f64;
+    let retry_speedup = retry_ms / retry_ff_ms;
 
     let quanta = SIM_SECS * 100; // default 10 ms quantum
     let skip_speedup = idle_ms / skip_ms;
@@ -301,10 +340,12 @@ fn hot_path_report(_c: &mut Criterion) {
          idle {idle_ms:.2} ms vs idle_skip {skip_ms:.3} ms ({skip_speedup:.0}x), backlit idle \
          {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x), netd pooling \
          1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
-         quanta in {} pooled jumps)",
+         quanta in {} pooled jumps), retrying pollers 1 h {retry_ms:.2} ms vs fast_forward \
+         {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated)",
         busy_ms * 1e6 / quanta as f64,
         pooled_share * 100.0,
-        pool_profile.pooled_jumps
+        pool_profile.pooled_jumps,
+        gated_share * 100.0,
     );
 
     let json = format!(
@@ -320,7 +361,10 @@ fn hot_path_report(_c: &mut Criterion) {
          {POOLING_SECS}, \"quantum_ms\": 100, \"reduced_wall_ms\": {pool_ms:.3}, \
          \"fast_forward_wall_ms\": {pool_ff_ms:.4}, \"skip_speedup\": {pool_speedup:.1}, \
          \"pooled_jumps\": {}, \"pooled_quanta_share\": {pooled_share:.3}, \
-         \"observables_bit_identical\": true }}\n}}\n",
+         \"observables_bit_identical\": true }},\n  \"retrying_pollers\": {{ \"sim_seconds\": \
+         {POOLING_SECS}, \"quantum_ms\": 100, \"ff_off_wall_ms\": {retry_ms:.3}, \
+         \"fast_forward_wall_ms\": {retry_ff_ms:.4}, \"skip_speedup\": {retry_speedup:.1}, \
+         \"gated_quanta_share\": {gated_share:.3}, \"observables_bit_identical\": true }}\n}}\n",
         busy_ms * 1e6 / quanta as f64,
         backlit_drain.as_microjoules() as f64 / 1e6,
         pool_profile.pooled_jumps

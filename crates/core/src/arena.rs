@@ -23,6 +23,20 @@ impl RawId {
     pub fn generation(self) -> u32 {
         self.generation
     }
+
+    /// The id packed into one integer, so a set of ids can be folded with
+    /// XOR (see [`RawId::from_bits`]).
+    pub(crate) fn to_bits(self) -> u64 {
+        (u64::from(self.index) << 32) | u64::from(self.generation)
+    }
+
+    /// Inverse of [`RawId::to_bits`].
+    pub(crate) fn from_bits(bits: u64) -> RawId {
+        RawId {
+            index: (bits >> 32) as u32,
+            generation: bits as u32,
+        }
+    }
 }
 
 enum Slot<T> {

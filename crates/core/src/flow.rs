@@ -106,6 +106,54 @@ struct TickedTap {
     carry: u128,
 }
 
+/// The taps sinking into one reserve, summarised by rate class.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Inbound {
+    /// Taps of any rate.
+    pub(crate) taps: u32,
+    /// Constant taps with a nonzero rate.
+    pub(crate) const_feeds: u32,
+    /// Their summed rate, µW.
+    pub(crate) const_uw: u64,
+    /// Proportional taps with a nonzero rate.
+    pub(crate) live_prop: u32,
+    /// The constant feeds' source ids folded with XOR
+    /// ([`RawId::to_bits`]): exactly the sole feed's source when
+    /// `const_feeds == 1`.
+    const_sources: u64,
+}
+
+impl Inbound {
+    /// The source of the only constant feed, if there is exactly one.
+    pub(crate) fn sole_const_source(&self) -> Option<RawId> {
+        (self.const_feeds == 1).then(|| RawId::from_bits(self.const_sources))
+    }
+
+    /// Counts (`add`) or uncounts a feed of `rate` from `source`.
+    fn count(&mut self, source: RawId, rate: RateSpec, add: bool) {
+        match rate {
+            RateSpec::Const(p) if p.as_microwatts() > 0 => {
+                if add {
+                    self.const_feeds += 1;
+                    self.const_uw += p.as_microwatts();
+                } else {
+                    self.const_feeds -= 1;
+                    self.const_uw -= p.as_microwatts();
+                }
+                self.const_sources ^= source.to_bits();
+            }
+            RateSpec::Proportional { ppm_per_s } if ppm_per_s > 0 => {
+                if add {
+                    self.live_prop += 1;
+                } else {
+                    self.live_prop -= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Indexed batch-flow executor. See the module docs for the design.
 pub(crate) struct FlowEngine {
     /// All live taps as `(seq, id)`, sorted by creation sequence
@@ -117,10 +165,13 @@ pub(crate) struct FlowEngine {
     order: Vec<(u64, TapId)>,
     /// Tap lists keyed by source reserve.
     by_source: HashMap<RawId, SourceTaps>,
-    /// Inbound-tap count per reserve (any rate, either kind): O(1) "can a
-    /// tap refill this reserve?" for run planning and the kernel's
-    /// idle-skip guard.
-    inbound: HashMap<RawId, u32>,
+    /// What feeds each reserve, indexed by reserve slot
+    /// ([`RawId::index`]): O(1) "can a tap refill this reserve?" for run
+    /// planning and the kernel's held-send guard, and the constant-feed
+    /// bound behind [`crate::ResourceGraph::quiet_ticks`]. A reserve's
+    /// taps are revoked before its slot can be reused, so a live reserve
+    /// only ever reads its own entry.
+    inbound: Vec<Inbound>,
     /// Sources with at least one live proportional tap — the reserves the
     /// per-tick snapshot must cover, kept dense so the tick loop does not
     /// walk the whole `by_source` map.
@@ -173,7 +224,7 @@ impl FlowEngine {
             order: Vec::new(),
             by_source: HashMap::new(),
             prop_sources: Vec::new(),
-            inbound: HashMap::new(),
+            inbound: Vec::new(),
             live_prop: 0,
             snapshot: Vec::new(),
             snapshot_epoch: Vec::new(),
@@ -245,7 +296,13 @@ impl FlowEngine {
         self.order.push((seq, id));
         let entry = self.by_source.entry(source).or_default();
         entry.taps.insert(seq, id);
-        *self.inbound.entry(sink).or_insert(0) += 1;
+        let slot = sink.index() as usize;
+        if slot >= self.inbound.len() {
+            self.inbound.resize(slot + 1, Inbound::default());
+        }
+        let feeds = &mut self.inbound[slot];
+        feeds.taps += 1;
+        feeds.count(source, rate, true);
         if is_live_prop(rate) {
             entry.live_prop += 1;
             self.live_prop += 1;
@@ -275,17 +332,22 @@ impl FlowEngine {
         if prop_source_died {
             self.drop_prop_source(source);
         }
-        if let Some(count) = self.inbound.get_mut(&sink) {
-            *count -= 1;
-            if *count == 0 {
-                self.inbound.remove(&sink);
-            }
-        }
+        let feeds = &mut self.inbound[sink.index() as usize];
+        feeds.taps -= 1;
+        feeds.count(source, rate, false);
     }
 
     /// Whether any live tap (of any rate) sinks into `reserve` — O(1).
     pub(crate) fn has_inbound(&self, reserve: RawId) -> bool {
-        self.inbound.contains_key(&reserve)
+        self.inbound(reserve).taps > 0
+    }
+
+    /// The summary of the taps sinking into `reserve` — O(1).
+    pub(crate) fn inbound(&self, reserve: RawId) -> Inbound {
+        self.inbound
+            .get(reserve.index() as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The live taps draining `reserve`, in creation order — O(outbound
@@ -298,7 +360,16 @@ impl FlowEngine {
     }
 
     /// Updates prop/const classification when a tap's rate changes.
-    pub(crate) fn on_tap_rate_changed(&mut self, source: RawId, old: RateSpec, new: RateSpec) {
+    pub(crate) fn on_tap_rate_changed(
+        &mut self,
+        source: RawId,
+        sink: RawId,
+        old: RateSpec,
+        new: RateSpec,
+    ) {
+        let feeds = &mut self.inbound[sink.index() as usize];
+        feeds.count(source, old, false);
+        feeds.count(source, new, true);
         let (was, is) = (is_live_prop(old), is_live_prop(new));
         if was == is {
             return;

@@ -197,7 +197,7 @@ pub enum PoolRefusal {
     WaiterHolds,
     /// A live tap the closed form does not cover: proportional, draining
     /// a waiter or the pool, filling the pool or a decaying reserve that
-    /// is not swept, or refilling a drained source.
+    /// is neither swept nor gated, or refilling a drained source.
     LiveFlow,
     /// The global decay could move a microjoule during the run.
     LiveDecay,
@@ -616,9 +616,9 @@ impl ResourceGraph {
         if !actor.can_modify(&tap.label().clone()) && !actor.is_kernel {
             return Err(GraphError::PermissionDenied { op: "set_tap_rate" });
         }
-        let (source, old) = (tap.source().0, tap.rate());
+        let (source, sink, old) = (tap.source().0, tap.sink().0, tap.rate());
         tap.set_rate(rate);
-        self.flow.on_tap_rate_changed(source, old, rate);
+        self.flow.on_tap_rate_changed(source, sink, old, rate);
         Ok(())
     }
 
@@ -1106,10 +1106,13 @@ impl ResourceGraph {
     ///   has moved its whole run, so no transfer clamps and the graph
     ///   never freezes;
     /// * decay cannot move a microjoule: the pool and every covered sink
-    ///   but the waiters are exempt; a waiter's balance after a tick is at
-    ///   most that tick's delivery (it starts each tick at or below zero),
-    ///   and the worst such delivery leaks nothing; every other eligible
-    ///   balance leaks nothing and only shrinks;
+    ///   but the waiters and `gated` are exempt; a waiter's balance after
+    ///   a tick is at most that tick's delivery (it starts each tick at or
+    ///   below zero), and the worst such delivery leaks nothing; a `gated`
+    ///   sink stays at or below zero for the whole run (the caller's
+    ///   promise: swept, or in deficit for at least `max_ticks` by
+    ///   [`ResourceGraph::quiet_ticks`]), where decay never reaches; every
+    ///   other eligible balance leaks nothing and only shrinks;
     /// * the run's cumulative sweep stays below `shortfall`.
     ///
     /// Under it, a waiter starting at `w ≤ 0` that receives `D` over the
@@ -1119,11 +1122,12 @@ impl ResourceGraph {
     pub fn pooled_run(
         &self,
         waiters: &[ReserveId],
+        gated: &[ReserveId],
         pool: ReserveId,
         max_ticks: u64,
         shortfall: Energy,
     ) -> Result<u64, PoolRefusal> {
-        let plan = self.pool_plan(waiters, pool)?;
+        let plan = self.pool_plan(waiters, gated, pool)?;
         let fits = |ticks: u64| plan.fits(ticks, shortfall);
         if max_ticks == 0 || !fits(1) {
             return Err(PoolRefusal::NoRoom);
@@ -1186,7 +1190,12 @@ impl ResourceGraph {
     }
 
     /// Classifies the live taps for [`ResourceGraph::pooled_run`].
-    fn pool_plan(&self, waiters: &[ReserveId], pool: ReserveId) -> Result<PoolPlan, PoolRefusal> {
+    fn pool_plan(
+        &self,
+        waiters: &[ReserveId],
+        gated: &[ReserveId],
+        pool: ReserveId,
+    ) -> Result<PoolPlan, PoolRefusal> {
         let ppm = self.decay_ppm_per_tick as u128;
         let pool_kind = match self.reserves.get(pool.0) {
             Some(r) if r.is_decay_exempt() || r.kind() != ResourceKind::Energy || ppm == 0 => {
@@ -1249,11 +1258,11 @@ impl ResourceGraph {
             match waiter {
                 Some(i) => plan.waiters[i].worst_tick += step.div_ceil(1_000_000),
                 None => {
-                    let exempt = self
-                        .reserves
-                        .get(sink.0)
-                        .is_some_and(|r| r.is_decay_exempt() || r.kind() != ResourceKind::Energy);
-                    if !exempt && ppm > 0 {
+                    let inert = gated.contains(&sink)
+                        || self.reserves.get(sink.0).is_some_and(|r| {
+                            r.is_decay_exempt() || r.kind() != ResourceKind::Energy
+                        });
+                    if !inert && ppm > 0 {
                         return Err(PoolRefusal::LiveFlow);
                     }
                 }
@@ -1489,6 +1498,49 @@ impl ResourceGraph {
     /// mid-span (if not, idle quanta over it are provably skippable).
     pub fn has_inbound_tap(&self, id: ReserveId) -> bool {
         self.flow.has_inbound(id.0)
+    }
+
+    /// How many of the next flow ticks `id` provably ends at or below
+    /// zero, if at least `at_least` — O(1), off the flow engine's inbound
+    /// summary, with no division on a refusal. `u64::MAX` means no bound.
+    ///
+    /// The reserve must hold a deficit `d ≥ 0` and no live proportional
+    /// tap may feed it. Each of its `n` constant feeds moves at most
+    /// `⌊(carry + k·p·tick)/10⁶⌋ < 1 + k·p·tick/10⁶` µJ over `k` ticks, and
+    /// a clamp only moves less, so the feeds deliver under
+    /// `n + k·Σp·tick/10⁶` µJ in all. While that is at most `d` the balance
+    /// stays at or below zero; outflows only lower it, and decay never
+    /// touches a non-positive balance. The battery is never quiet: the
+    /// decay pass credits it outside any tap. (Nor is a reserve that
+    /// sweeps credit, such as netd's pool; callers exclude those.)
+    pub fn quiet_ticks(&self, id: ReserveId, at_least: u64) -> Option<u64> {
+        let debt = -self.reserves.get(id.0)?.balance().as_microjoules();
+        let feeds = self.flow.inbound(id.0);
+        if debt < 0 || feeds.live_prop > 0 || id == self.battery {
+            return None;
+        }
+        // In 10⁻⁶ µJ, so the per-tick feed needs no division.
+        let budget = debt as u128 * 1_000_000;
+        let slack = u128::from(feeds.const_feeds) * 1_000_000;
+        let per_tick = u128::from(feeds.const_uw) * u128::from(self.config.flow_tick.as_micros());
+        if slack + u128::from(at_least) * per_tick > budget {
+            return None;
+        }
+        if per_tick == 0 {
+            return Some(u64::MAX);
+        }
+        Some(u64::try_from((budget - slack) / per_tick).unwrap_or(u64::MAX))
+    }
+
+    /// Whether `id`'s only constant feed draws on a positive source — O(1).
+    /// That feed is a live tap that can still deliver, so the graph is not
+    /// frozen ([`ResourceGraph::flow_is_frozen`]).
+    pub fn fed_by_live_source(&self, id: ReserveId) -> bool {
+        self.flow
+            .inbound(id.0)
+            .sole_const_source()
+            .and_then(|source| self.reserves.get(source))
+            .is_some_and(|r| r.balance().is_positive())
     }
 
     /// An upper-bound view of the taps draining `id`: the sum of all
@@ -2116,5 +2168,96 @@ mod tests {
         }
         g.inject(&k, g.battery(), Energy::from_joules(5)).unwrap();
         assert!(g.totals().conserved());
+    }
+
+    #[test]
+    fn quiet_ticks_leave_a_microjoule_per_feed_for_carries() {
+        // Two 5 µW feeds move half a µJ per 100 ms tick each. With both
+        // carries at half a µJ they deliver 4 µJ over 3 ticks, though
+        // 3 ticks of their rates are only 3 µJ: a 3 µJ deficit is not
+        // quiet for 3 ticks, and the per-feed slack is what says so.
+        let mut g = graph();
+        let k = kernel();
+        let r = g.create_reserve(&k, "r", Label::default_label()).unwrap();
+        let other = g
+            .create_reserve(&k, "other", Label::default_label())
+            .unwrap();
+        g.transfer(&k, g.battery(), other, Energy::from_joules(1))
+            .unwrap();
+        for source in [g.battery(), other] {
+            g.create_tap(
+                &k,
+                "feed",
+                source,
+                r,
+                RateSpec::constant(Power::from_microwatts(5)),
+                Label::default_label(),
+            )
+            .unwrap();
+        }
+        g.flow_until(SimTime::from_millis(100));
+        let level = g.reserve(r).unwrap().balance();
+        g.consume_with_debt(&k, r, level + Energy::from_microjoules(3))
+            .unwrap();
+        assert_eq!(g.quiet_ticks(r, 0), Some(1));
+        g.flow_until(SimTime::from_millis(400));
+        assert_eq!(g.reserve(r).unwrap().balance(), Energy::from_microjoules(1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `quiet_ticks` is sound: a reserve in deficit, fed by constant
+        /// taps of any rates and carries — from the battery, from a small
+        /// source that may run dry mid-way (clamps), or from an empty one
+        /// — ends every certified tick at or below zero, and the bound is
+        /// the largest `at_least` it accepts.
+        #[test]
+        fn quiet_ticks_hold_tick_by_tick(
+            // Slow feeds (sub-µJ per tick) keep the carries in play.
+            feeds in proptest::collection::vec((1u64..60, 0usize..3), 1..5),
+            warmup in 0u64..11,
+            debt in 0i64..3_000,
+            source_uj in 0i64..2_000,
+        ) {
+            let mut g = graph();
+            let k = kernel();
+            let r = g.create_reserve(&k, "gated", Label::default_label()).unwrap();
+            let small = g.create_reserve(&k, "small", Label::default_label()).unwrap();
+            let empty = g.create_reserve(&k, "empty", Label::default_label()).unwrap();
+            g.transfer(&k, g.battery(), small, Energy::from_microjoules(source_uj))
+                .unwrap();
+            for (i, &(uw, source)) in feeds.iter().enumerate() {
+                let source = [g.battery(), small, empty][source];
+                g.create_tap(
+                    &k,
+                    &format!("feed{i}"),
+                    source,
+                    r,
+                    RateSpec::constant(Power::from_microwatts(uw)),
+                    Label::default_label(),
+                )
+                .unwrap();
+            }
+            // Warm-up ticks leave the feeds' carries anywhere in [0, 1 µJ).
+            let tick = g.config().flow_tick;
+            g.flow_until(SimTime::ZERO + tick * warmup);
+            let level = g.reserve(r).unwrap().balance();
+            g.consume_with_debt(&k, r, level + Energy::from_microjoules(debt))
+                .unwrap();
+            let Some(quiet) = g.quiet_ticks(r, 0) else {
+                return Ok(());
+            };
+            proptest::prop_assert_eq!(g.quiet_ticks(r, quiet), Some(quiet));
+            if quiet < u64::MAX {
+                proptest::prop_assert_eq!(g.quiet_ticks(r, quiet + 1), None);
+            }
+            for _ in 0..quiet.min(400) {
+                let next = g.now() + tick;
+                g.flow_until(next);
+                let balance = g.reserve(r).unwrap().balance();
+                proptest::prop_assert!(!balance.is_positive(), "{balance} within {quiet} ticks");
+            }
+        }
     }
 }

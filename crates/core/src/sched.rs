@@ -314,18 +314,36 @@ impl ResourceScheduler {
         picked
     }
 
+    /// The active energy reserve of every Ready task — the reserves
+    /// [`ResourceScheduler::pick_next`] gates on. O(1) for a known sole
+    /// Ready task, otherwise one pass over the queue.
+    pub fn ready_reserves(&self) -> impl Iterator<Item = ReserveId> + '_ {
+        let scan = self
+            .sole_ready
+            .is_none()
+            .then(|| self.queue.iter().copied());
+        self.sole_ready
+            .into_iter()
+            .chain(scan.into_iter().flatten())
+            .filter_map(|id| self.tasks.get(id.0))
+            .filter(|t| t.state == TaskState::Ready)
+            .filter_map(|t| t.reserves[ResourceKind::Energy.index()])
+    }
+
     /// Replays `quanta` consecutive [`ResourceScheduler::pick_next`] calls
-    /// in bulk for a span in which nothing can change: every Ready task
-    /// stays reserve-gated (no balance moves) and no state transition
-    /// occurs. Each such call adds one throttled quantum to every Ready
-    /// task and returns the queue to its entry order, so the whole span
-    /// collapses to a counter add per Ready task.
+    /// in bulk for a span in which no pick can succeed: every Ready task's
+    /// reserve stays at or below zero at every crossed boundary (it may
+    /// fill or be swept in between) and no state transition occurs. Each
+    /// such call adds one throttled quantum to every Ready task and
+    /// returns the queue to its entry order, so the whole span collapses
+    /// to a counter add per Ready task.
     ///
     /// Caller-checked precondition: the immediately preceding `pick_next`
     /// returned `None`, so the queue holds no stale (removed or exited)
     /// entries, `sole_ready` is at its scan fixed point, and every Ready
-    /// task is unfundable — the kernel's frozen fast-forward establishes
-    /// this by construction (debug-asserted here).
+    /// task is unfundable at every crossed boundary — the kernel's jumps
+    /// establish this by construction and call this against the graph as
+    /// the last crossed boundary sees it (debug-asserted here).
     pub fn bulk_throttle(&mut self, graph: &ResourceGraph, quanta: u64) {
         if quanta == 0 || self.ready_count == 0 {
             return;

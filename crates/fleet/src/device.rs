@@ -654,6 +654,34 @@ mod tests {
     }
 
     #[test]
+    fn gated_jumps_cover_storm_coop_pollers() {
+        // The fleetbench `storm` mixture (every tag under fault_heavy's
+        // offload, policy and faults; seed 2011, 1 h), first 44 devices:
+        // every coop poller — whose retry backoff wakes it while netd
+        // still pools its send — steps at most 25% of its quanta in the
+        // full loop, because pooled and idle jumps cross its reserve-gated
+        // Ready quanta. Counts are deterministic.
+        let name = "storm-coverage";
+        let storm = Scenario {
+            mix: Scenario::all_workloads(name, 2011, 44).mix,
+            ..Scenario::fault_heavy(name, 2011, 44)
+        };
+        let mut coop = 0;
+        for spec in storm.specs() {
+            if spec.workload != (Workload::Pollers { coop: true }) {
+                continue;
+            }
+            coop += 1;
+            let mut scratch = DeviceScratch::default();
+            simulate_device_with(&spec, &mut scratch);
+            let p = scratch.profile;
+            assert!(p.full_quanta * 4 <= p.quanta(), "device {}: {p:?}", spec.id);
+            assert!(p.gated_quanta > 0, "device {}: {p:?}", spec.id);
+        }
+        assert!(coop >= 8, "{coop} coop devices");
+    }
+
+    #[test]
     fn every_mixed_workload_simulates() {
         for spec in Scenario::all_workloads("all", 9, 10).specs() {
             let mut quick = spec.clone();

@@ -74,7 +74,8 @@ pub struct KernelConfig {
     /// Attach a laptop NIC (the image-viewer platform, §6.2).
     pub laptop: Option<LaptopNet>,
     /// Fast-forward the run loop over provably idle quanta (no Ready
-    /// thread, idle net stack, no event or radio transition due). The
+    /// thread — with `fast_forward`, none but reserve-gated ones —, idle
+    /// net stack, no event or radio transition due). The
     /// simulation is bit-identical with or without this flag — taps, decay,
     /// metering, and wake-ups all integrate over the skipped span — but
     /// device-hours of mostly-sleeping workloads run orders of magnitude
@@ -90,15 +91,23 @@ pub struct KernelConfig {
     ///   ([`cinder_core::ResourceGraph::flow_is_frozen`]), the stack's
     ///   polls sweep nothing, and no event or radio transition is due —
     ///   the drained-battery state every long-horizon fleet device ends in;
-    /// * *pooled* — nothing Ready while netd pools: the waiters' constant
-    ///   feeds and netd's sweeps settle whole flow ticks in closed form
+    /// * *pooled* — netd pools: the waiters' constant feeds and netd's
+    ///   sweeps settle whole flow ticks in closed form
     ///   ([`cinder_core::ResourceGraph::pooled_run`]) up to the tick before
     ///   the pool could reach its grant threshold.
+    ///
+    /// It also lets idle and pooled jumps cross Ready threads that are
+    /// *reserve-gated* — every crossed `pick_next` provably throttles
+    /// them: a netd waiter's reserve is swept to zero or below after every
+    /// tick of a pooled run, and a reserve in deficit stays there while
+    /// its constant feeds cannot close it
+    /// ([`cinder_core::ResourceGraph::quiet_ticks`]).
     ///
     /// Bit-identical by construction: throttled-quanta accounting is
     /// replayed in bulk, flows and sweeps settle exactly as when stepped,
     /// and netd's memoised refusal advances by the total swept. Off by
-    /// default, like `idle_skip`.
+    /// default, like `idle_skip`; with it off the loop steps every quantum
+    /// that has a Ready thread.
     pub fast_forward: bool,
 }
 
@@ -194,6 +203,9 @@ pub struct RunProfile {
     pub frozen_jumps: u64,
     /// Pooled jumps taken.
     pub pooled_jumps: u64,
+    /// Quanta crossed by idle and pooled jumps while a Ready thread was
+    /// reserve-gated (a share of `idle_quanta` and `pooled_quanta`).
+    pub gated_quanta: u64,
     /// Certificate refusals, indexed by `Obstacle as usize` (see
     /// [`RunProfile::refused`]).
     pub refusals: [u64; Obstacle::ALL.len()],
@@ -219,8 +231,10 @@ impl RunProfile {
 /// ran nothing (tallied in [`RunProfile::refused`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Obstacle {
-    /// A thread is Ready and the graph is live, so it may be funded at any
-    /// boundary.
+    /// A Ready thread is not reserve-gated: its reserve is neither swept
+    /// by a certified pooled run nor in a deficit its constant feeds
+    /// cannot close within two flow ticks — and the graph is live, so it
+    /// may be funded at any boundary.
     Ready,
     /// An event, radio transition, or the span's end is due within the
     /// next quantum (pooled jumps: before the next flow tick settles).
@@ -291,7 +305,8 @@ struct Jump {
 
 #[derive(Debug)]
 enum JumpKind {
-    /// Nothing Ready, the stack idle: only flows and the meter integrate.
+    /// The stack idle, nothing Ready but gated threads: only flows and
+    /// the meter integrate.
     Idle,
     /// The graph is frozen: Ready threads stay unfundable, polls replay.
     Frozen,
@@ -1514,15 +1529,22 @@ impl Kernel {
     /// [`Kernel::land`] applies the verdict. Three kinds, each bit-identical
     /// to stepping every quantum:
     ///
-    /// * **Idle** (`idle_skip`) — nothing Ready, the stack idle: only flows
+    /// * **Idle** (`idle_skip`) — the stack idle and nothing Ready but
+    ///   reserve-gated threads (those under `fast_forward`): only flows
     ///   and the meter integrate until the next wake source.
     /// * **Frozen** (`fast_forward`) — the graph is frozen
     ///   ([`ResourceGraph::flow_is_frozen`]): Ready threads stay unfundable
     ///   and a pooling stack's sweeps are all zero until the next wake.
-    /// * **Pooled** (`fast_forward`) — nothing Ready and netd pools: each
-    ///   flow tick's constant taps fill the waiters, each poll sweeps them
-    ///   into the pool, and netd's memoised refusal holds, so whole ticks
-    ///   settle in closed form ([`ResourceGraph::pooled_run`]).
+    /// * **Pooled** (`fast_forward`) — netd pools and every Ready thread is
+    ///   gated: each flow tick's constant taps fill the waiters, each poll
+    ///   sweeps them into the pool, and netd's memoised refusal holds, so
+    ///   whole ticks settle in closed form ([`ResourceGraph::pooled_run`]).
+    ///
+    /// With the stack idle no reserve is swept, so a Ready thread whose
+    /// deficit cannot outlast two ticks refuses at once when its sole
+    /// constant feed draws on a positive source: that live feed already
+    /// fails the frozen certificate, so the run/starve alternations of
+    /// busy threads pay no more than a few compares here.
     fn certify(&self, end: SimTime) -> Result<Jump, Obstacle> {
         let ready = self.sched.has_ready();
         let stack_idle = self.net.as_ref().is_none_or(|n| n.is_idle());
@@ -1531,7 +1553,19 @@ impl Kernel {
         } else {
             Obstacle::NetPolls
         };
+        // How many ticks an idle jump may cross: Ready threads only under
+        // `fast_forward`, and only while gated.
+        let mut idle_ticks = (!ready).then_some(u64::MAX);
         if self.config.fast_forward {
+            if ready && stack_idle {
+                match self.gated_ticks(&[]) {
+                    Ok(ticks) => idle_ticks = Some(ticks),
+                    Err(reserve) if self.graph.fed_by_live_source(reserve) => {
+                        return Err(Obstacle::Ready)
+                    }
+                    Err(_) => {}
+                }
+            }
             match self.certify_frozen(end, ready) {
                 Ok(quanta) => {
                     return Ok(Jump {
@@ -1541,17 +1575,39 @@ impl Kernel {
                 }
                 Err(obstacle) => refusal = obstacle,
             }
+            if !stack_idle {
+                return self.certify_pooled(end, ready);
+            }
         }
-        if !ready && stack_idle && self.config.idle_skip {
-            return self.certify_idle(end).map(|quanta| Jump {
-                quanta,
-                kind: JumpKind::Idle,
-            });
+        match idle_ticks {
+            Some(ticks) if stack_idle && self.config.idle_skip => {
+                self.certify_idle(end, ticks).map(|quanta| Jump {
+                    quanta,
+                    kind: JumpKind::Idle,
+                })
+            }
+            _ => Err(refusal),
         }
-        if !ready && !stack_idle && self.config.fast_forward {
-            return self.certify_pooled(end);
+    }
+
+    /// How many of the next flow ticks every Ready thread stays
+    /// reserve-gated, so that every `pick_next` up to the last of them
+    /// throttles it: its reserve is one of `swept` (the waiters of a
+    /// certified pooled run, swept to zero or below after every tick) or
+    /// in a deficit its feeds cannot close
+    /// ([`ResourceGraph::quiet_ticks`], at least two ticks — one would
+    /// not outlast a jump's first boundary on the fleet's grid).
+    /// `u64::MAX` when nothing bounds it; the first ungated reserve
+    /// otherwise.
+    fn gated_ticks(&self, swept: &[SendRequest]) -> Result<u64, ReserveId> {
+        let mut ticks = u64::MAX;
+        for reserve in self.sched.ready_reserves() {
+            if swept.iter().any(|w| w.reserve == reserve) {
+                continue;
+            }
+            ticks = ticks.min(self.graph.quiet_ticks(reserve, 2).ok_or(reserve)?);
         }
-        Err(refusal)
+        Ok(ticks)
     }
 
     /// Whole quanta the idle and frozen jumps may cross: up to the first
@@ -1610,16 +1666,36 @@ impl Kernel {
             })
     }
 
-    /// The idle certificate: nothing is Ready (checked by the caller), the
-    /// stack is idle, no held send can move, and every lit peripheral is
+    /// The idle certificate: the stack is idle and every Ready thread
+    /// stays gated for the next `gated_ticks` flow ticks (both checked by
+    /// the caller), no held send can move, and every lit peripheral is
     /// funded across the span — near-empty reserves pin the slow path so a
-    /// forced shutdown lands on the exact boundary it always would.
-    fn certify_idle(&self, end: SimTime) -> Result<u64, Obstacle> {
+    /// forced shutdown lands on the exact boundary it always would. The
+    /// jump ends before the boundary that would see one tick more.
+    fn certify_idle(&self, end: SimTime, gated_ticks: u64) -> Result<u64, Obstacle> {
         // A tap may refill a waiting plan mid-span, so refills count here.
         if self.held_send_may_move(true) {
             return Err(Obstacle::ByteWaiter);
         }
-        let quanta = self.quanta_to_wake(end)?;
+        let mut quanta = self.quanta_to_wake(end)?;
+        if gated_ticks != u64::MAX {
+            // A boundary sees every tick at or before it, so the crossed
+            // ones must all precede tick `gated_ticks + 1`.
+            let tick = self.config.graph.flow_tick.as_micros();
+            let ungated = self
+                .graph
+                .now()
+                .as_micros()
+                .saturating_add(tick.saturating_mul(gated_ticks.saturating_add(1)));
+            quanta = quanta.min(
+                ungated
+                    .saturating_sub(self.now.as_micros())
+                    .div_ceil(self.sched.quantum().as_micros()),
+            );
+            if quanta == 0 {
+                return Err(Obstacle::Ready);
+            }
+        }
         if !self.peripherals_cover_span(self.sched.quantum() * quanta) {
             return Err(Obstacle::Peripheral);
         }
@@ -1668,8 +1744,8 @@ impl Kernel {
         Ok(quanta)
     }
 
-    /// The pooled certificate. Nothing is Ready and the stack pools
-    /// (checked by the caller); then, cheapest first:
+    /// The pooled certificate. The stack pools (checked by the caller);
+    /// then, cheapest first:
     ///
     /// * no lit peripheral and no held send (every poll re-checks them);
     /// * every flow tick is followed by exactly one poll: the link is up,
@@ -1678,15 +1754,17 @@ impl Kernel {
     /// * the stack's polls reduce to sweeps against a standing refusal
     ///   ([`NetStack::pooling`]: for netd, its memoised failed grant check
     ///   matches the live pool and radio);
+    /// * every Ready thread is gated ([`Kernel::gated_ticks`]): swept as a
+    ///   waiter, or in deficit for the whole run, which caps its ticks;
     /// * the graph's half ([`ResourceGraph::pooled_run`]): the waiters'
     ///   constant feeds and every other live tap settle in closed form,
-    ///   decay moves nothing, and the cumulative sweep stays below the
-    ///   shortfall.
+    ///   decay moves nothing (a gated sink stays at or below zero), and
+    ///   the cumulative sweep stays below the shortfall.
     ///
     /// The run ends before any tick whose boundary meets an event or a
     /// radio transition, and its last quantum ends by `end`; it lands one
     /// quantum past its last tick, where the reduced stepper would stand.
-    fn certify_pooled(&self, end: SimTime) -> Result<Jump, Obstacle> {
+    fn certify_pooled(&self, end: SimTime, ready: bool) -> Result<Jump, Obstacle> {
         if self.enabled_peripherals != 0 {
             return Err(Obstacle::Peripheral);
         }
@@ -1716,7 +1794,7 @@ impl Kernel {
         {
             last_us = last_us.min(wake.as_micros().saturating_sub(1));
         }
-        let max_ticks = last_us.saturating_sub(settled.as_micros()) / tick.as_micros();
+        let mut max_ticks = last_us.saturating_sub(settled.as_micros()) / tick.as_micros();
         if max_ticks == 0 {
             return Err(Obstacle::WakeDue);
         }
@@ -1724,10 +1802,22 @@ impl Kernel {
         let pooling = stack
             .pooling(&self.graph, radio.is_active(), radio.next_transition())
             .ok_or(Obstacle::NetPolls)?;
+        let mut gated = Vec::new();
+        if ready {
+            let ticks = self
+                .gated_ticks(pooling.waiters)
+                .map_err(|_| Obstacle::Ready)?;
+            max_ticks = max_ticks.min(ticks);
+            gated.extend(self.sched.ready_reserves());
+            // The sweeps credit the pool, so no deficit there is quiet.
+            if gated.contains(&pooling.pool) {
+                return Err(Obstacle::Ready);
+            }
+        }
         let waiters: Vec<ReserveId> = pooling.waiters.iter().map(|w| w.reserve).collect();
-        let ticks = self
-            .graph
-            .pooled_run(&waiters, pooling.pool, max_ticks, pooling.shortfall)?;
+        let ticks =
+            self.graph
+                .pooled_run(&waiters, &gated, pooling.pool, max_ticks, pooling.shortfall)?;
         let landing = settled + tick * ticks + quantum;
         Ok(Jump {
             quanta: landing.since(self.now).div_duration(quantum),
@@ -1741,26 +1831,27 @@ impl Kernel {
 
     /// Lands a certified jump.
     ///
-    /// Idle and frozen jumps: each crossed boundary's `pick_next` would
-    /// have throttled every Ready task (the frozen certificate keeps them
-    /// unfundable; idle jumps have none), which
-    /// [`ResourceScheduler::bulk_throttle`] replays in bulk, leaving the
-    /// round-robin queue bit-identically unchanged. Stepping runs each
-    /// flow tick at its own boundary, before any event that fires later,
-    /// while the landing iteration delivers events *before* flowing, so
-    /// the crossed ticks settle here up to the boundary before landing (a
-    /// tick exactly at the landing boundary stays for the landing
-    /// iteration, as in the base loop). The meter holds the constant power
-    /// until the next `set_power`.
+    /// Idle and frozen jumps: stepping runs each flow tick at its own
+    /// boundary, before any event that fires later, while the landing
+    /// iteration delivers events *before* flowing, so the crossed ticks
+    /// settle here up to the boundary before landing (a tick exactly at
+    /// the landing boundary stays for the landing iteration, as in the
+    /// base loop). The meter holds the constant power until the next
+    /// `set_power`.
     ///
     /// Pooled jumps: the graph settles the run's ticks and sweeps, netd's
     /// memo advances by the total swept, and the poll clock moves to the
     /// last tick — exactly where the reduced stepper would leave them.
+    ///
+    /// Either way each crossed boundary's `pick_next` would have throttled
+    /// every Ready task (gated, or unfundable in a frozen graph), which
+    /// [`ResourceScheduler::bulk_throttle`] replays in bulk against the
+    /// graph as the last crossed boundary saw it, leaving the round-robin
+    /// queue bit-identically unchanged.
     fn land(&mut self, jump: Jump) {
         let quantum = self.sched.quantum();
         match jump.kind {
             JumpKind::Idle | JumpKind::Frozen => {
-                self.sched.bulk_throttle(&self.graph, jump.quanta);
                 self.now += quantum * jump.quanta;
                 self.graph.flow_until(SimTime::from_micros(
                     self.now.as_micros() - quantum.as_micros(),
@@ -1779,7 +1870,11 @@ impl Kernel {
                 self.now += quantum * jump.quanta;
             }
         }
+        self.sched.bulk_throttle(&self.graph, jump.quanta);
         let p = &mut self.profile;
+        if self.sched.has_ready() && !matches!(jump.kind, JumpKind::Frozen) {
+            p.gated_quanta += jump.quanta;
+        }
         let (quanta, jumps) = match jump.kind {
             JumpKind::Idle => (&mut p.idle_quanta, &mut p.idle_jumps),
             JumpKind::Frozen => (&mut p.frozen_quanta, &mut p.frozen_jumps),

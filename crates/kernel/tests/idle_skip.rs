@@ -1,16 +1,23 @@
 //! Differential tests for the run loop's fast paths (`KernelConfig::idle_skip`
-//! and `KernelConfig::fast_forward`: idle, frozen, and pooled jumps).
+//! and `KernelConfig::fast_forward`: idle, frozen, and pooled jumps, and
+//! the jumps across reserve-gated Ready threads).
 //!
 //! The flags must be a pure wall-clock optimisation: every observable — the
 //! meter's integrated energy, every reserve balance and accounting stat,
-//! radio statistics, per-thread accounting — is bit-identical with and
-//! without them, across sleeping workloads, radio episodes, and the pooling
-//! (netd) stack whose blocked senders must keep being polled. Each test
-//! checks through `Kernel::run_profile` that the path it targets ran.
+//! radio statistics, per-thread accounting including throttled time — is
+//! bit-identical with and without them, across sleeping workloads, radio
+//! episodes, the pooling (netd) stack whose blocked senders must keep being
+//! polled, and Ready threads held at or below zero — swept by netd, or in
+//! a deficit their constant feeds cannot close — which only `fast_forward`
+//! crosses. The gate's refusals (a proportional feed, the tightest of
+//! several deficits, a quantum finer than the flow tick, a re-rated feed,
+//! a battery that decay refills) are differentials too. Each test checks through `Kernel::run_profile`
+//! that the path it targets ran.
 
 use cinder_apps::{PeriodicPoller, PollerLog};
-use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig};
-use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, Step};
+use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig, TapId};
+use cinder_faults::{FaultConfig, RetryPolicy};
+use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, RunProfile, Step};
 use cinder_label::Label;
 use cinder_net::{CoopNetd, UncoopStack};
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
@@ -169,33 +176,229 @@ fn coop_netd_identical_with_and_without_skip() {
     assert!(base_blocked >= 2, "scenario must exercise pooling");
 }
 
-/// A ready-but-starved thread pins the loop: its tap may refill the
-/// reserve mid-span, so the skip must not engage while it exists — and the
-/// throttled-time accounting must agree exactly.
+/// Runs a scenario stepped (both fast paths off), with `idle_skip` only,
+/// and with `fast_forward` too; asserts all three fingerprints agree and
+/// returns the three run profiles in that order.
+fn three_ways(run: impl Fn(bool, bool) -> (Fingerprint, RunProfile)) -> [RunProfile; 3] {
+    let (stepped, stepped_profile) = run(false, false);
+    let (reduced, reduced_profile) = run(true, false);
+    let (fast, fast_profile) = run(true, true);
+    assert_eq!(stepped, reduced, "idle_skip");
+    assert_eq!(stepped, fast, "fast_forward");
+    for profile in [reduced_profile, fast_profile] {
+        assert_eq!(profile.quanta(), stepped_profile.quanta(), "{profile:?}");
+    }
+    assert_eq!(reduced_profile.gated_quanta, 0, "{reduced_profile:?}");
+    [stepped_profile, reduced_profile, fast_profile]
+}
+
+/// A spinner on `quantum_ms` quanta fed by constant taps of the given
+/// rates (µW), the first from the battery and the rest from funded
+/// sources of their own: it runs a quantum, lands in debt, and sits Ready
+/// but throttled until its feeds close the deficit. Returns the kernel,
+/// the thread's reserve, and the feed taps.
+fn trickle_kernel(
+    idle_skip: bool,
+    fast_forward: bool,
+    quantum_ms: u64,
+    feeds_uw: &[u64],
+) -> (Kernel, ReserveId, Vec<TapId>) {
+    let mut k = Kernel::new(KernelConfig {
+        fast_forward,
+        sched: SchedulerConfig {
+            quantum: SimDuration::from_millis(quantum_ms),
+            ..SchedulerConfig::default()
+        },
+        ..config(idle_skip)
+    });
+    let root = Actor::kernel();
+    let battery = k.battery();
+    let g = k.graph_mut();
+    let r = g
+        .create_reserve(&root, "trickle", Label::default_label())
+        .unwrap();
+    let mut taps = Vec::new();
+    for (i, &uw) in feeds_uw.iter().enumerate() {
+        let source = if i == 0 {
+            battery
+        } else {
+            let source = g
+                .create_reserve(&root, &format!("source{i}"), Label::default_label())
+                .unwrap();
+            g.transfer(&root, battery, source, Energy::from_joules(50))
+                .unwrap();
+            source
+        };
+        taps.push(
+            g.create_tap(
+                &root,
+                &format!("feed{i}"),
+                source,
+                r,
+                RateSpec::constant(Power::from_microwatts(uw)),
+                Label::default_label(),
+            )
+            .unwrap(),
+        );
+    }
+    k.spawn_unprivileged(
+        "trickle",
+        Box::new(FnProgram(|_: &mut Ctx<'_>| {
+            Step::compute(SimDuration::from_millis(10))
+        })),
+        r,
+    );
+    (k, r, taps)
+}
+
+/// A ready-but-starved thread: a 200 µW tap leaves it in a deficit for
+/// seconds after every quantum it runs. Stepped and `idle_skip` runs step
+/// every quantum it waits (its tap may refill it at any tick), while
+/// `fast_forward` proves how many ticks the deficit outlasts and jumps
+/// them — on the fleet's 100 ms quantum and the paper's 10 ms — with the
+/// throttled-time accounting agreeing exactly.
 #[test]
-fn starved_ready_thread_blocks_skipping_correctly() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
-        // A tap so slow the thread runs one quantum every ~7 s.
-        let r = tapped(&mut k, "trickle", 200);
-        let t = k.spawn_unprivileged(
-            "trickle",
+fn starved_ready_thread_jumps_only_under_fast_forward() {
+    for quantum_ms in [100, 10] {
+        let [stepped, reduced, fast] = three_ways(|idle_skip, fast_forward| {
+            let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, quantum_ms, &[200]);
+            k.run_until(SimTime::from_secs(120));
+            let t = k.thread_by_name("trickle").unwrap();
+            assert!(
+                k.thread_throttled(t) > SimDuration::from_secs(60),
+                "scenario must exercise starvation"
+            );
+            (fingerprint(&k), k.run_profile())
+        });
+        assert_eq!(stepped.full_quanta, stepped.quanta());
+        assert_eq!(reduced.full_quanta, reduced.quanta(), "{reduced:?}");
+        assert!(reduced.refused(Obstacle::Ready) > 0, "{reduced:?}");
+        assert!(fast.idle_jumps > 0, "{fast:?}");
+        assert!(fast.gated_quanta * 10 >= fast.quanta() * 9, "{fast:?}");
+        assert!(fast.full_quanta * 10 < fast.quanta(), "{fast:?}");
+    }
+}
+
+/// A deficit fed by a live proportional tap is never gated: its inflow
+/// depends on the source's level, so the certificate refuses with `Ready`
+/// (after the frozen certificate has looked) rather than bounding it.
+#[test]
+fn gate_refuses_a_proportionally_fed_deficit() {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let (mut k, r, _) = trickle_kernel(idle_skip, fast_forward, 10, &[]);
+        let root = Actor::kernel();
+        let battery = k.battery();
+        let g = k.graph_mut();
+        let source = g
+            .create_reserve(&root, "prop-source", Label::default_label())
+            .unwrap();
+        g.transfer(&root, battery, source, Energy::from_joules(5))
+            .unwrap();
+        g.set_decay_exempt(&root, source, true).unwrap();
+        g.create_tap(
+            &root,
+            "prop-feed",
+            source,
+            r,
+            RateSpec::Proportional { ppm_per_s: 100 },
+            Label::default_label(),
+        )
+        .unwrap();
+        k.run_until(SimTime::from_secs(60));
+        (fingerprint(&k), k.run_profile())
+    });
+    assert_eq!(fast.gated_quanta, 0, "{fast:?}");
+    assert!(fast.refused(Obstacle::Ready) > 1_000, "{fast:?}");
+}
+
+/// Two Ready threads in different deficits: a jump ends where the
+/// shallower one could first be funded, and the round-robin queue's bulk
+/// throttle counts both.
+#[test]
+fn gate_takes_the_tightest_of_two_deficits() {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, 10, &[200]);
+        let other = tapped(&mut k, "other", 530);
+        k.spawn_unprivileged(
+            "other",
+            Box::new(FnProgram(|_: &mut Ctx<'_>| {
+                Step::compute(SimDuration::from_millis(20))
+            })),
+            other,
+        );
+        k.run_until(SimTime::from_secs(120));
+        (fingerprint(&k), k.run_profile())
+    });
+    assert!(fast.idle_jumps > 10, "{fast:?}");
+    assert!(fast.gated_quanta * 2 > fast.quanta(), "{fast:?}");
+}
+
+/// 10 ms quanta under the 100 ms flow tick, with two jittered feeds from
+/// different sources (their carries and the `n`-µJ slack in play): a jump
+/// must stop at the last quantum before the tick that could fund the
+/// thread, which usually falls between ticks rather than on one.
+#[test]
+fn gated_jumps_stop_short_of_the_funding_tick() {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, 10, &[173, 311]);
+        k.run_until(SimTime::from_secs(120));
+        (fingerprint(&k), k.run_profile())
+    });
+    assert!(fast.idle_jumps > 10, "{fast:?}");
+    assert!(fast.gated_quanta * 10 >= fast.quanta() * 9, "{fast:?}");
+}
+
+/// The decay pass credits the battery outside any tap: a spinner running
+/// on a drained battery while a hoarding reserve leaks back into it is
+/// never deficit-gated, however few taps feed the battery.
+#[test]
+fn gate_refuses_a_battery_that_decay_refills() {
+    let [stepped, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let mut k = Kernel::new(KernelConfig {
+            battery: Energy::from_joules(20),
+            fast_forward,
+            ..config(idle_skip)
+        });
+        let root = Actor::kernel();
+        let battery = k.battery();
+        let hoard = k
+            .graph_mut()
+            .create_reserve(&root, "hoard", Label::default_label())
+            .unwrap();
+        k.graph_mut()
+            .transfer(&root, battery, hoard, Energy::from_joules(15))
+            .unwrap();
+        k.spawn_unprivileged(
+            "spinner",
             Box::new(FnProgram(|_: &mut Ctx<'_>| {
                 Step::compute(SimDuration::from_millis(10))
             })),
-            r,
+            battery,
         );
         k.run_until(SimTime::from_secs(120));
-        (fingerprint(&k), k.thread_throttled(t))
-    };
-    let (base, base_throttled) = run(false);
-    let (fast, fast_throttled) = run(true);
-    assert_eq!(base, fast);
-    assert_eq!(base_throttled, fast_throttled);
-    assert!(
-        base_throttled > SimDuration::from_secs(60),
-        "scenario must exercise starvation ({base_throttled:?})"
-    );
+        (fingerprint(&k), k.run_profile())
+    });
+    assert!(stepped.refused(Obstacle::Ready) == 0, "{stepped:?}");
+    assert_eq!(fast.gated_quanta, 0, "{fast:?}");
+    assert!(fast.refused(Obstacle::Ready) > 1_000, "{fast:?}");
+}
+
+/// A feed re-rated between two `run_span` calls — faster, then slower —
+/// moves the gate's bound with it: the inbound summary tracks rates, not
+/// only tap counts.
+#[test]
+fn gate_follows_a_re_rated_feed() {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let (mut k, _, taps) = trickle_kernel(idle_skip, fast_forward, 10, &[200]);
+        for (secs, uw) in [(30, 9_000), (60, 90), (90, 200)] {
+            k.run_span(SimTime::from_secs(secs));
+            k.rerate_tap(taps[0], Power::from_microwatts(uw)).unwrap();
+        }
+        k.run_until(SimTime::from_secs(120));
+        (fingerprint(&k), k.run_profile())
+    });
+    assert!(fast.idle_jumps > 10, "{fast:?}");
+    assert!(fast.gated_quanta * 2 > fast.quanta(), "{fast:?}");
 }
 
 /// Sanity: with everything exited, the skip sprints to the horizon and the
@@ -298,6 +501,9 @@ struct PoolRig {
     /// At the end of second `.0`, bill the first poller's reserve `.1` J
     /// after the fact (into debt, like a late reply).
     debit: Option<(u64, i64)>,
+    /// Bounded backoff on held sends: a poller whose send netd holds wakes
+    /// on the backoff grid and sits Ready while netd sweeps its reserve.
+    retry: Option<RetryPolicy>,
 }
 
 /// What a pooled run leaves behind: the fingerprint, the poll log, the
@@ -334,7 +540,8 @@ impl PoolRig {
                 256,
                 rx,
                 log.clone(),
-            );
+            )
+            .with_retry(self.retry);
             k.spawn_unprivileged(&format!("poller{i}"), Box::new(poller), r);
             reserves.push(r);
         }
@@ -375,6 +582,7 @@ impl PoolRig {
         assert_eq!(reduced.0, fast.0, "fingerprint vs reduced");
         assert_eq!(reduced.1, fast.1, "poll log vs reduced");
         assert_eq!(reduced.3.pooled_jumps, 0);
+        assert_eq!(reduced.3.gated_quanta, 0);
         assert!(!stepped.1.is_empty(), "scenario must grant some polls");
         let quanta = secs * 1_000 / self.quantum_ms;
         assert_eq!(fast.3.quanta(), quanta, "{:?}", fast.3);
@@ -394,6 +602,7 @@ fn pooled_jumps_match_stepping_with_jittered_feeds() {
             pollers: vec![(37_513, 0, 60, 8_192), (36_977, 15, 60, 4_096)],
             side_sink: None,
             debit: None,
+            retry: None,
         };
         let (_, _, _, profile) = rig.differential(900);
         assert!(profile.pooled_jumps >= 3, "{profile:?}");
@@ -416,6 +625,7 @@ fn pooled_jumps_settle_waiters_in_debt() {
         pollers: vec![(37_500, 0, 60, 2_000_000), (38_100, 15, 60, 4_096)],
         side_sink: None,
         debit: Some((30, 3)),
+        retry: None,
     };
     let (_, _, lowest, profile) = rig.differential(900);
     assert!(lowest < 0, "a reply must drive a reserve into debt");
@@ -438,6 +648,7 @@ fn pooled_jumps_respect_radio_tails() {
         ],
         side_sink: None,
         debit: None,
+        retry: None,
     };
     let (fp, _, _, profile) = rig.differential(900);
     assert!(fp.radio_activations >= 5, "{fp:?}");
@@ -456,6 +667,7 @@ fn pooled_jumps_with_one_waiter_and_a_sleeper() {
         pollers: pollers.clone(),
         side_sink: None,
         debit: None,
+        retry: None,
     };
     let (_, _, _, profile) = decaying.differential(900);
     assert!(profile.refused(Obstacle::LiveFlow) > 0, "{profile:?}");
@@ -478,8 +690,43 @@ fn pooled_jumps_carry_a_decay_exempt_side_sink() {
         pollers: vec![(37_500, 0, 60, 8_192), (37_500, 15, 60, 4_096)],
         side_sink: Some(1_234),
         debit: None,
+        retry: None,
     };
     let (fp, _, _, profile) = rig.differential(900);
     assert!(profile.pooled_jumps >= 3, "{profile:?}");
     assert!(fp.balances.iter().any(|&b| b > 0));
+}
+
+/// Retrying pollers whose sends netd holds: each backoff wake leaves a
+/// Ready thread whose reserve netd sweeps after every tick, so it stays
+/// throttled until the grant. Pooled jumps cross those quanta (on the
+/// fleet's 100 ms quantum and the paper's 10 ms) and replay the throttled
+/// time exactly — the fingerprint compares every thread's.
+#[test]
+fn pooled_jumps_cross_retrying_pollers_held_in_netd() {
+    for quantum_ms in [100, 10] {
+        let rig = PoolRig {
+            quantum_ms,
+            decay: true,
+            pollers: vec![(37_513, 0, 60, 8_192), (36_977, 15, 60, 4_096)],
+            side_sink: None,
+            debit: None,
+            retry: FaultConfig::heavy(0).retry,
+        };
+        let (fp, _, _, profile) = rig.differential(900);
+        let stepped = rig.run(false, false, 900).3;
+        assert!(
+            fp.thread_throttled_us.iter().all(|&us| us > 60_000_000),
+            "{fp:?}"
+        );
+        assert!(stepped.refused(Obstacle::Ready) == 0, "{stepped:?}");
+        assert!(profile.gated_quanta * 2 > profile.quanta(), "{profile:?}");
+        // What refuses is the tick or two after each grant, when the
+        // swept reserve is empty but no longer swept.
+        assert!(
+            profile.refused(Obstacle::Ready) * 100 < profile.quanta(),
+            "{profile:?}"
+        );
+        assert!(profile.full_quanta * 4 < profile.quanta(), "{profile:?}");
+    }
 }
