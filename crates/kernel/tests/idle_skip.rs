@@ -353,7 +353,7 @@ fn gated_jumps_stop_short_of_the_funding_tick() {
 /// never deficit-gated, however few taps feed the battery.
 #[test]
 fn gate_refuses_a_battery_that_decay_refills() {
-    let [stepped, _, fast] = three_ways(|idle_skip, fast_forward| {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
         let mut k = Kernel::new(KernelConfig {
             battery: Energy::from_joules(20),
             fast_forward,
@@ -368,7 +368,7 @@ fn gate_refuses_a_battery_that_decay_refills() {
         k.graph_mut()
             .transfer(&root, battery, hoard, Energy::from_joules(15))
             .unwrap();
-        k.spawn_unprivileged(
+        let t = k.spawn_unprivileged(
             "spinner",
             Box::new(FnProgram(|_: &mut Ctx<'_>| {
                 Step::compute(SimDuration::from_millis(10))
@@ -376,9 +376,12 @@ fn gate_refuses_a_battery_that_decay_refills() {
             battery,
         );
         k.run_until(SimTime::from_secs(120));
+        assert!(
+            k.thread_throttled(t) > SimDuration::from_secs(60),
+            "the battery must run dry and be refilled by decay"
+        );
         (fingerprint(&k), k.run_profile())
     });
-    assert!(stepped.refused(Obstacle::Ready) == 0, "{stepped:?}");
     assert_eq!(fast.gated_quanta, 0, "{fast:?}");
     assert!(fast.refused(Obstacle::Ready) > 1_000, "{fast:?}");
 }
@@ -714,12 +717,10 @@ fn pooled_jumps_cross_retrying_pollers_held_in_netd() {
             retry: FaultConfig::heavy(0).retry,
         };
         let (fp, _, _, profile) = rig.differential(900);
-        let stepped = rig.run(false, false, 900).3;
         assert!(
             fp.thread_throttled_us.iter().all(|&us| us > 60_000_000),
             "{fp:?}"
         );
-        assert!(stepped.refused(Obstacle::Ready) == 0, "{stepped:?}");
         assert!(profile.gated_quanta * 2 > profile.quanta(), "{profile:?}");
         // What refuses is the tick or two after each grant, when the
         // swept reserve is empty but no longer swept.
