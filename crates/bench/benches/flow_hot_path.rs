@@ -12,15 +12,22 @@
 //! speedup (asserting the two implementations end in the identical state)
 //! and writes `BENCH_flow_hot_path.json` at the repo root to seed the
 //! benchmark trajectory.
+//!
+//! `single_tick_browser` is the kernel's cadence instead: Fig 6b's browser
+//! graph flowed one 100 ms tick per call for an hour, with the plugin's
+//! CPU charge between calls — the compiled single tick the full run loop
+//! pays every quantum, against the reference's tick.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use cinder_core::{Actor, GraphConfig, Quantity, RateSpec, ResourceGraph, ResourceKind};
+use cinder_core::{
+    Actor, GraphConfig, Quantity, RateSpec, ReserveId, ReserveStats, ResourceGraph, ResourceKind,
+};
 use cinder_label::Label;
-use cinder_sim::{Energy, Power, SimTime};
+use cinder_sim::{Energy, Power, SimDuration, SimTime};
 
 const RESERVES: usize = 100;
 const TAPS: usize = 200;
@@ -158,6 +165,63 @@ fn mixed_partitioned_graph() -> ResourceGraph {
     g
 }
 
+/// Fig 6b's browser graph on a 15 kJ battery with the default decay:
+/// battery → browser (694 mW) → plugin (70 mW) and extension (20 mW),
+/// with 0.1× backward taps from the browser and the plugin. Returns the
+/// graph and the plugin's reserve.
+fn browser_graph() -> (ResourceGraph, ReserveId) {
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    let mut reserve = |name| g.create_reserve(&k, name, Label::default_label()).unwrap();
+    let (browser, plugin, extension) =
+        (reserve("browser"), reserve("plugin"), reserve("extension"));
+    let mw = |p| RateSpec::constant(Power::from_milliwatts(p));
+    let back = RateSpec::proportional(0.1);
+    for (name, source, sink, rate) in [
+        ("feed", battery, browser, mw(694)),
+        ("plugin", browser, plugin, mw(70)),
+        ("extension", browser, extension, mw(20)),
+        ("browser-back", browser, battery, back),
+        ("plugin-back", plugin, battery, back),
+    ] {
+        g.create_tap(&k, name, source, sink, rate, Label::default_label())
+            .unwrap();
+    }
+    (g, plugin)
+}
+
+/// Simulated hour of `single_tick_browser`, in 100 ms ticks.
+const BROWSER_TICKS: u64 = 36_000;
+
+/// Flows the browser graph one tick per call for an hour; whenever the
+/// plugin's reserve is positive it is charged one 100 ms quantum of the
+/// 137 mW CPU, as the scheduler would. Returns the wall time in ns per
+/// tick and the end state.
+fn browser_single_ticks(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let (mut g, plugin) = browser_graph();
+    let k = Actor::kernel();
+    let quantum_cost = Power::from_milliwatts(137).energy_over(SimDuration::from_millis(100));
+    let start = Instant::now();
+    for tick in 1..=BROWSER_TICKS {
+        let now = black_box(SimTime::from_millis(100 * tick));
+        if engine {
+            g.flow_until(now);
+        } else {
+            g.flow_until_reference(now);
+        }
+        if g.reserve(plugin).unwrap().is_nonempty() {
+            g.consume_with_debt(&k, plugin, quantum_cost).unwrap();
+        }
+    }
+    let ns_per_tick = start.elapsed().as_secs_f64() * 1e9 / BROWSER_TICKS as f64;
+    let state = g
+        .reserves()
+        .map(|(_, r)| (r.balance(), r.stats()))
+        .collect();
+    (ns_per_tick, state)
+}
+
 fn bench_flow_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_hot_path_1h_100r_200t");
     group.bench_function("engine", |b| {
@@ -207,6 +271,12 @@ fn bench_flow_hot_path(c: &mut Criterion) {
             g.flow_until_reference(black_box(SIM_SPAN));
             g
         })
+    });
+    group.bench_function("engine_single_tick_browser", |b| {
+        b.iter(|| browser_single_ticks(true))
+    });
+    group.bench_function("reference_single_tick_browser", |b| {
+        b.iter(|| browser_single_ticks(false))
     });
     group.finish();
 }
@@ -267,10 +337,29 @@ fn speedup_report(_c: &mut Criterion) {
     );
     let multi_kind_speedup = reference_mk_ms / engine_mk_ms;
 
+    // The kernel's cadence: median of seven alternating hours per side.
+    let (mut engine_ns, mut reference_ns) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let (engine_tick_ns, engine_end) = browser_single_ticks(true);
+        let (reference_tick_ns, reference_end) = browser_single_ticks(false);
+        assert_eq!(
+            engine_end, reference_end,
+            "engine and reference diverged on the single-tick browser"
+        );
+        engine_ns.push(engine_tick_ns);
+        reference_ns.push(reference_tick_ns);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (tick_ns, reference_tick_ns) = (median(&mut engine_ns), median(&mut reference_ns));
+
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
     println!("flow_hot_path speedup (prop island):         {island_speedup:.1}x  (reference {reference_island_ms:.2} ms -> engine {engine_island_ms:.2} ms)");
     println!("flow_hot_path speedup (multi-kind, ff):      {multi_kind_speedup:.1}x  (reference {reference_mk_ms:.2} ms -> engine {engine_mk_ms:.4} ms)");
+    println!("flow_hot_path single tick (Fig 6b browser):  {tick_ns:.1} ns/tick (reference {reference_tick_ns:.1} ns/tick)");
     assert!(
         speedup >= 5.0,
         "acceptance criterion: >=5x on the const scenario, got {speedup:.1}x"
@@ -285,7 +374,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

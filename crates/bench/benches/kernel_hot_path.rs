@@ -26,6 +26,10 @@
 //!   sweeping, which `fast_forward` crosses with gated pooled jumps and
 //!   the stepped run pays quantum by quantum — bit-identical on the same
 //!   observables plus every thread's throttled time.
+//! * **browser-quantum** — Fig 6b's browser, plugin and extension on the
+//!   fleet's 100 ms quantum for one hour: no quantum jumps, so this is the
+//!   full loop's per-quantum cost (flow tick over three constant and two
+//!   proportional taps with decay, a multi-Ready pick, a charge).
 //!
 //! Writes `BENCH_kernel_hot_path.json` at the repo root.
 #![allow(missing_docs)]
@@ -33,7 +37,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-use cinder_apps::build_pollers_with_retry;
+use cinder_apps::{build_browser, build_pollers_with_retry, BrowserConfig};
 use cinder_core::{Actor, RateSpec, SchedulerConfig};
 use cinder_fleet::{FaultConfig, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, PeripheralKind, Program, Step};
@@ -181,6 +185,22 @@ fn netd_pooling_kernel(
     (k, handles)
 }
 
+/// Fig 6b's browser on a fleet-shaped kernel (100 ms quanta, `idle_skip`
+/// and `fast_forward` on).
+fn browser_kernel() -> Kernel {
+    let mut k = Kernel::new(KernelConfig {
+        idle_skip: true,
+        fast_forward: true,
+        sched: SchedulerConfig {
+            quantum: SimDuration::from_millis(100),
+            ..SchedulerConfig::default()
+        },
+        ..KernelConfig::default()
+    });
+    build_browser(&mut k, BrowserConfig::fig6b()).unwrap();
+    k
+}
+
 fn run(mut k: Kernel) -> Kernel {
     k.run_until(SimTime::from_secs(SIM_SECS));
     k
@@ -221,6 +241,12 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
     });
     group.bench_function("retrying_pollers_fast_forward", |b| {
         b.iter_with_setup(|| netd_pooling_kernel(true, heavy_retry()), run_pooling)
+    });
+    group.bench_function("browser_quantum", |b| {
+        b.iter_with_setup(browser_kernel, |mut k| {
+            k.run_until(SimTime::from_secs(POOLING_SECS));
+            k
+        })
     });
     group.finish();
 }
@@ -332,6 +358,18 @@ fn hot_path_report(_c: &mut Criterion) {
     let gated_share = retry_profile.gated_quanta as f64 / retry_profile.quanta() as f64;
     let retry_speedup = retry_ms / retry_ff_ms;
 
+    // The browser's full loop: best of five hours, in ns per quantum.
+    let mut browser_ns = f64::INFINITY;
+    let mut browser_full_quanta = 0;
+    for _ in 0..5 {
+        let mut k = browser_kernel();
+        let start = Instant::now();
+        k.run_until(SimTime::from_secs(POOLING_SECS));
+        let wall_ns = start.elapsed().as_secs_f64() * 1e9;
+        browser_full_quanta = k.run_profile().full_quanta;
+        browser_ns = browser_ns.min(wall_ns / browser_full_quanta as f64);
+    }
+
     let quanta = SIM_SECS * 100; // default 10 ms quantum
     let skip_speedup = idle_ms / skip_ms;
     let backlit_speedup = backlit_ms / backlit_skip_ms;
@@ -341,7 +379,8 @@ fn hot_path_report(_c: &mut Criterion) {
          {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x), netd pooling \
          1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
          quanta in {} pooled jumps), retrying pollers 1 h {retry_ms:.2} ms vs fast_forward \
-         {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated)",
+         {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated), browser \
+         {browser_ns:.1} ns/quantum over {browser_full_quanta} full-loop quanta",
         busy_ms * 1e6 / quanta as f64,
         pooled_share * 100.0,
         pool_profile.pooled_jumps,
@@ -364,7 +403,9 @@ fn hot_path_report(_c: &mut Criterion) {
          \"observables_bit_identical\": true }},\n  \"retrying_pollers\": {{ \"sim_seconds\": \
          {POOLING_SECS}, \"quantum_ms\": 100, \"ff_off_wall_ms\": {retry_ms:.3}, \
          \"fast_forward_wall_ms\": {retry_ff_ms:.4}, \"skip_speedup\": {retry_speedup:.1}, \
-         \"gated_quanta_share\": {gated_share:.3}, \"observables_bit_identical\": true }}\n}}\n",
+         \"gated_quanta_share\": {gated_share:.3}, \"observables_bit_identical\": true }},\n  \
+         \"browser_quantum\": {{ \"sim_seconds\": {POOLING_SECS}, \"quantum_ms\": 100, \
+         \"ns_per_quantum\": {browser_ns:.1}, \"full_quanta\": {browser_full_quanta} }}\n}}\n",
         busy_ms * 1e6 / quanta as f64,
         backlit_drain.as_microjoules() as f64 / 1e6,
         pool_profile.pooled_jumps

@@ -17,10 +17,24 @@
 //!   `delete_reserve`. A global creation-order list drives application, so
 //!   the documented oversubscription rule (earlier-created taps win) is
 //!   unchanged.
-//! * **Reusable scratch snapshot** — start-of-tick levels are recorded only
-//!   for sources that feed a live proportional tap (constant taps never read
-//!   the snapshot), into an epoch-stamped buffer that is reused across
-//!   ticks: zero steady-state allocation.
+//! * **Compiled single tick** — `FlowEngine::tick`, the kernel's
+//!   per-quantum flow, runs over a plan compiled from the creation-order
+//!   list: each nonzero-rate tap's ids with its rate pre-multiplied by the
+//!   tick (`µW·dt_µs`, or `ppm·dt_µs` plus the slot of its source's
+//!   start-of-tick level). Zero-rate taps are left out — a tick moves
+//!   nothing through them and keeps their carry, and a re-rate resets the
+//!   carry — so the plan is exact. The tap hooks (create, remove, re-rate;
+//!   reserve GC removes taps) mark it stale, and it also recompiles for a
+//!   different tick. Start-of-tick levels are read only for the sources of
+//!   proportional taps: zero steady-state allocation.
+//! * **Division-free carry splits** — a carry total is split by 10⁶
+//!   (constant) or 10¹² (proportional) in u64, where division by a constant
+//!   is a multiply and shift, falling back to the exact u128 division when
+//!   the total overflows u64 (a proportional tap on a full battery above
+//!   ~12,300 ppm/s does); the decay leak likewise runs in i64 when
+//!   `level·ppm` fits. Quotients and remainders are the reference's:
+//!   `Tap::desired_transfer` and the reference loop keep
+//!   their u128/i128 arithmetic, so the oracle stays independent.
 //! * **Quiescent-source skipping** — a proportional tap whose source
 //!   snapshot is non-positive moves nothing and leaves its carry untouched,
 //!   so it is skipped without computing a transfer.
@@ -84,15 +98,17 @@ enum SourceRun {
     Dynamic,
 }
 
-/// How a ticked tap computes its per-tick desired transfer (the SoA image
-/// of [`RateSpec`] with the tick span pre-multiplied in).
+/// How a ticked tap computes its per-tick desired transfer (the image of
+/// [`RateSpec`] with the tick span pre-multiplied in), in the compiled
+/// single tick and the run's SoA loop alike.
 #[derive(Debug, Clone, Copy)]
 enum TickRate {
     /// `step = rate_µW × dt_µs`; per tick `carry' = (carry + step) mod 1e6`
     /// and `⌊(carry + step)/1e6⌋` µJ move.
     Const { step: u128 },
     /// `ppm_dt = ppm × dt_µs`; per tick the start-of-tick source level is
-    /// read from `snap[snap_idx]`.
+    /// read from snapshot entry `snap_idx`, and `⌊(level·ppm_dt +
+    /// carry)/1e12⌋` µJ move.
     Prop { ppm_dt: u128, snap_idx: u32 },
 }
 
@@ -154,6 +170,58 @@ impl Inbound {
     }
 }
 
+/// One live tap of the compiled single tick.
+#[derive(Debug, Clone, Copy)]
+struct PlanTap {
+    tap: RawId,
+    source: RawId,
+    sink: RawId,
+    /// `snap_idx` indexes [`TickPlan::sources`].
+    rate: TickRate,
+}
+
+/// [`FlowEngine::tick`] compiled from the creation-order list: every
+/// nonzero-rate tap with its rate pre-multiplied by the tick, and the
+/// sources whose start-of-tick levels the proportional taps read.
+///
+/// A zero-rate tap is left out: a tick moves nothing through it and keeps
+/// its carry, and a re-rate (which resets the carry) recompiles the plan.
+#[derive(Debug, Default)]
+struct TickPlan {
+    /// The tick the rates were multiplied by; `None` marks the plan stale.
+    dt: Option<SimDuration>,
+    /// The live taps, in creation (clamp-priority) order.
+    taps: Vec<PlanTap>,
+    /// Distinct sources of the proportional taps, and their start-of-tick
+    /// levels (parallel arrays; the levels are per-tick scratch).
+    sources: Vec<RawId>,
+    levels: Vec<i64>,
+}
+
+/// Splits a carry total into the whole grains it moves and the carry it
+/// keeps: `((total / UNIT) as i64, total % UNIT)`. In u64 when the total
+/// fits, where division by a constant compiles to a multiply and shift;
+/// by the exact u128 division otherwise. Identical results either way.
+#[inline]
+fn split<const UNIT: u64>(total: u128) -> (i64, u128) {
+    match u64::try_from(total) {
+        Ok(t) => ((t / UNIT) as i64, u128::from(t % UNIT)),
+        Err(_) => ((total / u128::from(UNIT)) as i64, total % u128::from(UNIT)),
+    }
+}
+
+/// The decay leak of a positive `level`: [`Energy::scale_ppm`]'s
+/// `⌊level·ppm/10⁶⌋`, in i64 when `level·ppm` fits and in i128 otherwise.
+#[inline]
+fn decay_leak(level: i64, ppm: u64) -> i64 {
+    match i64::try_from(ppm).ok().and_then(|p| level.checked_mul(p)) {
+        Some(scaled) => scaled / 1_000_000,
+        None => Energy::from_microjoules(level)
+            .scale_ppm(ppm)
+            .as_microjoules(),
+    }
+}
+
 /// Indexed batch-flow executor. See the module docs for the design.
 pub(crate) struct FlowEngine {
     /// All live taps as `(seq, id)`, sorted by creation sequence
@@ -172,18 +240,12 @@ pub(crate) struct FlowEngine {
     /// taps are revoked before its slot can be reused, so a live reserve
     /// only ever reads its own entry.
     inbound: Vec<Inbound>,
-    /// Sources with at least one live proportional tap — the reserves the
-    /// per-tick snapshot must cover, kept dense so the tick loop does not
-    /// walk the whole `by_source` map.
-    prop_sources: Vec<RawId>,
     /// Total live proportional (nonzero-rate) taps; the pure closed form
     /// (empty ticked partition) requires zero.
     live_prop: usize,
-    /// Scratch: start-of-tick level per reserve slot, valid when the
-    /// matching `snapshot_epoch` entry equals `epoch`.
-    snapshot: Vec<Energy>,
-    snapshot_epoch: Vec<u32>,
-    epoch: u32,
+    /// The single tick, compiled from `order`; every tap hook marks it
+    /// stale (reserve GC reaches it through tap removal).
+    plan: TickPlan,
     /// Scratch for run planning, reused across calls.
     run_plan: HashMap<RawId, SourceRun>,
     // ----- ticked-partition scratch (reused across runs) -----------------
@@ -223,12 +285,9 @@ impl FlowEngine {
         FlowEngine {
             order: Vec::new(),
             by_source: HashMap::new(),
-            prop_sources: Vec::new(),
             inbound: Vec::new(),
             live_prop: 0,
-            snapshot: Vec::new(),
-            snapshot_epoch: Vec::new(),
-            epoch: 0,
+            plan: TickPlan::default(),
             run_plan: HashMap::new(),
             ticked: Vec::new(),
             slot_of: HashMap::new(),
@@ -306,10 +365,8 @@ impl FlowEngine {
         if is_live_prop(rate) {
             entry.live_prop += 1;
             self.live_prop += 1;
-            if entry.live_prop == 1 {
-                self.prop_sources.push(source);
-            }
         }
+        self.plan.dt = None;
     }
 
     /// Unregisters a tap about to be (or just) removed.
@@ -317,21 +374,17 @@ impl FlowEngine {
         if let Ok(i) = self.order.binary_search_by_key(&seq, |&(s, _)| s) {
             self.order.remove(i);
         }
-        let mut prop_source_died = false;
         if let Some(entry) = self.by_source.get_mut(&source) {
             entry.taps.remove(&seq);
             if is_live_prop(rate) {
                 entry.live_prop -= 1;
                 self.live_prop -= 1;
-                prop_source_died = entry.live_prop == 0;
             }
             if entry.taps.is_empty() {
                 self.by_source.remove(&source);
             }
         }
-        if prop_source_died {
-            self.drop_prop_source(source);
-        }
+        self.plan.dt = None;
         let feeds = &mut self.inbound[sink.index() as usize];
         feeds.taps -= 1;
         feeds.count(source, rate, false);
@@ -370,6 +423,7 @@ impl FlowEngine {
         let feeds = &mut self.inbound[sink.index() as usize];
         feeds.count(source, old, false);
         feeds.count(source, new, true);
+        self.plan.dt = None;
         let (was, is) = (is_live_prop(old), is_live_prop(new));
         if was == is {
             return;
@@ -381,21 +435,9 @@ impl FlowEngine {
         if is {
             entry.live_prop += 1;
             self.live_prop += 1;
-            if entry.live_prop == 1 {
-                self.prop_sources.push(source);
-            }
         } else {
             entry.live_prop -= 1;
             self.live_prop -= 1;
-            if entry.live_prop == 0 {
-                self.drop_prop_source(source);
-            }
-        }
-    }
-
-    fn drop_prop_source(&mut self, source: RawId) {
-        if let Some(i) = self.prop_sources.iter().position(|&s| s == source) {
-            self.prop_sources.swap_remove(i);
         }
     }
 
@@ -414,9 +456,53 @@ impl FlowEngine {
 
     // ----- per-tick execution ---------------------------------------------
 
-    /// Runs one batch tick: taps in creation order against a start-of-tick
-    /// snapshot, then the global decay. Semantically identical to the naive
-    /// reference loop, without its per-tick allocations.
+    /// Compiles [`FlowEngine::tick`]'s plan for ticks of `dt` from the
+    /// creation-order list.
+    fn compile(&mut self, taps: &Arena<Tap>, dt: SimDuration) {
+        let dt_us = u128::from(dt.as_micros());
+        let plan = &mut self.plan;
+        plan.taps.clear();
+        plan.sources.clear();
+        for &(_, tid) in &self.order {
+            let tap = taps.get(tid.0).expect("flow index out of sync");
+            let source = tap.source().0;
+            let rate = match tap.rate() {
+                RateSpec::Const(p) if p.as_microwatts() > 0 => TickRate::Const {
+                    step: u128::from(p.as_microwatts()) * dt_us,
+                },
+                RateSpec::Proportional { ppm_per_s } if ppm_per_s > 0 => {
+                    let snap_idx = match plan.sources.iter().position(|&s| s == source) {
+                        Some(i) => i,
+                        None => {
+                            plan.sources.push(source);
+                            plan.sources.len() - 1
+                        }
+                    };
+                    TickRate::Prop {
+                        ppm_dt: u128::from(ppm_per_s) * dt_us,
+                        snap_idx: snap_idx as u32,
+                    }
+                }
+                // Zero rate: the tick moves nothing and keeps the carry.
+                _ => continue,
+            };
+            plan.taps.push(PlanTap {
+                tap: tid.0,
+                source,
+                sink: tap.sink().0,
+                rate,
+            });
+        }
+        plan.levels.clear();
+        plan.levels.resize(plan.sources.len(), 0);
+        plan.dt = Some(dt);
+    }
+
+    /// Runs one batch tick: taps in creation order against start-of-tick
+    /// source levels, then the global decay. Runs over the compiled plan,
+    /// recompiled first if a tap hook marked it stale or `dt` changed.
+    /// Semantically identical to the naive reference loop, without its
+    /// per-tick allocations.
     pub(crate) fn tick(
         &mut self,
         reserves: &mut Arena<Reserve>,
@@ -425,83 +511,86 @@ impl FlowEngine {
         decay_ppm_per_tick: u64,
         dt: SimDuration,
     ) {
-        // Snapshot start-of-tick levels — but only for sources feeding a
-        // live proportional tap; constant taps never read the snapshot.
-        self.epoch = self.epoch.wrapping_add(1);
-        for i in 0..self.prop_sources.len() {
-            let source = self.prop_sources[i];
-            let Some(r) = reserves.get(source) else {
-                continue;
-            };
-            let slot = source.index() as usize;
-            if slot >= self.snapshot.len() {
-                self.snapshot.resize(slot + 1, Energy::ZERO);
-                self.snapshot_epoch.resize(slot + 1, 0);
-            }
-            self.snapshot[slot] = r.balance();
-            self.snapshot_epoch[slot] = self.epoch;
+        if self.plan.dt != Some(dt) {
+            self.compile(taps, dt);
         }
-        for &(_, tid) in &self.order {
-            let tap = taps.get_mut(tid.0).expect("flow index out of sync");
-            let source = tap.source();
-            let sink = tap.sink();
-            let desired = match tap.rate() {
-                RateSpec::Const(_) => tap.desired_transfer(Energy::ZERO, dt),
-                RateSpec::Proportional { .. } => {
-                    let slot = source.0.index() as usize;
-                    let level = match self.snapshot_epoch.get(slot) {
-                        Some(&e) if e == self.epoch => self.snapshot[slot],
-                        _ => Energy::ZERO,
-                    };
-                    if !level.is_positive() {
+        let plan = &mut self.plan;
+        for (level, &source) in plan.levels.iter_mut().zip(&plan.sources) {
+            *level = reserves
+                .get(source)
+                .map_or(0, |r| r.balance().as_microjoules());
+        }
+        for entry in &plan.taps {
+            let tap = taps.get_mut(entry.tap).expect("the plan holds live taps");
+            let desired = match entry.rate {
+                TickRate::Const { step } => {
+                    let (moved, carry) = split::<1_000_000>(step + tap.remainder());
+                    tap.set_remainder(carry);
+                    moved
+                }
+                TickRate::Prop { ppm_dt, snap_idx } => {
+                    let level = plan.levels[snap_idx as usize];
+                    if level <= 0 {
                         // Quiescent source: the transfer is zero and the
                         // carry is untouched — skip the arithmetic.
                         continue;
                     }
-                    tap.desired_transfer(level, dt)
+                    let total = level as u128 * ppm_dt + tap.remainder();
+                    let (moved, carry) = split::<1_000_000_000_000>(total);
+                    tap.set_remainder(carry);
+                    moved
                 }
             };
-            if desired.is_zero() {
+            if desired == 0 {
                 continue;
             }
-            let Some(src) = reserves.get_mut(source.0) else {
+            let Some(src) = reserves.get_mut(entry.source) else {
                 continue;
             };
-            let amount = desired.min(src.balance().clamp_non_negative());
-            if amount.is_zero() {
+            let amount = desired.min(src.balance().as_microjoules().max(0));
+            if amount == 0 {
                 continue;
             }
+            let amount = Energy::from_microjoules(amount);
             src.debit_outflow(amount);
             reserves
-                .get_mut(sink.0)
+                .get_mut(entry.sink)
                 .expect("taps to dead sinks are GC'd")
                 .credit(amount);
         }
         if decay_ppm_per_tick > 0 {
-            let mut reclaimed = Energy::ZERO;
-            for i in 0..self.decay_eligible.len() {
-                let Some(r) = reserves.get_mut(self.decay_eligible[i]) else {
+            let mut reclaimed = 0;
+            for &rid in &self.decay_eligible {
+                let Some(r) = reserves.get_mut(rid) else {
                     continue;
                 };
-                if !r.balance().is_positive() {
+                let level = r.balance().as_microjoules();
+                if level <= 0 {
                     continue;
                 }
-                let leak = r.balance().scale_ppm(decay_ppm_per_tick);
-                if leak.is_positive() {
-                    r.debit_decay(leak);
+                let leak = decay_leak(level, decay_ppm_per_tick);
+                if leak > 0 {
+                    r.debit_decay(Energy::from_microjoules(leak));
                     reclaimed += leak;
                 }
             }
-            if reclaimed.is_positive() {
+            if reclaimed > 0 {
                 reserves
                     .get_mut(battery)
                     .expect("battery is never deleted")
-                    .credit(reclaimed);
+                    .credit(Energy::from_microjoules(reclaimed));
             }
         }
     }
 
     // ----- partitioned closed-form fast-forward ---------------------------
+
+    /// Whether [`FlowEngine::run_span`] declines a span of `ticks` outright:
+    /// with a live proportional tap or decay, planning and the SoA build
+    /// cost more than ticking a span shorter than `MIN_PARTITIONED_SPAN`.
+    pub(crate) fn declines_span(&self, ticks: u64, decaying: bool) -> bool {
+        (self.live_prop > 0 || decaying) && ticks < MIN_PARTITIONED_SPAN
+    }
 
     /// Attempts to advance up to `max_ticks` ticks as one planned *run*,
     /// returning how many were applied (0 means: run one tick the slow
@@ -543,8 +632,7 @@ impl FlowEngine {
             // No taps at all: nothing moves, whole span is one event.
             return max_ticks;
         }
-        if (self.live_prop > 0 || decaying) && max_ticks < MIN_PARTITIONED_SPAN {
-            // Planning + SoA build costs more than ticking a short span.
+        if self.declines_span(max_ticks, decaying) {
             return 0;
         }
         let dt_us = dt.as_micros() as u128;
@@ -779,9 +867,9 @@ impl FlowEngine {
                 for tap in &mut self.ticked {
                     let desired: i64 = match tap.rate {
                         TickRate::Const { step } => {
-                            let total = step + tap.carry;
-                            tap.carry = total % 1_000_000;
-                            (total / 1_000_000) as i64
+                            let (moved, carry) = split::<1_000_000>(step + tap.carry);
+                            tap.carry = carry;
+                            moved
                         }
                         TickRate::Prop { ppm_dt, snap_idx } => {
                             let level = self.snap[snap_idx as usize];
@@ -791,8 +879,9 @@ impl FlowEngine {
                                 continue;
                             }
                             let total = level as u128 * ppm_dt + tap.carry;
-                            tap.carry = total % 1_000_000_000_000;
-                            (total / 1_000_000_000_000) as i64
+                            let (moved, carry) = split::<1_000_000_000_000>(total);
+                            tap.carry = carry;
+                            moved
                         }
                     };
                     if desired <= 0 {
@@ -815,8 +904,7 @@ impl FlowEngine {
                     for &slot in &self.decay_slots {
                         let level = self.levels[slot as usize];
                         if level > 0 {
-                            let leak =
-                                (level as i128 * decay_ppm_per_tick as i128 / 1_000_000) as i64;
+                            let leak = decay_leak(level, decay_ppm_per_tick);
                             if leak > 0 {
                                 self.levels[slot as usize] -= leak;
                                 self.decay_acc[slot as usize] += leak;
@@ -989,6 +1077,10 @@ mod differential {
         LongFlow {
             secs: u64,
         },
+        SetDecayExempt {
+            r: usize,
+            exempt: bool,
+        },
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -1103,6 +1195,9 @@ mod differential {
             Op::LongFlow { secs } => {
                 *now += SimDuration::from_secs(secs);
                 flow(g, *now, use_engine);
+            }
+            Op::SetDecayExempt { r, exempt } => {
+                let _ = g.set_decay_exempt(&k, ids[r % ids.len()], exempt);
             }
         }
     }
@@ -1233,8 +1328,68 @@ mod differential {
         ]
     }
 
+    /// Ops at the kernel's cadence: 100–399 ms flows (one to three ticks,
+    /// all below the planner's threshold, so every tick is the compiled
+    /// single tick) interleaved with every mutation its plan must follow.
+    /// Battery-sourced proportional taps above ~12,300 ppm/s overflow u64
+    /// on the 15 kJ battery, so the split's u128 fallback runs; the
+    /// battery's constant and proportional neighbours move its live level
+    /// away from the start-of-tick snapshot the fallback must read.
+    fn arb_cadence_op() -> impl Strategy<Value = Op> {
+        // (No weighted prop_oneof in the vendored stub: the flows are
+        // listed three times.)
+        prop_oneof![
+            (100u64..400).prop_map(|ms| Op::Flow { ms }),
+            (100u64..400).prop_map(|ms| Op::Flow { ms }),
+            (100u64..400).prop_map(|ms| Op::Flow { ms }),
+            Just(Op::CreateReserve),
+            (0usize..8, 0usize..8, 0u64..2_000).prop_map(|(src, dst, mw)| Op::CreateConstTap {
+                src,
+                dst,
+                mw
+            }),
+            (0usize..8, 0usize..8, 0u64..=1_000_000)
+                .prop_map(|(src, dst, ppm)| Op::CreatePropTap { src, dst, ppm }),
+            (0usize..8, 13_000u64..=1_000_000).prop_map(|(dst, ppm)| Op::CreatePropTap {
+                src: 0,
+                dst,
+                ppm
+            }),
+            (0usize..12, 0u64..2_000).prop_map(|(t, mw)| Op::SetTapRateConst { t, mw }),
+            (0usize..12, 0u64..=1_000_000).prop_map(|(t, ppm)| Op::SetTapRateProp { t, ppm }),
+            (0usize..12).prop_map(|t| Op::DeleteTap { t }),
+            (1usize..8).prop_map(|r| Op::DeleteReserve { r }),
+            (0usize..8, any::<bool>()).prop_map(|(r, exempt)| Op::SetDecayExempt { r, exempt }),
+            (0usize..8, 0usize..8, 0u64..5_000).prop_map(|(src, dst, mj)| Op::Transfer {
+                src,
+                dst,
+                mj
+            }),
+            (0usize..8, 0u64..5_000).prop_map(|(r, mj)| Op::ConsumeWithDebt { r, mj }),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The compiled single tick at the kernel's cadence, decay off.
+        #[test]
+        fn single_ticks_match_reference_without_decay(
+            ops in proptest::collection::vec(arb_cadence_op(), 1..60),
+        ) {
+            run_differential(
+                GraphConfig { decay: None, ..GraphConfig::default() },
+                ops,
+            )?;
+        }
+
+        /// The compiled single tick at the kernel's cadence, decay on.
+        #[test]
+        fn single_ticks_match_reference_with_decay(
+            ops in proptest::collection::vec(arb_cadence_op(), 1..60),
+        ) {
+            run_differential(GraphConfig::default(), ops)?;
+        }
 
         /// Decay off: exercises the closed-form fast-forward heavily.
         #[test]
@@ -1355,6 +1510,173 @@ mod differential {
                 .unwrap();
             assert!(!engine_g.reserve(pool_id).unwrap().balance().is_positive());
         }
+    }
+
+    /// A proportional tap on the 15 kJ battery at 500,000 ppm/s: its
+    /// carry total (~7.5e20) overflows u64, so the split takes the u128
+    /// path, which must read the start-of-tick snapshot — the constant tap
+    /// created before it has already drained the battery's live level.
+    #[test]
+    fn battery_sourced_proportional_tap_splits_from_the_snapshot() {
+        for decay in [None, GraphConfig::default().decay] {
+            let config = GraphConfig {
+                decay,
+                ..GraphConfig::default()
+            };
+            let initial = Energy::from_joules(15_000);
+            let mut engine_g = ResourceGraph::with_config(initial, config);
+            let mut reference_g = ResourceGraph::with_config(initial, config);
+            let k = Actor::kernel();
+            for g in [&mut engine_g, &mut reference_g] {
+                let battery = g.battery();
+                let a = g.create_reserve(&k, "a", Label::default_label()).unwrap();
+                let b = g.create_reserve(&k, "b", Label::default_label()).unwrap();
+                g.create_tap(
+                    &k,
+                    "drain",
+                    battery,
+                    a,
+                    RateSpec::constant(Power::from_milliwatts(694)),
+                    Label::default_label(),
+                )
+                .unwrap();
+                g.create_tap(
+                    &k,
+                    "half",
+                    battery,
+                    b,
+                    RateSpec::proportional(0.5),
+                    Label::default_label(),
+                )
+                .unwrap();
+            }
+            for tick in 1..=40 {
+                let now = SimTime::from_millis(100 * tick);
+                engine_g.flow_until(now);
+                reference_g.flow_until_reference(now);
+                assert_eq!(
+                    dump(&engine_g),
+                    dump(&reference_g),
+                    "tick {tick}, decay={decay:?}"
+                );
+            }
+            assert!(engine_g.totals().conserved());
+        }
+    }
+
+    /// The compiled plan follows every tap hook between single ticks: a
+    /// re-rate, a deleted tap whose arena slot a new tap reuses, and a
+    /// reserve whose deletion garbage-collects its taps.
+    #[test]
+    fn single_ticks_follow_tap_and_reserve_lifecycle() {
+        let config = GraphConfig::default();
+        let initial = Energy::from_joules(15_000);
+        let mut engine_g = ResourceGraph::with_config(initial, config);
+        let mut reference_g = ResourceGraph::with_config(initial, config);
+        let k = Actor::kernel();
+        let mut now = SimTime::ZERO;
+        let mut tick = |engine_g: &mut ResourceGraph, reference_g: &mut ResourceGraph, step| {
+            now += SimDuration::from_millis(100);
+            engine_g.flow_until(now);
+            reference_g.flow_until_reference(now);
+            assert_eq!(dump(engine_g), dump(reference_g), "after {step}");
+        };
+        let mut handles = Vec::new();
+        for g in [&mut engine_g, &mut reference_g] {
+            let battery = g.battery();
+            let a = g.create_reserve(&k, "a", Label::default_label()).unwrap();
+            let b = g.create_reserve(&k, "b", Label::default_label()).unwrap();
+            let feed = g
+                .create_tap(
+                    &k,
+                    "feed",
+                    battery,
+                    a,
+                    RateSpec::constant(Power::from_milliwatts(500)),
+                    Label::default_label(),
+                )
+                .unwrap();
+            let onward = g
+                .create_tap(
+                    &k,
+                    "onward",
+                    a,
+                    b,
+                    RateSpec::constant(Power::from_milliwatts(200)),
+                    Label::default_label(),
+                )
+                .unwrap();
+            g.create_tap(
+                &k,
+                "back",
+                b,
+                battery,
+                RateSpec::proportional(0.2),
+                Label::default_label(),
+            )
+            .unwrap();
+            handles.push((a, feed, onward));
+        }
+        tick(&mut engine_g, &mut reference_g, "setup");
+        for (g, &(_, feed, _)) in [&mut engine_g, &mut reference_g].into_iter().zip(&handles) {
+            g.set_tap_rate(&k, feed, RateSpec::proportional(0.001))
+                .unwrap();
+        }
+        tick(&mut engine_g, &mut reference_g, "re-rate");
+        for (g, &(a, _, onward)) in [&mut engine_g, &mut reference_g].into_iter().zip(&handles) {
+            g.delete_tap(&k, onward).unwrap();
+            let battery = g.battery();
+            g.create_tap(
+                &k,
+                "reused",
+                battery,
+                a,
+                RateSpec::constant(Power::from_milliwatts(50)),
+                Label::default_label(),
+            )
+            .unwrap();
+        }
+        tick(&mut engine_g, &mut reference_g, "delete and slot reuse");
+        for (g, &(_, _, onward)) in [&mut engine_g, &mut reference_g].into_iter().zip(&handles) {
+            // The reused slot's new tap must not alias the deleted one.
+            assert!(g.tap(onward).is_none());
+        }
+        tick(&mut engine_g, &mut reference_g, "slot reuse, second tick");
+        for (g, &(a, _, _)) in [&mut engine_g, &mut reference_g].into_iter().zip(&handles) {
+            g.delete_reserve(&k, a).unwrap();
+        }
+        tick(&mut engine_g, &mut reference_g, "reserve GC");
+        assert_eq!(engine_g.tap_count(), 1);
+        assert!(engine_g.totals().conserved());
+    }
+
+    /// A decaying balance of twice `i64::MAX / ppm` (about 160 GJ at the
+    /// default 116 ppm per tick): the leak's i64 product overflows on every
+    /// tick here, and the i128 path must give the same leak, in the single
+    /// tick and the run's SoA loop alike.
+    #[test]
+    fn decay_beyond_the_i64_product_is_exact() {
+        let config = GraphConfig::default();
+        let ppm = config.decay.unwrap().leak_ppm_per_tick(config.flow_tick);
+        let huge = Energy::from_microjoules(i64::MAX / ppm as i64 * 2);
+        let initial = Energy::from_joules(15_000);
+        let mut engine_g = ResourceGraph::with_config(initial, config);
+        let mut reference_g = ResourceGraph::with_config(initial, config);
+        let k = Actor::kernel();
+        for g in [&mut engine_g, &mut reference_g] {
+            let hoard = g
+                .create_reserve(&k, "hoard", Label::default_label())
+                .unwrap();
+            g.inject(&k, hoard, huge).unwrap();
+        }
+        let mut now = SimTime::ZERO;
+        for span in [100, 100, 300, 60_000] {
+            now += SimDuration::from_millis(span);
+            engine_g.flow_until(now);
+            reference_g.flow_until_reference(now);
+            assert_eq!(dump(&engine_g), dump(&reference_g), "at {now:?}");
+        }
+        assert!(engine_g.totals().conserved());
     }
 
     /// Re-rating taps between spans re-plans the partition: a tap flipped

@@ -39,9 +39,10 @@
 //! Ticks are executed by the `FlowEngine` (see [`crate::flow`]) embedded in
 //! the graph. It maintains a per-source adjacency index (tap lists keyed by
 //! source reserve, in creation order) that `create_tap`, `delete_tap`,
-//! `set_tap_rate`, and `delete_reserve` keep up to date; per-tick work then
-//! needs no allocation (a reusable epoch-stamped snapshot buffer covers the
-//! sources of proportional taps, and quiescent sources are skipped).
+//! `set_tap_rate`, and `delete_reserve` keep up to date; a single tick runs
+//! over a plan those hooks mark stale, compiled from the taps in creation
+//! order, and needs no allocation (only proportional taps' sources are
+//! read at the start of a tick, and quiescent sources are skipped).
 //! Multi-tick spans are planned as partitioned *runs*: sources provably
 //! linear for the run are applied in closed form, and only taps adjacent
 //! to dynamic reserves (live proportional sources, clamp boundaries,
@@ -549,7 +550,8 @@ impl ResourceGraph {
     /// Paper §3.5: a tap "needs privileges to observe and modify both
     /// reserve levels; to aid with this, taps can have privileges embedded
     /// in them". The creating actor must hold observe+modify on both ends;
-    /// its privileges are embedded in the tap.
+    /// its privileges are embedded in the tap. A proportional rate above
+    /// 1,000,000 ppm/s is [`GraphError::InvalidAmount`].
     pub fn create_tap(
         &mut self,
         actor: &Actor,
@@ -561,6 +563,9 @@ impl ResourceGraph {
     ) -> Result<TapId, GraphError> {
         if source == sink {
             return Err(GraphError::SameReserve);
+        }
+        if !rate.in_range() {
+            return Err(GraphError::InvalidAmount);
         }
         let src = self
             .reserves
@@ -605,13 +610,17 @@ impl ResourceGraph {
 
     /// Changes a tap's rate. Requires modify on the *tap's* label — this is
     /// how the task manager stays the only thread able to throttle an app's
-    /// foreground tap (paper §5.4).
+    /// foreground tap (paper §5.4). A proportional rate above 1,000,000
+    /// ppm/s is [`GraphError::InvalidAmount`].
     pub fn set_tap_rate(
         &mut self,
         actor: &Actor,
         id: TapId,
         rate: RateSpec,
     ) -> Result<(), GraphError> {
+        if !rate.in_range() {
+            return Err(GraphError::InvalidAmount);
+        }
         let tap = self.taps.get_mut(id.0).ok_or(GraphError::TapNotFound)?;
         if !actor.can_modify(&tap.label().clone()) && !actor.is_kernel {
             return Err(GraphError::PermissionDenied { op: "set_tap_rate" });
@@ -995,9 +1004,10 @@ impl ResourceGraph {
     /// run are applied in closed form, and only the taps adjacent to
     /// dynamic reserves (live proportional sources, clamp boundaries,
     /// refillable empties, and every energy source when decay is on) are
-    /// ticked, over dense SoA arrays. Sub-planning-threshold spans run
-    /// against the per-source index with no per-tick allocation. Results
-    /// are bit-identical to [`ResourceGraph::flow_until_reference`].
+    /// ticked, over dense SoA arrays. Sub-planning-threshold spans skip the
+    /// planner and run the compiled single tick, with no per-tick
+    /// allocation. Results are bit-identical to
+    /// [`ResourceGraph::flow_until_reference`].
     pub fn flow_until(&mut self, now: SimTime) {
         let tick = self.config.flow_tick;
         let span = now.saturating_since(self.now);
@@ -1020,7 +1030,12 @@ impl ResourceGraph {
         // O(R + T), so a plan that only buys a tick or two costs more than
         // it saves.
         const MIN_PROFITABLE_RUN: u64 = 4;
-        let mut try_span = true;
+        // A span the planner would decline outright (the kernel's
+        // one-tick quantum over a proportional or decaying graph) goes
+        // straight to the compiled tick.
+        let mut try_span = !self
+            .flow
+            .declines_span(remaining, self.decay_ppm_per_tick > 0);
         while remaining > 0 {
             if try_span {
                 let advanced = self.flow.run_span(

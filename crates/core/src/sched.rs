@@ -118,6 +118,11 @@ pub struct ResourceScheduler {
     sole_ready: Option<TaskId>,
     /// Memoised `power × quantum` for [`ResourceScheduler::charge`].
     quantum_cost: Option<(Power, Energy)>,
+    /// Scratch for [`ResourceScheduler::pick_next`]'s queue scan: the
+    /// tasks it passed over, and the Ready ones among them it throttled.
+    /// Cleared on every scan and reused, so picking allocates nothing.
+    skipped: Vec<TaskId>,
+    throttled: Vec<TaskId>,
 }
 
 impl ResourceScheduler {
@@ -130,6 +135,8 @@ impl ResourceScheduler {
             ready_count: 0,
             sole_ready: None,
             quantum_cost: None,
+            skipped: Vec::new(),
+            throttled: Vec::new(),
         }
     }
 
@@ -262,8 +269,8 @@ impl ResourceScheduler {
             return None;
         }
         let n = self.queue.len();
-        let mut skipped: Vec<TaskId> = Vec::new();
-        let mut throttled: Vec<TaskId> = Vec::new();
+        self.skipped.clear();
+        self.throttled.clear();
         let mut picked = None;
         for _ in 0..n {
             let Some(id) = self.queue.pop_front() else {
@@ -286,19 +293,19 @@ impl ResourceScheduler {
                     self.queue.push_back(id);
                     break;
                 }
-                throttled.push(id);
+                self.throttled.push(id);
             }
-            skipped.push(id);
+            self.skipped.push(id);
         }
-        for id in skipped.into_iter().rev() {
+        for &id in self.skipped.iter().rev() {
             self.queue.push_front(id);
         }
         // Re-learn the sole Ready task for the fast path above: either the
         // one we picked, or the single one the scan throttled.
         if self.ready_count == 1 {
             self.sole_ready = picked.or_else(|| {
-                if throttled.len() == 1 {
-                    Some(throttled[0])
+                if self.throttled.len() == 1 {
+                    Some(self.throttled[0])
                 } else {
                     None
                 }
@@ -306,12 +313,19 @@ impl ResourceScheduler {
         }
         // Tasks that wanted to run but were reserve-gated count a throttled
         // quantum — the paper's isolation experiments hinge on this.
-        for id in throttled {
+        for &id in &self.throttled {
             if let Some(t) = self.tasks.get_mut(id.0) {
                 t.throttled_quanta += 1;
             }
         }
         picked
+    }
+
+    /// The run queue, front first: the order in which the next full
+    /// [`ResourceScheduler::pick_next`] scan examines tasks. A task that
+    /// exited stays queued until a scan drops it.
+    pub fn run_queue(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.queue.iter().copied()
     }
 
     /// The active energy reserve of every Ready task — the reserves

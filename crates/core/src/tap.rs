@@ -55,6 +55,14 @@ impl RateSpec {
         RateSpec::Proportional { ppm_per_s: ppm }
     }
 
+    /// False for a proportional rate above 1,000,000 ppm/s — more than the
+    /// whole source level per second, the most
+    /// [`RateSpec::proportional`] saturates to. The graph refuses such a
+    /// rate with [`crate::GraphError::InvalidAmount`].
+    pub(crate) fn in_range(self) -> bool {
+        !matches!(self, RateSpec::Proportional { ppm_per_s } if ppm_per_s > 1_000_000)
+    }
+
     /// True for zero-rate taps (a disabled foreground tap, Fig 7).
     pub fn is_zero(self) -> bool {
         match self {
@@ -167,6 +175,11 @@ impl Tap {
     ///
     /// The returned amount is non-negative and not yet clamped to the
     /// source's remaining balance; the graph applies the clamp.
+    ///
+    /// The reference model's arithmetic: the flow engine compiles its own
+    /// division-free split, which the differential tests check against
+    /// this.
+    #[cfg(any(test, feature = "reference-flow"))]
     pub(crate) fn desired_transfer(&mut self, source_level: Energy, dt: SimDuration) -> Energy {
         match self.rate {
             RateSpec::Const(p) => {

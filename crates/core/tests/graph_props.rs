@@ -4,7 +4,7 @@
 //! topology of reserves and taps is built, however flows/transfers/consumes
 //! interleave, `injected == Σ balances + consumed` holds to the microjoule.
 
-use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, ResourceGraph};
+use cinder_core::{Actor, GraphConfig, GraphError, RateSpec, ReserveId, ResourceGraph};
 use cinder_label::Label;
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -226,4 +226,57 @@ proptest! {
         }
         prop_assert!(g.totals().conserved());
     }
+}
+
+/// A proportional rate above 1,000,000 ppm/s — more than the whole source
+/// level per second — is refused at creation and on re-rate, so no flow
+/// tick can move more than the source holds.
+#[test]
+fn out_of_range_proportional_rates_are_refused() {
+    let mut g = ResourceGraph::with_config(
+        Energy::from_joules(1_000),
+        GraphConfig {
+            decay: None,
+            ..GraphConfig::default()
+        },
+    );
+    let k = Actor::kernel();
+    let source = g
+        .create_reserve(&k, "source", Label::default_label())
+        .unwrap();
+    let sink = g
+        .create_reserve(&k, "sink", Label::default_label())
+        .unwrap();
+    g.transfer(&k, g.battery(), source, Energy::from_joules(10))
+        .unwrap();
+    for ppm_per_s in [1_000_001, u64::MAX] {
+        let hog = RateSpec::Proportional { ppm_per_s };
+        assert_eq!(
+            g.create_tap(&k, "hog", source, sink, hog, Label::default_label()),
+            Err(GraphError::InvalidAmount),
+            "{ppm_per_s} ppm/s"
+        );
+    }
+    // The whole level per second is the legal maximum.
+    let whole = RateSpec::Proportional {
+        ppm_per_s: 1_000_000,
+    };
+    let tap = g
+        .create_tap(&k, "whole", source, sink, whole, Label::default_label())
+        .unwrap();
+    assert_eq!(
+        g.set_tap_rate(
+            &k,
+            tap,
+            RateSpec::Proportional {
+                ppm_per_s: u64::MAX
+            }
+        ),
+        Err(GraphError::InvalidAmount)
+    );
+    assert_eq!(g.tap(tap).unwrap().rate(), whole);
+    g.flow_until(SimTime::from_millis(100));
+    assert_eq!(g.level(&k, sink).unwrap(), Energy::from_joules(1));
+    assert_eq!(g.level(&k, source).unwrap(), Energy::from_joules(9));
+    assert!(g.totals().conserved());
 }

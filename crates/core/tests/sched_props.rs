@@ -1,8 +1,11 @@
 //! Property tests for the resource-aware scheduler: the reserve gate is
 //! never violated, and CPU shares track tap rates.
 
+use std::collections::VecDeque;
+
 use cinder_core::{
-    Actor, GraphConfig, RateSpec, ResourceGraph, ResourceScheduler, SchedulerConfig, TaskId,
+    Actor, GraphConfig, RateSpec, ReserveId, ResourceGraph, ResourceScheduler, SchedulerConfig,
+    TaskId, TaskState,
 };
 use cinder_label::Label;
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
@@ -206,4 +209,232 @@ fn throttled_quanta_count_denials() {
         assert_eq!(s.pick_next(&g), None);
     }
     assert_eq!(s.throttled_quanta(t), 50);
+}
+
+/// One step of the scheduler-versus-model test.
+#[derive(Debug, Clone)]
+enum SchedOp {
+    Add { funded: bool },
+    Remove { t: usize },
+    SetState { t: usize, state: u8 },
+    Fund { t: usize, uj: i64 },
+    Drain { t: usize, uj: i64 },
+    Pick,
+}
+
+fn arb_sched_op() -> impl Strategy<Value = SchedOp> {
+    // (No weighted prop_oneof in the vendored stub: picks are listed three
+    // times.)
+    prop_oneof![
+        Just(SchedOp::Pick),
+        Just(SchedOp::Pick),
+        Just(SchedOp::Pick),
+        any::<bool>().prop_map(|funded| SchedOp::Add { funded }),
+        (0usize..8).prop_map(|t| SchedOp::Remove { t }),
+        (0usize..8, 0u8..3).prop_map(|(t, state)| SchedOp::SetState { t, state }),
+        (0usize..8, 0i64..3_000).prop_map(|(t, uj)| SchedOp::Fund { t, uj }),
+        (0usize..8, 0i64..3_000).prop_map(|(t, uj)| SchedOp::Drain { t, uj }),
+    ]
+}
+
+/// A model task: state, energy reserve, throttled quanta.
+struct ModelTask {
+    state: TaskState,
+    reserve: ReserveId,
+    throttled: u64,
+}
+
+/// The scheduler's documented round robin, written naively: the Ready
+/// count is a scan, each pick allocates its own lists, and a removed task
+/// is `None`. A pick with exactly one Ready task *known* by the last
+/// transition or scan takes it without rotating the queue.
+struct NaiveScheduler {
+    tasks: Vec<Option<ModelTask>>,
+    queue: VecDeque<usize>,
+    sole: Option<usize>,
+}
+
+impl NaiveScheduler {
+    fn ready(&self) -> usize {
+        self.tasks
+            .iter()
+            .flatten()
+            .filter(|t| t.state == TaskState::Ready)
+            .count()
+    }
+
+    fn funded(&self, i: usize, g: &ResourceGraph) -> bool {
+        let reserve = self.tasks[i].as_ref().unwrap().reserve;
+        g.reserve(reserve).is_some_and(|r| r.is_nonempty())
+    }
+
+    fn add(&mut self, reserve: ReserveId) {
+        self.tasks.push(Some(ModelTask {
+            state: TaskState::Ready,
+            reserve,
+            throttled: 0,
+        }));
+        let i = self.tasks.len() - 1;
+        self.queue.push_back(i);
+        self.sole = (self.ready() == 1).then_some(i);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.tasks[i] = None;
+        self.queue.retain(|&q| q != i);
+        self.sole = None;
+    }
+
+    fn set_state(&mut self, i: usize, state: TaskState) {
+        let Some(task) = self.tasks[i].as_mut() else {
+            return;
+        };
+        let was = task.state;
+        task.state = state;
+        if was == TaskState::Ready && state != TaskState::Ready {
+            self.sole = None;
+        } else if was != TaskState::Ready && state == TaskState::Ready {
+            self.sole = (self.ready() == 1).then_some(i);
+        }
+    }
+
+    fn pick(&mut self, g: &ResourceGraph) -> Option<usize> {
+        let ready = self.ready();
+        if ready == 0 {
+            return None;
+        }
+        if let Some(i) = self.sole {
+            if self.funded(i, g) {
+                return Some(i);
+            }
+            self.tasks[i].as_mut().unwrap().throttled += 1;
+            return None;
+        }
+        let mut passed = Vec::new();
+        let mut throttled = Vec::new();
+        let mut picked = None;
+        for _ in 0..self.queue.len() {
+            let i = self.queue.pop_front().unwrap();
+            let state = match &self.tasks[i] {
+                None => continue,
+                Some(t) => t.state,
+            };
+            if state == TaskState::Exited {
+                continue;
+            }
+            if state == TaskState::Ready {
+                if self.funded(i, g) {
+                    picked = Some(i);
+                    self.queue.push_back(i);
+                    break;
+                }
+                throttled.push(i);
+            }
+            passed.push(i);
+        }
+        for &i in passed.iter().rev() {
+            self.queue.push_front(i);
+        }
+        if ready == 1 {
+            self.sole = picked.or(match throttled[..] {
+                [only] => Some(only),
+                _ => None,
+            });
+        }
+        for i in throttled {
+            self.tasks[i].as_mut().unwrap().throttled += 1;
+        }
+        picked
+    }
+
+    /// What [`ResourceScheduler::ready_reserves`] reports: the known sole
+    /// Ready task, or every Ready task in queue order.
+    fn ready_reserves(&self) -> Vec<ReserveId> {
+        let ids: Vec<usize> = match self.sole {
+            Some(i) => vec![i],
+            None => self.queue.iter().copied().collect(),
+        };
+        ids.into_iter()
+            .filter_map(|i| self.tasks[i].as_ref())
+            .filter(|t| t.state == TaskState::Ready)
+            .map(|t| t.reserve)
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random Ready/Blocked/Exited transitions, removals, funding and
+    /// debt: every pick, every task's throttled quanta, the run queue and
+    /// the Ready reserves equal the naive model's after every step.
+    #[test]
+    fn scheduler_matches_naive_round_robin(
+        ops in proptest::collection::vec(arb_sched_op(), 1..120),
+    ) {
+        let mut g = graph();
+        let mut s = ResourceScheduler::new(SchedulerConfig::default());
+        let mut model = NaiveScheduler { tasks: Vec::new(), queue: VecDeque::new(), sole: None };
+        let mut ids: Vec<TaskId> = Vec::new();
+        let k = Actor::kernel();
+        let mut now = SimTime::ZERO;
+        for op in &ops {
+            match *op {
+                SchedOp::Add { funded } => {
+                    let r = g.create_reserve(&k, "r", Label::default_label()).unwrap();
+                    if funded {
+                        g.transfer(&k, g.battery(), r, Energy::from_millijoules(20)).unwrap();
+                    }
+                    ids.push(s.add_task("t", r));
+                    model.add(r);
+                }
+                _ if ids.is_empty() => {}
+                SchedOp::Remove { t } => {
+                    let i = t % ids.len();
+                    s.remove_task(ids[i]);
+                    model.remove(i);
+                }
+                SchedOp::SetState { t, state } => {
+                    let i = t % ids.len();
+                    // Exited is terminal: the kernel never revives a task.
+                    if model.tasks[i].as_ref().is_some_and(|t| t.state != TaskState::Exited) {
+                        let state =
+                            [TaskState::Ready, TaskState::Blocked, TaskState::Exited][state as usize];
+                        s.set_state(ids[i], state);
+                        model.set_state(i, state);
+                    }
+                }
+                SchedOp::Fund { t, uj } => {
+                    if let Some(task) = &model.tasks[t % ids.len()] {
+                        g.transfer(&k, g.battery(), task.reserve, Energy::from_microjoules(uj))
+                            .unwrap();
+                    }
+                }
+                SchedOp::Drain { t, uj } => {
+                    if let Some(task) = &model.tasks[t % ids.len()] {
+                        g.consume_with_debt(&k, task.reserve, Energy::from_microjoules(uj))
+                            .unwrap();
+                    }
+                }
+                SchedOp::Pick => {
+                    let picked = s.pick_next(&g);
+                    let expected = model.pick(&g);
+                    prop_assert_eq!(picked, expected.map(|i| ids[i]), "after {:?}", op);
+                    if let Some(id) = picked {
+                        s.charge(&mut g, id, now, CPU).unwrap();
+                    }
+                    now += s.quantum();
+                }
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                let throttled = model.tasks[i].as_ref().map_or(0, |t| t.throttled);
+                prop_assert_eq!(s.throttled_quanta(id), throttled, "task {} after {:?}", i, op);
+            }
+            let queue: Vec<TaskId> = s.run_queue().collect();
+            let expected: Vec<TaskId> = model.queue.iter().map(|&i| ids[i]).collect();
+            prop_assert_eq!(queue, expected, "after {:?}", op);
+            let ready: Vec<ReserveId> = s.ready_reserves().collect();
+            prop_assert_eq!(ready, model.ready_reserves(), "after {:?}", op);
+        }
+    }
 }

@@ -2959,6 +2959,8 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use crate::program::FnProgram;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn kernel_no_decay() -> Kernel {
         Kernel::new(KernelConfig {
@@ -3350,6 +3352,44 @@ mod tests {
             r,
         );
         k.run_until(SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn out_of_range_proportional_rate_is_refused_through_ctx() {
+        let mut k = kernel_no_decay();
+        let app = funded_reserve(&mut k, "app", 10);
+        let sink = funded_reserve(&mut k, "sink", 0);
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&outcomes);
+        let hog = RateSpec::Proportional {
+            ppm_per_s: u64::MAX,
+        };
+        k.spawn_unprivileged(
+            "hoarder",
+            Box::new(FnProgram(move |ctx: &mut Ctx<'_>| {
+                let created = ctx.create_tap("hog", app, sink, hog, Label::default_label());
+                let tenth = ctx
+                    .create_tap(
+                        "tenth",
+                        app,
+                        sink,
+                        RateSpec::proportional(0.1),
+                        Label::default_label(),
+                    )
+                    .expect("0.1× is a legal rate");
+                let rerated = ctx.set_tap_rate(tenth, hog);
+                seen.borrow_mut().push((created.err(), rerated.err()));
+                Step::Exit
+            })),
+            app,
+        );
+        k.run_until(SimTime::from_secs(1));
+        let refused = Some(KernelError::Graph(cinder_core::GraphError::InvalidAmount));
+        assert_eq!(*outcomes.borrow(), [(refused.clone(), refused)]);
+        let rates: Vec<_> = k.graph().taps().map(|(_, t)| t.rate()).collect();
+        assert_eq!(rates, [RateSpec::proportional(0.1)]);
+        assert!(!k.graph().reserve(sink).unwrap().balance().is_negative());
+        assert!(k.graph().totals().conserved());
     }
 
     #[test]
