@@ -25,104 +25,126 @@ use crate::scenario::DeviceSpec;
 #[cfg(test)]
 use crate::scenario::Workload;
 
-/// Compact per-device telemetry, the unit the aggregator consumes.
-///
-/// Everything here is either an exact integer read off the kernel or a
-/// float computed from exact integers, so reports are bit-stable across
-/// runs and worker layouts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceReport {
-    /// Device id (fleet index).
-    pub id: u64,
-    /// Workload tag (see [`crate::scenario::Workload::tag`]).
-    pub workload: &'static str,
-    /// Battery capacity the device started with.
-    pub battery_capacity_uj: i64,
-    /// Root-reserve balance at the horizon.
-    pub battery_remaining_uj: i64,
-    /// Total platform energy the meter integrated over the horizon.
-    pub total_energy_uj: i64,
-    /// Energy charged to threads by the energy-aware scheduler (CPU
-    /// subsystem share of the total).
-    pub cpu_energy_uj: i64,
-    /// Energy the backlight drained from its reserve (peripheral layer).
-    pub backlight_energy_uj: i64,
-    /// Energy the GPS drained from its reserve (peripheral layer).
-    pub gps_energy_uj: i64,
-    /// Times the kernel forced the backlight dark on an empty reserve.
-    pub backlight_shutdowns: u64,
-    /// Times the kernel forced the GPS down on an empty reserve.
-    pub gps_shutdowns: u64,
-    /// Projected battery lifetime at the observed average draw, in hours.
-    pub lifetime_h: f64,
-    /// Radio idle→active transitions (phone workloads).
-    pub radio_activations: u64,
-    /// Total radio-active time in seconds.
-    pub radio_active_s: f64,
-    /// Bytes moved over the network (radio tx+rx, or NIC downloads for the
-    /// gallery).
-    pub net_bytes: u64,
-    /// Completed application operations (polls sent / pages / images /
-    /// GPS fixes).
-    pub ops: u64,
-    /// Time threads spent denied the CPU on an empty reserve.
-    pub starved_s: f64,
-    /// Reserves in debt (negative balance) at the horizon — the
-    /// after-the-fact billing of §5.5.2 at work.
-    pub debt_reserves: u32,
-    /// Whether the §9 data plan ran out before the horizon: a send blocked
-    /// on bytes in the kernel (online enforcement, not an offline replay).
-    pub quota_exhausted: bool,
-    /// Bytes left on the in-kernel data-plan reserve (0 when no plan is
-    /// carried; may be negative if reply bytes drove the plan into debt).
-    pub quota_remaining_bytes: i64,
-    /// Sends the kernel held because the plan could not cover them.
-    pub bytes_blocked_sends: u64,
-    /// `offload` syscalls that reached the backend admission check.
-    pub offload_attempts: u64,
-    /// Offload requests the backend admitted and the stack accepted.
-    pub offload_accepted: u64,
-    /// Accepted offloads whose response woke the thread in time.
-    pub offload_completed: u64,
-    /// Offloads refused up front (backend full, plan uncovered).
-    pub offload_rejected: u64,
-    /// Accepted offloads whose deadline fired before the response.
-    pub offload_timed_out: u64,
-    /// Σ observed request latency over completed offloads, µs.
-    pub offload_latency_us: u64,
-    /// Tap/drive re-rates the policy engine applied (0 with no policy).
-    pub policy_rerates: u64,
-    /// False→true edges of the policy's background-demotion flag.
-    pub policy_demotions: u64,
-    /// Seconds the user model spent Active over the horizon.
-    pub presence_active_s: u64,
-    /// Seconds the user model spent Ambient over the horizon.
-    pub presence_ambient_s: u64,
-    /// Seconds the user model spent Away over the horizon.
-    pub presence_away_s: u64,
-    /// Seconds the user model spent Asleep over the horizon.
-    pub presence_asleep_s: u64,
-    /// Whether the projected lifetime covered the policy's target
-    /// duration (false with no policy configured).
-    pub lifetime_target_hit: bool,
-    /// Radio link flaps the fault injector landed (0 without faults).
-    pub link_flaps: u64,
-    /// Exact link-down time within the horizon, µs (plan-derived, so it
-    /// includes flap tails past the last kernel step).
-    pub link_down_us: u64,
-    /// Bytes of in-flight deliveries lost to drop-semantics flaps.
-    pub flap_lost_bytes: u64,
-    /// Transient app kills the fault supervisor landed.
-    pub crashes: u64,
-    /// Fresh program instances the supervisor respawned.
-    pub restarts: u64,
-    /// Backoff retries the workload's resilience layer scheduled.
-    pub retries: u64,
-    /// Work items abandoned after the retry budget ran out.
-    pub retries_exhausted: u64,
-    /// Battery capacity fade the aging tap drained, µJ (exact).
-    pub fade_uj: i64,
+/// The per-device telemetry schema: one row per [`DeviceReport`] field, in
+/// CSV column order. A row is the field's doc, name and type, then an
+/// optional `as "header"` where the CSV column is not named after the field,
+/// then an optional `=> f` for a derived CSV column `f(&row, horizon_s)`
+/// that follows it. `$gen` consumes the rows: this module's
+/// [`DeviceReport`], [`crate::slab`]'s columns, and [`crate::report`]'s CSV
+/// writer each have one generator, so a new field is one row here plus its
+/// line in the extraction below.
+macro_rules! device_fields {
+    ($gen:ident) => {
+        $gen! {
+            /// Workload tag (see [`crate::scenario::Workload::tag`]).
+            workload: &'static str,
+            /// Battery capacity the device started with.
+            battery_capacity_uj: i64 as "battery_uj",
+            /// Root-reserve balance at the horizon.
+            battery_remaining_uj: i64,
+            /// Total platform energy the meter integrated over the horizon.
+            total_energy_uj: i64,
+            /// Energy charged to threads by the energy-aware scheduler (CPU
+            /// subsystem share of the total).
+            cpu_energy_uj: i64,
+            /// Energy the backlight drained from its reserve (peripheral layer).
+            backlight_energy_uj: i64,
+            /// Energy the GPS drained from its reserve (peripheral layer).
+            gps_energy_uj: i64,
+            /// Times the kernel forced the backlight dark on an empty reserve.
+            backlight_shutdowns: u64,
+            /// Times the kernel forced the GPS down on an empty reserve.
+            gps_shutdowns: u64,
+            /// Projected battery lifetime at the observed average draw, in hours.
+            lifetime_h: f64 => avg_power_mw,
+            /// Radio idle→active transitions (phone workloads).
+            radio_activations: u64,
+            /// Total radio-active time in seconds.
+            radio_active_s: f64,
+            /// Bytes moved over the network (radio tx+rx, or NIC downloads for the
+            /// gallery).
+            net_bytes: u64,
+            /// Completed application operations (polls sent / pages / images /
+            /// GPS fixes).
+            ops: u64,
+            /// Time threads spent denied the CPU on an empty reserve.
+            starved_s: f64,
+            /// Reserves in debt (negative balance) at the horizon — the
+            /// after-the-fact billing of §5.5.2 at work.
+            debt_reserves: u32,
+            /// Whether the §9 data plan ran out before the horizon: a send blocked
+            /// on bytes in the kernel (online enforcement, not an offline replay).
+            quota_exhausted: bool,
+            /// Bytes left on the in-kernel data-plan reserve (0 when no plan is
+            /// carried; may be negative if reply bytes drove the plan into debt).
+            quota_remaining_bytes: i64,
+            /// Sends the kernel held because the plan could not cover them.
+            bytes_blocked_sends: u64,
+            /// `offload` syscalls that reached the backend admission check.
+            offload_attempts: u64,
+            /// Offload requests the backend admitted and the stack accepted.
+            offload_accepted: u64,
+            /// Accepted offloads whose response woke the thread in time.
+            offload_completed: u64,
+            /// Offloads refused up front (backend full, plan uncovered).
+            offload_rejected: u64,
+            /// Accepted offloads whose deadline fired before the response.
+            offload_timed_out: u64,
+            /// Σ observed request latency over completed offloads, µs.
+            offload_latency_us: u64,
+            /// Tap/drive re-rates the policy engine applied (0 with no policy).
+            policy_rerates: u64,
+            /// False→true edges of the policy's background-demotion flag.
+            policy_demotions: u64,
+            /// Seconds the user model spent Active over the horizon.
+            presence_active_s: u64,
+            /// Seconds the user model spent Ambient over the horizon.
+            presence_ambient_s: u64,
+            /// Seconds the user model spent Away over the horizon.
+            presence_away_s: u64,
+            /// Seconds the user model spent Asleep over the horizon.
+            presence_asleep_s: u64,
+            /// Whether the projected lifetime covered the policy's target
+            /// duration (false with no policy configured).
+            lifetime_target_hit: bool,
+            /// Radio link flaps the fault injector landed (0 without faults).
+            link_flaps: u64,
+            /// Exact link-down time within the horizon, µs (plan-derived, so it
+            /// includes flap tails past the last kernel step).
+            link_down_us: u64,
+            /// Bytes of in-flight deliveries lost to drop-semantics flaps.
+            flap_lost_bytes: u64,
+            /// Transient app kills the fault supervisor landed.
+            crashes: u64,
+            /// Fresh program instances the supervisor respawned.
+            restarts: u64,
+            /// Backoff retries the workload's resilience layer scheduled.
+            retries: u64,
+            /// Work items abandoned after the retry budget ran out.
+            retries_exhausted: u64,
+            /// Battery capacity fade the aging tap drained, µJ (exact).
+            fade_uj: i64,
+        }
+    };
 }
+pub(crate) use device_fields;
+
+macro_rules! report_struct {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty $(as $csv:literal)? $(=> $derived:ident)?,)*) => {
+        /// Compact per-device telemetry, the unit the aggregator consumes.
+        ///
+        /// Everything here is either an exact integer read off the kernel or a
+        /// float computed from exact integers, so reports are bit-stable across
+        /// runs and worker layouts.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct DeviceReport {
+            /// Device id (fleet index).
+            pub id: u64,
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+    };
+}
+device_fields!(report_struct);
 
 /// Reusable per-worker buffers for [`simulate_device_with`]: a worker keeps
 /// one of these across its whole chunk, so the per-device extraction pass

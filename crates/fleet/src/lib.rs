@@ -37,14 +37,16 @@
 //! * [`device`] — builds one kernel from a [`scenario::DeviceSpec`], runs
 //!   it in one loop whose spans end only at policy ticks and fault
 //!   boundaries (the kernel's jump certificate crosses the rest), and
-//!   extracts a compact [`device::DeviceReport`].
+//!   extracts a compact [`device::DeviceReport`], whose one field table
+//!   also generates the slab's columns and the CSV.
 //! * [`executor`] — shards devices across `std::thread` workers into a
 //!   retained [`slab::ReportSlab`].
 //! * [`slab`] — struct-of-arrays storage of per-device telemetry.
 //! * [`stream`] — O(workers × bins) streaming aggregation with exact
-//!   merges, plus deterministic checkpoint/resume.
-//! * [`report`] — fleet percentiles (p50/p90/p99 lifetime, tail power) and
-//!   CSV/JSON export via [`cinder_sim::trace`].
+//!   merges (the one aggregation path: the retained summary folds through
+//!   it too), plus deterministic, strictly keyed checkpoint/resume.
+//! * [`report`] — exact fleet percentiles (p50/p90/p99 lifetime, tail
+//!   power) and CSV/JSON export via [`cinder_sim::trace`].
 //! * [`policy_driver`] — kernel wiring for `cinder-policy`'s pure
 //!   user-aware policies: observables in at grid-aligned ticks, tap
 //!   re-rates and drive caps out through root syscalls.

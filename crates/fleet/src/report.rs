@@ -12,11 +12,12 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use cinder_sim::{json_string, Series, SimDuration, SimTime, Summary, TraceSet};
+use cinder_sim::{Series, SimDuration, SimTime, Summary, TraceSet};
 
-use crate::device::DeviceReport;
+use crate::device::{device_fields, DeviceReport};
 use crate::scenario::Scenario;
 use crate::slab::ReportSlab;
+use crate::stream::{StreamReport, StreamSummary, CHANNELS};
 
 /// A finished fleet run: ordered per-device telemetry plus scenario
 /// identity.
@@ -116,87 +117,64 @@ impl FleetReport {
         }
     }
 
-    /// Average platform power of device `d` in milliwatts.
-    fn avg_power_mw(&self, d: &DeviceReport) -> f64 {
-        d.total_energy_uj as f64 / self.horizon.as_secs_f64() / 1_000.0
+    /// Folds the slab once into this run's streamed twin, whose exact
+    /// integer totals come through [`StreamSummary::observe`], and collects
+    /// each distribution's observations for exact percentiles.
+    fn aggregate(&self) -> (StreamReport, [Option<Summary>; CHANNELS]) {
+        let mut summary = StreamSummary::new(self.horizon);
+        let mut columns: [Vec<f64>; CHANNELS] = Default::default();
+        for d in &self.devices {
+            summary.observe(&d);
+            let observed = StreamSummary::observations(&d, self.horizon);
+            for (column, v) in columns.iter_mut().zip(observed) {
+                column.extend(v);
+            }
+        }
+        let twin = StreamReport {
+            scenario: self.scenario.clone(),
+            seed: self.seed,
+            horizon: self.horizon,
+            summary,
+        };
+        (twin, columns.map(|column| Summary::from_values(&column)))
     }
 
     /// The aggregate distributions.
     pub fn summary(&self) -> FleetSummary {
-        let collect = |f: &dyn Fn(&DeviceReport) -> f64| -> Vec<f64> {
-            self.devices.iter().map(|d| f(&d)).collect()
-        };
-        let offload_completed: u64 = self.devices.iter().map(|d| d.offload_completed).sum();
+        let (twin, [lifetime_h, avg_power_mw, radio_activations, starved_s, offload_latency_s]) =
+            self.aggregate();
+        let s = &twin.summary;
         FleetSummary {
-            devices: self.devices.len(),
-            lifetime_h: Summary::from_values(&collect(&|d| d.lifetime_h)),
-            avg_power_mw: Summary::from_values(&collect(&|d| self.avg_power_mw(d))),
-            radio_activations: Summary::from_values(&collect(&|d| d.radio_activations as f64)),
-            starved_s: Summary::from_values(&collect(&|d| d.starved_s)),
-            fleet_energy_j: self
-                .devices
-                .iter()
-                .map(|d| d.total_energy_uj as f64 / 1e6)
-                .sum(),
-            quota_exhausted: self.devices.iter().filter(|d| d.quota_exhausted).count(),
-            bytes_blocked_sends: self.devices.iter().map(|d| d.bytes_blocked_sends).sum(),
-            devices_in_debt: self.devices.iter().filter(|d| d.debt_reserves > 0).count(),
-            peripheral_energy_j: self
-                .devices
-                .iter()
-                .map(|d| (d.backlight_energy_uj + d.gps_energy_uj) as f64 / 1e6)
-                .sum(),
-            forced_shutdowns: self
-                .devices
-                .iter()
-                .map(|d| d.backlight_shutdowns + d.gps_shutdowns)
-                .sum(),
-            offload_attempts: self.devices.iter().map(|d| d.offload_attempts).sum(),
-            offload_accepted: self.devices.iter().map(|d| d.offload_accepted).sum(),
-            offload_completed,
-            offload_rejected: self.devices.iter().map(|d| d.offload_rejected).sum(),
-            offload_timed_out: self.devices.iter().map(|d| d.offload_timed_out).sum(),
-            offload_latency_s: Summary::from_values(
-                &self
-                    .devices
-                    .iter()
-                    .filter(|d| d.offload_completed > 0)
-                    .map(|d| d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6)
-                    .collect::<Vec<f64>>(),
-            ),
-            joules_per_request: if offload_completed == 0 {
-                0.0
-            } else {
-                self.devices
-                    .iter()
-                    .filter(|d| d.offload_attempts > 0)
-                    .map(|d| d.total_energy_uj as f64 / 1e6)
-                    .sum::<f64>()
-                    / offload_completed as f64
-            },
-            policy_rerates: self.devices.iter().map(|d| d.policy_rerates).sum(),
-            policy_demotions: self.devices.iter().map(|d| d.policy_demotions).sum(),
-            lifetime_target_hits: self
-                .devices
-                .iter()
-                .filter(|d| d.lifetime_target_hit)
-                .count(),
-            presence_s: self.devices.iter().fold([0u64; 4], |acc, d| {
-                [
-                    acc[0] + d.presence_active_s,
-                    acc[1] + d.presence_ambient_s,
-                    acc[2] + d.presence_away_s,
-                    acc[3] + d.presence_asleep_s,
-                ]
-            }),
-            link_flaps: self.devices.iter().map(|d| d.link_flaps).sum(),
-            link_down_us: self.devices.iter().map(|d| d.link_down_us).sum(),
-            flap_lost_bytes: self.devices.iter().map(|d| d.flap_lost_bytes).sum(),
-            crashes: self.devices.iter().map(|d| d.crashes).sum(),
-            restarts: self.devices.iter().map(|d| d.restarts).sum(),
-            retries: self.devices.iter().map(|d| d.retries).sum(),
-            retries_exhausted: self.devices.iter().map(|d| d.retries_exhausted).sum(),
-            fade_j: self.devices.iter().map(|d| d.fade_uj).sum::<i64>() as f64 / 1e6,
+            devices: s.devices as usize,
+            lifetime_h,
+            avg_power_mw,
+            radio_activations,
+            starved_s,
+            fleet_energy_j: s.fleet_energy_j(),
+            quota_exhausted: s.quota_exhausted() as usize,
+            bytes_blocked_sends: s.bytes_blocked_sends() as u64,
+            devices_in_debt: s.devices_in_debt() as usize,
+            peripheral_energy_j: s.peripheral_energy_j(),
+            forced_shutdowns: s.forced_shutdowns() as u64,
+            offload_attempts: s.offload_attempts() as u64,
+            offload_accepted: s.offload_accepted() as u64,
+            offload_completed: s.offload_completed() as u64,
+            offload_rejected: s.offload_rejected() as u64,
+            offload_timed_out: s.offload_timed_out() as u64,
+            offload_latency_s,
+            joules_per_request: s.joules_per_request(),
+            policy_rerates: s.policy_rerates() as u64,
+            policy_demotions: s.policy_demotions() as u64,
+            lifetime_target_hits: s.lifetime_target_hits() as usize,
+            presence_s: s.presence_s().map(|seconds| seconds as u64),
+            link_flaps: s.link_flaps() as u64,
+            link_down_us: s.link_down_us() as u64,
+            flap_lost_bytes: s.flap_lost_bytes() as u64,
+            crashes: s.crashes() as u64,
+            restarts: s.restarts() as u64,
+            retries: s.retries() as u64,
+            retries_exhausted: s.retries_exhausted() as u64,
+            fade_j: s.fade_j(),
         }
     }
 
@@ -229,70 +207,6 @@ impl FleetReport {
             .collect()
     }
 
-    /// Per-device CSV: one row per device, ordered by id.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "device,workload,battery_uj,battery_remaining_uj,total_energy_uj,cpu_energy_uj,\
-             backlight_energy_uj,gps_energy_uj,backlight_shutdowns,gps_shutdowns,\
-             lifetime_h,avg_power_mw,radio_activations,radio_active_s,net_bytes,ops,starved_s,\
-             debt_reserves,quota_exhausted,quota_remaining_bytes,bytes_blocked_sends,\
-             offload_attempts,offload_accepted,offload_completed,offload_rejected,\
-             offload_timed_out,offload_latency_us,policy_rerates,policy_demotions,\
-             presence_active_s,presence_ambient_s,presence_away_s,presence_asleep_s,\
-             lifetime_target_hit,link_flaps,link_down_us,flap_lost_bytes,crashes,restarts,\
-             retries,retries_exhausted,fade_uj\n",
-        );
-        for d in &self.devices {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{},{:.6},{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                d.id,
-                d.workload,
-                d.battery_capacity_uj,
-                d.battery_remaining_uj,
-                d.total_energy_uj,
-                d.cpu_energy_uj,
-                d.backlight_energy_uj,
-                d.gps_energy_uj,
-                d.backlight_shutdowns,
-                d.gps_shutdowns,
-                d.lifetime_h,
-                self.avg_power_mw(&d),
-                d.radio_activations,
-                d.radio_active_s,
-                d.net_bytes,
-                d.ops,
-                d.starved_s,
-                d.debt_reserves,
-                d.quota_exhausted,
-                d.quota_remaining_bytes,
-                d.bytes_blocked_sends,
-                d.offload_attempts,
-                d.offload_accepted,
-                d.offload_completed,
-                d.offload_rejected,
-                d.offload_timed_out,
-                d.offload_latency_us,
-                d.policy_rerates,
-                d.policy_demotions,
-                d.presence_active_s,
-                d.presence_ambient_s,
-                d.presence_away_s,
-                d.presence_asleep_s,
-                d.lifetime_target_hit,
-                d.link_flaps,
-                d.link_down_us,
-                d.flap_lost_bytes,
-                d.crashes,
-                d.restarts,
-                d.retries,
-                d.retries_exhausted,
-                d.fade_uj,
-            );
-        }
-        out
-    }
-
     /// Fleet-wide series over the *device index* (the trace machinery's
     /// time axis doubles as an ordinal axis: device `i` sits at `i`
     /// seconds), exportable through [`TraceSet::write_csv_dir`].
@@ -301,10 +215,11 @@ impl FleetReport {
         let mut lifetime = Series::new("lifetime_by_device", "h");
         let mut power = Series::new("avg_power_by_device", "mW");
         let mut starved = Series::new("starved_by_device", "s");
+        let horizon_s = self.horizon.as_secs_f64();
         for d in &self.devices {
             let at = SimTime::from_secs(d.id);
             lifetime.push(at, d.lifetime_h);
-            power.push(at, self.avg_power_mw(&d));
+            power.push(at, avg_power_mw(&d, horizon_s));
             starved.push(at, d.starved_s);
         }
         ts.insert(lifetime);
@@ -328,71 +243,8 @@ impl FleetReport {
     /// order, fixed float precision): the artefact the scale benchmark and
     /// CI compare byte-for-byte across thread counts.
     pub fn to_json(&self) -> String {
-        let s = self.summary();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"devices\": {},", s.devices);
-        let _ = writeln!(out, "  \"horizon_s\": {:.3},", self.horizon.as_secs_f64());
-        let _ = writeln!(out, "  \"fleet_energy_j\": {:.6},", s.fleet_energy_j);
-        let _ = writeln!(out, "  \"lifetime_h\": {},", summary_json(&s.lifetime_h));
-        let _ = writeln!(
-            out,
-            "  \"avg_power_mw\": {},",
-            summary_json(&s.avg_power_mw)
-        );
-        let _ = writeln!(
-            out,
-            "  \"radio_activations\": {},",
-            summary_json(&s.radio_activations)
-        );
-        let _ = writeln!(out, "  \"starved_s\": {},", summary_json(&s.starved_s));
-        let _ = writeln!(out, "  \"quota_exhausted\": {},", s.quota_exhausted);
-        let _ = writeln!(out, "  \"bytes_blocked_sends\": {},", s.bytes_blocked_sends);
-        let _ = writeln!(
-            out,
-            "  \"peripheral_energy_j\": {:.6},",
-            s.peripheral_energy_j
-        );
-        let _ = writeln!(out, "  \"forced_shutdowns\": {},", s.forced_shutdowns);
-        let _ = writeln!(out, "  \"offload_attempts\": {},", s.offload_attempts);
-        let _ = writeln!(out, "  \"offload_accepted\": {},", s.offload_accepted);
-        let _ = writeln!(out, "  \"offload_completed\": {},", s.offload_completed);
-        let _ = writeln!(out, "  \"offload_rejected\": {},", s.offload_rejected);
-        let _ = writeln!(out, "  \"offload_timed_out\": {},", s.offload_timed_out);
-        let _ = writeln!(
-            out,
-            "  \"offload_latency_s\": {},",
-            summary_json(&s.offload_latency_s)
-        );
-        let _ = writeln!(
-            out,
-            "  \"joules_per_request\": {:.6},",
-            s.joules_per_request
-        );
-        let _ = writeln!(out, "  \"policy_rerates\": {},", s.policy_rerates);
-        let _ = writeln!(out, "  \"policy_demotions\": {},", s.policy_demotions);
-        let _ = writeln!(
-            out,
-            "  \"lifetime_target_hits\": {},",
-            s.lifetime_target_hits
-        );
-        let _ = writeln!(
-            out,
-            "  \"presence_s\": [{}, {}, {}, {}],",
-            s.presence_s[0], s.presence_s[1], s.presence_s[2], s.presence_s[3]
-        );
-        let _ = writeln!(out, "  \"link_flaps\": {},", s.link_flaps);
-        let _ = writeln!(out, "  \"link_down_us\": {},", s.link_down_us);
-        let _ = writeln!(out, "  \"flap_lost_bytes\": {},", s.flap_lost_bytes);
-        let _ = writeln!(out, "  \"crashes\": {},", s.crashes);
-        let _ = writeln!(out, "  \"restarts\": {},", s.restarts);
-        let _ = writeln!(out, "  \"retries\": {},", s.retries);
-        let _ = writeln!(out, "  \"retries_exhausted\": {},", s.retries_exhausted);
-        let _ = writeln!(out, "  \"fade_j\": {:.6},", s.fade_j);
-        let _ = writeln!(out, "  \"devices_in_debt\": {}", s.devices_in_debt);
-        out.push_str("}\n");
-        out
+        let (twin, distributions) = self.aggregate();
+        twin.render_json(distributions)
     }
 
     /// Writes [`FleetReport::to_json`] to `path`.
@@ -404,18 +256,69 @@ impl FleetReport {
     }
 }
 
-/// The one JSON rendering of a distribution block, shared by the retained
-/// report and the streaming summary so both emit the same shape.
-pub(crate) fn summary_json(sum: &Option<Summary>) -> String {
-    match sum {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{ \"min\": {:.6}, \"p50\": {:.6}, \"p90\": {:.6}, \"p99\": {:.6}, \
-             \"max\": {:.6}, \"mean\": {:.6} }}",
-            s.min, s.p50, s.p90, s.p99, s.max, s.mean
-        ),
+/// Average platform power of device `d` over a `horizon_s`-second run, in
+/// milliwatts: the CSV's derived column and the power distribution's
+/// observation.
+pub(crate) fn avg_power_mw(d: &DeviceReport, horizon_s: f64) -> f64 {
+    d.total_energy_uj as f64 / horizon_s / 1_000.0
+}
+
+/// One CSV cell, comma first: floats at fixed six-decimal precision,
+/// everything else through `Display`.
+trait CsvCell: std::fmt::Display {
+    fn write_cell(&self, out: &mut String) {
+        let _ = write!(out, ",{self}");
     }
 }
+
+impl CsvCell for f64 {
+    fn write_cell(&self, out: &mut String) {
+        let _ = write!(out, ",{self:.6}");
+    }
+}
+impl CsvCell for &str {}
+impl CsvCell for i64 {}
+impl CsvCell for u64 {}
+impl CsvCell for u32 {}
+impl CsvCell for bool {}
+
+/// A CSV column's header: the field's name unless its row renames it.
+macro_rules! csv_header {
+    ($name:ident) => {
+        stringify!($name)
+    };
+    ($name:ident $csv:literal) => {
+        $csv
+    };
+}
+
+macro_rules! csv_writer {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty $(as $csv:literal)? $(=> $derived:ident)?,)*) => {
+        impl FleetReport {
+            /// Per-device CSV: one row per device, ordered by id.
+            pub fn to_csv(&self) -> String {
+                let mut out = String::from("device");
+                $(
+                    out.push(',');
+                    out.push_str(csv_header!($name $($csv)?));
+                    $(out.push_str(concat!(",", stringify!($derived)));)?
+                )*
+                out.push('\n');
+                let horizon_s = self.horizon.as_secs_f64();
+                for d in &self.devices {
+                    let _ = write!(out, "{}", d.id);
+                    $(
+                        d.$name.write_cell(&mut out);
+                        $($derived(&d, horizon_s).write_cell(&mut out);)?
+                    )*
+                    out.push('\n');
+                }
+                out
+            }
+        }
+    };
+}
+device_fields!(csv_writer);
 
 #[cfg(test)]
 mod tests {
@@ -541,6 +444,18 @@ mod tests {
         };
         assert!(empty.lifetime_histogram(4).is_empty());
         assert_eq!(empty.summary().lifetime_h, None);
+    }
+
+    #[test]
+    fn zero_horizon_fleet_still_renders() {
+        // Average power divides by zero and starvation's histogram range
+        // is empty, but the retained report renders instead of panicking.
+        let zero = FleetReport {
+            horizon: SimDuration::ZERO,
+            ..report()
+        };
+        assert_eq!(zero.summary().devices, 10);
+        assert!(zero.to_json().contains("\"avg_power_mw\": { \"min\": inf"));
     }
 
     #[test]

@@ -4,113 +4,64 @@
 //! — an `Option` discriminant per slot and every aggregation pass striding
 //! over full 200-byte rows to read one column. [`ReportSlab`] stores each
 //! [`DeviceReport`] field in its own dense arena keyed by device id
-//! (device `i` is row `i`), so a column scan (the summary's lifetime pass,
-//! the CSV writer's ordered walk) touches only the bytes it reads, slots
-//! need no presence tag, and workers deposit whole chunks with plain
-//! column writes. Rows materialise back into [`DeviceReport`] values on
-//! demand — the public API stays value-shaped while the storage stays
-//! columnar.
+//! (device `i` is row `i`), so a column scan (the lifetime histogram)
+//! touches only the bytes it reads, slots need no presence tag, and
+//! workers deposit whole chunks with plain column writes. Rows
+//! materialise back into [`DeviceReport`] values on demand — the public
+//! API stays value-shaped while the storage stays columnar.
 
-use crate::device::DeviceReport;
+use crate::device::{device_fields, DeviceReport};
 
-/// Columnar (struct-of-arrays) storage of device reports, keyed by dense
-/// device id. Row `i` holds device `i`; all columns always have equal
-/// length.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReportSlab {
-    workload: Vec<&'static str>,
-    battery_capacity_uj: Vec<i64>,
-    battery_remaining_uj: Vec<i64>,
-    total_energy_uj: Vec<i64>,
-    cpu_energy_uj: Vec<i64>,
-    backlight_energy_uj: Vec<i64>,
-    gps_energy_uj: Vec<i64>,
-    backlight_shutdowns: Vec<u64>,
-    gps_shutdowns: Vec<u64>,
-    lifetime_h: Vec<f64>,
-    radio_activations: Vec<u64>,
-    radio_active_s: Vec<f64>,
-    net_bytes: Vec<u64>,
-    ops: Vec<u64>,
-    starved_s: Vec<f64>,
-    debt_reserves: Vec<u32>,
-    quota_exhausted: Vec<bool>,
-    quota_remaining_bytes: Vec<i64>,
-    bytes_blocked_sends: Vec<u64>,
-    offload_attempts: Vec<u64>,
-    offload_accepted: Vec<u64>,
-    offload_completed: Vec<u64>,
-    offload_rejected: Vec<u64>,
-    offload_timed_out: Vec<u64>,
-    offload_latency_us: Vec<u64>,
-    policy_rerates: Vec<u64>,
-    policy_demotions: Vec<u64>,
-    presence_active_s: Vec<u64>,
-    presence_ambient_s: Vec<u64>,
-    presence_away_s: Vec<u64>,
-    presence_asleep_s: Vec<u64>,
-    lifetime_target_hit: Vec<bool>,
-    link_flaps: Vec<u64>,
-    link_down_us: Vec<u64>,
-    flap_lost_bytes: Vec<u64>,
-    crashes: Vec<u64>,
-    restarts: Vec<u64>,
-    retries: Vec<u64>,
-    retries_exhausted: Vec<u64>,
-    fade_uj: Vec<i64>,
+macro_rules! slab_columns {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty $(as $csv:literal)? $(=> $derived:ident)?,)*) => {
+        /// Columnar (struct-of-arrays) storage of device reports, keyed by dense
+        /// device id. Row `i` holds device `i`; all columns always have equal
+        /// length.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct ReportSlab {
+            $($name: Vec<$ty>,)*
+        }
+
+        impl ReportSlab {
+            /// A slab with `n` zeroed rows, ready for [`ReportSlab::set`] by any
+            /// worker order.
+            pub fn with_len(n: usize) -> ReportSlab {
+                ReportSlab {
+                    $($name: vec![Default::default(); n],)*
+                }
+            }
+
+            /// Writes `report` into row `i` (the report's own `id` is *not*
+            /// consulted — the caller owns the id→row mapping).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `i` is out of bounds.
+            pub fn set(&mut self, i: usize, report: &DeviceReport) {
+                $(self.$name[i] = report.$name;)*
+            }
+
+            /// Materialises row `i` as a [`DeviceReport`] (the row index is the
+            /// device id).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `i` is out of bounds.
+            pub fn get(&self, i: usize) -> DeviceReport {
+                DeviceReport {
+                    id: i as u64,
+                    $($name: self.$name[i],)*
+                }
+            }
+        }
+    };
 }
+device_fields!(slab_columns);
 
 impl ReportSlab {
     /// An empty slab.
     pub fn new() -> ReportSlab {
         ReportSlab::default()
-    }
-
-    /// A slab with `n` zeroed rows, ready for [`ReportSlab::set`] by any
-    /// worker order.
-    pub fn with_len(n: usize) -> ReportSlab {
-        ReportSlab {
-            workload: vec![""; n],
-            battery_capacity_uj: vec![0; n],
-            battery_remaining_uj: vec![0; n],
-            total_energy_uj: vec![0; n],
-            cpu_energy_uj: vec![0; n],
-            backlight_energy_uj: vec![0; n],
-            gps_energy_uj: vec![0; n],
-            backlight_shutdowns: vec![0; n],
-            gps_shutdowns: vec![0; n],
-            lifetime_h: vec![0.0; n],
-            radio_activations: vec![0; n],
-            radio_active_s: vec![0.0; n],
-            net_bytes: vec![0; n],
-            ops: vec![0; n],
-            starved_s: vec![0.0; n],
-            debt_reserves: vec![0; n],
-            quota_exhausted: vec![false; n],
-            quota_remaining_bytes: vec![0; n],
-            bytes_blocked_sends: vec![0; n],
-            offload_attempts: vec![0; n],
-            offload_accepted: vec![0; n],
-            offload_completed: vec![0; n],
-            offload_rejected: vec![0; n],
-            offload_timed_out: vec![0; n],
-            offload_latency_us: vec![0; n],
-            policy_rerates: vec![0; n],
-            policy_demotions: vec![0; n],
-            presence_active_s: vec![0; n],
-            presence_ambient_s: vec![0; n],
-            presence_away_s: vec![0; n],
-            presence_asleep_s: vec![0; n],
-            lifetime_target_hit: vec![false; n],
-            link_flaps: vec![0; n],
-            link_down_us: vec![0; n],
-            flap_lost_bytes: vec![0; n],
-            crashes: vec![0; n],
-            restarts: vec![0; n],
-            retries: vec![0; n],
-            retries_exhausted: vec![0; n],
-            fade_uj: vec![0; n],
-        }
     }
 
     /// Number of rows.
@@ -123,159 +74,13 @@ impl ReportSlab {
         self.workload.is_empty()
     }
 
-    /// Writes `report` into row `i` (the report's own `id` is *not*
-    /// consulted — the caller owns the id→row mapping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn set(&mut self, i: usize, report: &DeviceReport) {
-        self.workload[i] = report.workload;
-        self.battery_capacity_uj[i] = report.battery_capacity_uj;
-        self.battery_remaining_uj[i] = report.battery_remaining_uj;
-        self.total_energy_uj[i] = report.total_energy_uj;
-        self.cpu_energy_uj[i] = report.cpu_energy_uj;
-        self.backlight_energy_uj[i] = report.backlight_energy_uj;
-        self.gps_energy_uj[i] = report.gps_energy_uj;
-        self.backlight_shutdowns[i] = report.backlight_shutdowns;
-        self.gps_shutdowns[i] = report.gps_shutdowns;
-        self.lifetime_h[i] = report.lifetime_h;
-        self.radio_activations[i] = report.radio_activations;
-        self.radio_active_s[i] = report.radio_active_s;
-        self.net_bytes[i] = report.net_bytes;
-        self.ops[i] = report.ops;
-        self.starved_s[i] = report.starved_s;
-        self.debt_reserves[i] = report.debt_reserves;
-        self.quota_exhausted[i] = report.quota_exhausted;
-        self.quota_remaining_bytes[i] = report.quota_remaining_bytes;
-        self.bytes_blocked_sends[i] = report.bytes_blocked_sends;
-        self.offload_attempts[i] = report.offload_attempts;
-        self.offload_accepted[i] = report.offload_accepted;
-        self.offload_completed[i] = report.offload_completed;
-        self.offload_rejected[i] = report.offload_rejected;
-        self.offload_timed_out[i] = report.offload_timed_out;
-        self.offload_latency_us[i] = report.offload_latency_us;
-        self.policy_rerates[i] = report.policy_rerates;
-        self.policy_demotions[i] = report.policy_demotions;
-        self.presence_active_s[i] = report.presence_active_s;
-        self.presence_ambient_s[i] = report.presence_ambient_s;
-        self.presence_away_s[i] = report.presence_away_s;
-        self.presence_asleep_s[i] = report.presence_asleep_s;
-        self.lifetime_target_hit[i] = report.lifetime_target_hit;
-        self.link_flaps[i] = report.link_flaps;
-        self.link_down_us[i] = report.link_down_us;
-        self.flap_lost_bytes[i] = report.flap_lost_bytes;
-        self.crashes[i] = report.crashes;
-        self.restarts[i] = report.restarts;
-        self.retries[i] = report.retries;
-        self.retries_exhausted[i] = report.retries_exhausted;
-        self.fade_uj[i] = report.fade_uj;
-    }
-
-    /// Appends `report` as the next row.
-    pub fn push(&mut self, report: &DeviceReport) {
-        self.workload.push(report.workload);
-        self.battery_capacity_uj.push(report.battery_capacity_uj);
-        self.battery_remaining_uj.push(report.battery_remaining_uj);
-        self.total_energy_uj.push(report.total_energy_uj);
-        self.cpu_energy_uj.push(report.cpu_energy_uj);
-        self.backlight_energy_uj.push(report.backlight_energy_uj);
-        self.gps_energy_uj.push(report.gps_energy_uj);
-        self.backlight_shutdowns.push(report.backlight_shutdowns);
-        self.gps_shutdowns.push(report.gps_shutdowns);
-        self.lifetime_h.push(report.lifetime_h);
-        self.radio_activations.push(report.radio_activations);
-        self.radio_active_s.push(report.radio_active_s);
-        self.net_bytes.push(report.net_bytes);
-        self.ops.push(report.ops);
-        self.starved_s.push(report.starved_s);
-        self.debt_reserves.push(report.debt_reserves);
-        self.quota_exhausted.push(report.quota_exhausted);
-        self.quota_remaining_bytes
-            .push(report.quota_remaining_bytes);
-        self.bytes_blocked_sends.push(report.bytes_blocked_sends);
-        self.offload_attempts.push(report.offload_attempts);
-        self.offload_accepted.push(report.offload_accepted);
-        self.offload_completed.push(report.offload_completed);
-        self.offload_rejected.push(report.offload_rejected);
-        self.offload_timed_out.push(report.offload_timed_out);
-        self.offload_latency_us.push(report.offload_latency_us);
-        self.policy_rerates.push(report.policy_rerates);
-        self.policy_demotions.push(report.policy_demotions);
-        self.presence_active_s.push(report.presence_active_s);
-        self.presence_ambient_s.push(report.presence_ambient_s);
-        self.presence_away_s.push(report.presence_away_s);
-        self.presence_asleep_s.push(report.presence_asleep_s);
-        self.lifetime_target_hit.push(report.lifetime_target_hit);
-        self.link_flaps.push(report.link_flaps);
-        self.link_down_us.push(report.link_down_us);
-        self.flap_lost_bytes.push(report.flap_lost_bytes);
-        self.crashes.push(report.crashes);
-        self.restarts.push(report.restarts);
-        self.retries.push(report.retries);
-        self.retries_exhausted.push(report.retries_exhausted);
-        self.fade_uj.push(report.fade_uj);
-    }
-
-    /// Materialises row `i` as a [`DeviceReport`] (the row index is the
-    /// device id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn get(&self, i: usize) -> DeviceReport {
-        DeviceReport {
-            id: i as u64,
-            workload: self.workload[i],
-            battery_capacity_uj: self.battery_capacity_uj[i],
-            battery_remaining_uj: self.battery_remaining_uj[i],
-            total_energy_uj: self.total_energy_uj[i],
-            cpu_energy_uj: self.cpu_energy_uj[i],
-            backlight_energy_uj: self.backlight_energy_uj[i],
-            gps_energy_uj: self.gps_energy_uj[i],
-            backlight_shutdowns: self.backlight_shutdowns[i],
-            gps_shutdowns: self.gps_shutdowns[i],
-            lifetime_h: self.lifetime_h[i],
-            radio_activations: self.radio_activations[i],
-            radio_active_s: self.radio_active_s[i],
-            net_bytes: self.net_bytes[i],
-            ops: self.ops[i],
-            starved_s: self.starved_s[i],
-            debt_reserves: self.debt_reserves[i],
-            quota_exhausted: self.quota_exhausted[i],
-            quota_remaining_bytes: self.quota_remaining_bytes[i],
-            bytes_blocked_sends: self.bytes_blocked_sends[i],
-            offload_attempts: self.offload_attempts[i],
-            offload_accepted: self.offload_accepted[i],
-            offload_completed: self.offload_completed[i],
-            offload_rejected: self.offload_rejected[i],
-            offload_timed_out: self.offload_timed_out[i],
-            offload_latency_us: self.offload_latency_us[i],
-            policy_rerates: self.policy_rerates[i],
-            policy_demotions: self.policy_demotions[i],
-            presence_active_s: self.presence_active_s[i],
-            presence_ambient_s: self.presence_ambient_s[i],
-            presence_away_s: self.presence_away_s[i],
-            presence_asleep_s: self.presence_asleep_s[i],
-            lifetime_target_hit: self.lifetime_target_hit[i],
-            link_flaps: self.link_flaps[i],
-            link_down_us: self.link_down_us[i],
-            flap_lost_bytes: self.flap_lost_bytes[i],
-            crashes: self.crashes[i],
-            restarts: self.restarts[i],
-            retries: self.retries[i],
-            retries_exhausted: self.retries_exhausted[i],
-            fade_uj: self.fade_uj[i],
-        }
-    }
-
     /// Iterates rows as materialised [`DeviceReport`] values, in device-id
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = DeviceReport> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Direct view of the lifetime column (the summary's hottest scan).
+    /// Direct view of the lifetime column (the lifetime histogram's scan).
     pub fn lifetimes_h(&self) -> &[f64] {
         &self.lifetime_h
     }
@@ -283,9 +88,10 @@ impl ReportSlab {
 
 impl FromIterator<DeviceReport> for ReportSlab {
     fn from_iter<I: IntoIterator<Item = DeviceReport>>(iter: I) -> ReportSlab {
-        let mut slab = ReportSlab::new();
-        for r in iter {
-            slab.push(&r);
+        let rows: Vec<DeviceReport> = iter.into_iter().collect();
+        let mut slab = ReportSlab::with_len(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            slab.set(i, row);
         }
         slab
     }

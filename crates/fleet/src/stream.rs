@@ -2,7 +2,8 @@
 //!
 //! The retained path ([`crate::executor::run_fleet_with`]) keeps every
 //! [`DeviceReport`] — O(devices) memory — because the CSV exporter needs
-//! the rows. Fleet-scale studies only need the *aggregate*: percentiles,
+//! the rows, and folds them through this same [`StreamSummary`] for its
+//! totals. Fleet-scale studies only need the *aggregate*: percentiles,
 //! totals, exhaustion counts. This module folds each finished device into
 //! a [`StreamSummary`] and drops the report on the floor, so a
 //! million-device run costs O(workers × bins) memory.
@@ -32,8 +33,9 @@
 //! Device `i` draws everything from `root.split(i)`, so the RNG "stream
 //! position" of a half-finished fleet *is* the next unsimulated device
 //! id. A [`FleetCheckpoint`] is that cursor plus the summary state and
-//! the scenario identity, serialised as deterministic text (floats as
-//! `f64::to_bits` hex, so round-trips are bit-exact). Resuming replays
+//! the scenario identity, serialised as deterministic `key value` text
+//! (floats as `f64::to_bits` hex, so round-trips are bit-exact) that
+//! [`FleetCheckpoint::from_text`] checks key by key. Resuming replays
 //! nothing: `run(0..k)` + checkpoint + `run(k..n)` merges to the same
 //! bytes as one `run(0..n)` — a property test pins this down.
 
@@ -44,7 +46,7 @@ use std::sync::Mutex;
 use cinder_sim::{json_string, SimDuration, Summary};
 
 use crate::device::{DeviceReport, DeviceScratch};
-use crate::report::summary_json;
+use crate::report::avg_power_mw;
 use crate::scenario::Scenario;
 
 /// Histogram bins per channel. 256 bins over each channel's fixed range
@@ -80,8 +82,10 @@ pub struct Channel {
 }
 
 impl Channel {
+    /// An empty channel over `[lo, hi]`; in a zero-width range (a zero
+    /// horizon's starvation channel) every value lands in an edge bin.
     fn new(scale: f64, lo: f64, hi: f64) -> Channel {
-        assert!(hi > lo, "degenerate channel range [{lo}, {hi}]");
+        assert!(hi >= lo, "inverted channel range [{lo}, {hi}]");
         Channel {
             scale,
             lo,
@@ -221,228 +225,247 @@ impl Channel {
         }
         let _ = writeln!(out, "{counts}");
     }
+
+    /// Reads the block [`Channel::write_text`] wrote into this empty
+    /// channel, whose configuration the stored `cfg` must equal. The bins
+    /// must sum to `count`, and a non-empty channel needs `min ≤ max`
+    /// (rendering clamps quantiles into that envelope).
+    fn read_text(&mut self, name: &str, fields: &mut Fields<'_>) -> Result<(), String> {
+        let header = fields.value("channel")?;
+        if header != name {
+            return Err(format!("expected channel {name}, got {header}"));
+        }
+        let cfg = parse_bits_row::<3>(fields.value("cfg")?)?;
+        let own = [self.scale, self.lo, self.hi];
+        if cfg.map(f64::to_bits) != own.map(f64::to_bits) {
+            return Err(format!(
+                "channel {name}: cfg {cfg:?} differs from the horizon's {own:?}"
+            ));
+        }
+        let (count, nonfinite) = fields.value("count")?.split_once(' ').unwrap_or(("", ""));
+        self.count = parse_num(count)?;
+        self.nonfinite = parse_num(nonfinite)?;
+        self.sum_fp = fields.parse("sum_fp")?;
+        [self.min, self.max] = parse_bits_row(fields.value("minmax")?)?;
+        let counts = fields.value("counts")?.split(' ').map(parse_num);
+        self.counts = counts.collect::<Result<_, _>>()?;
+        if self.counts.len() != STREAM_BINS {
+            return Err(format!("expected {STREAM_BINS} bins for {name}"));
+        }
+        let binned: u128 = self.counts.iter().map(|&c| u128::from(c)).sum();
+        if binned != u128::from(self.count) {
+            return Err(format!(
+                "channel {name}: counts sum to {binned} but count is {}",
+                self.count
+            ));
+        }
+        // False for a NaN bound as well as for min > max.
+        let ordered = self.min <= self.max;
+        if self.count > 0 && !ordered {
+            return Err(format!(
+                "channel {name}: minmax has min {} above max {}",
+                self.min, self.max
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// The mergeable, checkpointable aggregate of a (partial) fleet run.
-///
-/// Construct with [`StreamSummary::new`], fold devices in with
-/// [`StreamSummary::observe`], combine partial runs with
-/// [`StreamSummary::merge`]. All state is exactly commutative (module
-/// docs), so any observe/merge order over the same device set yields
-/// bit-identical state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamSummary {
-    /// Per-device horizon (fixes the power denominator and the starvation
-    /// histogram range).
-    horizon: SimDuration,
-    /// Devices folded in so far.
-    pub devices: u64,
+/// The fleet-aggregate schema, in checkpoint order: the exact integer
+/// totals (doc, name, type, and the per-device value
+/// [`StreamSummary::observe`] adds via `From`), then after the `;` the
+/// streamed distributions (doc, name, empty channel, and the device's
+/// observation; `None` leaves the device out). In the expressions `$d` is
+/// the device and `$h` the horizon in seconds. The rows generate the
+/// summary's fields, `new`, `observe`, `merge`, the accessors, and both
+/// directions of the checkpoint text.
+macro_rules! stream_summary {
+    (
+        |$d:ident, $h:ident|
+        $($(#[$tdoc:meta])* $total:ident: $ty:ty = $add:expr,)*
+        ;
+        $($(#[$cdoc:meta])* $ch:ident: $new:expr => $obs:expr,)*
+    ) => {
+        /// The mergeable, checkpointable aggregate of a (partial) fleet run.
+        ///
+        /// Construct with [`StreamSummary::new`], fold devices in with
+        /// [`StreamSummary::observe`], combine partial runs with
+        /// [`StreamSummary::merge`]. All state is exactly commutative (module
+        /// docs), so any observe/merge order over the same device set yields
+        /// bit-identical state.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct StreamSummary {
+            /// Per-device horizon (fixes the power denominator and the
+            /// starvation histogram range).
+            horizon: SimDuration,
+            /// Devices folded in so far.
+            pub devices: u64,
+            $($(#[$tdoc])* $total: $ty,)*
+            $($(#[$cdoc])* pub $ch: Channel,)*
+        }
+
+        /// Streamed distributions per summary.
+        pub(crate) const CHANNELS: usize = [$(stringify!($ch)),*].len();
+
+        impl StreamSummary {
+            /// An empty summary for runs over `horizon`.
+            ///
+            /// Histogram ranges are fixed up front (they must be, for exact
+            /// merges): lifetimes 0–1000 h, power 0–5000 mW, activations
+            /// 0–20000, starvation 0–horizon. Out-of-range values clamp into
+            /// the edge bins — the exact min/max still bracket the
+            /// distribution, only the tail quantile estimate coarsens.
+            pub fn new(horizon: SimDuration) -> StreamSummary {
+                let $h = horizon.as_secs_f64();
+                StreamSummary {
+                    horizon,
+                    devices: 0,
+                    $($total: 0,)*
+                    $($ch: $new,)*
+                }
+            }
+
+            /// Device `d`'s observation for each distribution, in channel
+            /// order (`None`: the device is not part of it).
+            pub(crate) fn observations(
+                $d: &DeviceReport,
+                horizon: SimDuration,
+            ) -> [Option<f64>; CHANNELS] {
+                let $h = horizon.as_secs_f64();
+                [$($obs),*]
+            }
+
+            /// Folds one device's report into the summary.
+            pub fn observe(&mut self, $d: &DeviceReport) {
+                self.devices += 1;
+                $(self.$total += <$ty>::from($add);)*
+                let [$($ch),*] = StreamSummary::observations($d, self.horizon);
+                $(if let Some(v) = $ch {
+                    self.$ch.observe(v);
+                })*
+            }
+
+            /// Exact merge of two partial summaries over the same horizon.
+            pub fn merge(&mut self, other: &StreamSummary) {
+                assert_eq!(self.horizon, other.horizon, "merging different horizons");
+                self.devices += other.devices;
+                $(self.$total += other.$total;)*
+                $(self.$ch.merge(&other.$ch);)*
+            }
+
+            $($(#[$tdoc])* pub fn $total(&self) -> $ty {
+                self.$total
+            })*
+
+            fn channels(&self) -> [(&'static str, &Channel); CHANNELS] {
+                [$((stringify!($ch), &self.$ch)),*]
+            }
+
+            fn write_text(&self, out: &mut String) {
+                let _ = writeln!(out, "horizon_us {}", self.horizon.as_micros());
+                let _ = writeln!(out, "observed {}", self.devices);
+                $(let _ = writeln!(out, concat!(stringify!($total), " {}"), self.$total);)*
+                for (name, ch) in self.channels() {
+                    ch.write_text(name, out);
+                }
+            }
+
+            /// Reads what [`StreamSummary::write_text`] wrote, refusing a
+            /// zero horizon before any channel is built from it.
+            fn read_text(fields: &mut Fields<'_>) -> Result<StreamSummary, String> {
+                let horizon = SimDuration::from_micros(fields.parse("horizon_us")?);
+                if horizon == SimDuration::ZERO {
+                    return Err("checkpoint horizon_us must be positive".into());
+                }
+                let mut summary = StreamSummary::new(horizon);
+                summary.devices = fields.parse("observed")?;
+                $(summary.$total = fields.parse(stringify!($total))?;)*
+                $(summary.$ch.read_text(stringify!($ch), fields)?;)*
+                Ok(summary)
+            }
+        }
+    };
+}
+
+stream_summary! {
+    |d, horizon_s|
     /// Exact Σ total_energy_uj.
-    total_energy_uj: i128,
+    total_energy_uj: i128 = d.total_energy_uj,
     /// Exact Σ (backlight + GPS) µJ.
-    peripheral_energy_uj: i128,
-    /// Devices whose data plan ran out.
-    quota_exhausted: u64,
-    /// Σ sends held on byte quotas.
-    bytes_blocked_sends: u128,
-    /// Devices holding a reserve in debt at the horizon.
-    devices_in_debt: u64,
+    peripheral_energy_uj: i128 = d.backlight_energy_uj + d.gps_energy_uj,
+    /// Devices whose §9 data plan ran out.
+    quota_exhausted: u64 = d.quota_exhausted,
+    /// Σ sends the kernel held on byte quotas.
+    bytes_blocked_sends: u128 = d.bytes_blocked_sends,
+    /// Devices holding at least one reserve in debt at the horizon.
+    devices_in_debt: u64 = d.debt_reserves > 0,
     /// Σ forced peripheral shutdowns.
-    forced_shutdowns: u128,
-    /// Σ `offload` syscalls.
-    offload_attempts: u128,
+    forced_shutdowns: u128 = d.backlight_shutdowns + d.gps_shutdowns,
+    /// Σ `offload` syscalls across the fleet.
+    offload_attempts: u128 = d.offload_attempts,
     /// Σ offload requests the shared backend admitted.
-    offload_accepted: u128,
+    offload_accepted: u128 = d.offload_accepted,
     /// Σ offloads completed by a backend response in time.
-    offload_completed: u128,
+    offload_completed: u128 = d.offload_completed,
     /// Σ offloads refused up front.
-    offload_rejected: u128,
+    offload_rejected: u128 = d.offload_rejected,
     /// Σ offloads whose deadline fired before the response.
-    offload_timed_out: u128,
+    offload_timed_out: u128 = d.offload_timed_out,
     /// Σ observed request latency over completed offloads, µs.
-    offload_latency_us: u128,
+    offload_latency_us: u128 = d.offload_latency_us,
     /// Σ total_energy_uj over devices that attempted offloads (the
     /// joules-per-request numerator).
-    offload_energy_uj: i128,
+    offload_energy_uj: i128 = if d.offload_attempts > 0 { d.total_energy_uj } else { 0 },
     /// Σ tap/drive re-rates the policy engines applied.
-    policy_rerates: u128,
+    policy_rerates: u128 = d.policy_rerates,
     /// Σ background-demotion edges.
-    policy_demotions: u128,
+    policy_demotions: u128 = d.policy_demotions,
     /// Devices whose projected lifetime covered the policy's target.
-    lifetime_target_hits: u64,
+    lifetime_target_hits: u64 = d.lifetime_target_hit,
     /// Σ user-model seconds spent Active.
-    presence_active_s: u128,
+    presence_active_s: u128 = d.presence_active_s,
     /// Σ user-model seconds spent Ambient.
-    presence_ambient_s: u128,
+    presence_ambient_s: u128 = d.presence_ambient_s,
     /// Σ user-model seconds spent Away.
-    presence_away_s: u128,
+    presence_away_s: u128 = d.presence_away_s,
     /// Σ user-model seconds spent Asleep.
-    presence_asleep_s: u128,
+    presence_asleep_s: u128 = d.presence_asleep_s,
     /// Σ radio link flaps the fault injectors landed.
-    link_flaps: u128,
-    /// Σ exact link-down time, µs.
-    link_down_us: u128,
+    link_flaps: u128 = d.link_flaps,
+    /// Σ exact link-down time across the fleet, µs.
+    link_down_us: u128 = d.link_down_us,
     /// Σ in-flight bytes lost to drop-semantics flaps.
-    flap_lost_bytes: u128,
+    flap_lost_bytes: u128 = d.flap_lost_bytes,
     /// Σ transient app kills the fault supervisors landed.
-    crashes: u128,
+    crashes: u128 = d.crashes,
     /// Σ program instances respawned after a crash.
-    restarts: u128,
+    restarts: u128 = d.restarts,
     /// Σ backoff retries the resilience layers scheduled.
-    retries: u128,
+    retries: u128 = d.retries,
     /// Σ work items abandoned after the retry budget ran out.
-    retries_exhausted: u128,
+    retries_exhausted: u128 = d.retries_exhausted,
     /// Exact Σ battery capacity fade, µJ.
-    fade_uj: i128,
-    /// Projected lifetime distribution, hours.
-    pub lifetime_h: Channel,
+    fade_uj: i128 = d.fade_uj,
+    ;
+    /// Projected lifetime distribution, hours (µh fixed point: exact to a
+    /// microhour per device).
+    lifetime_h: Channel::new(1e6, 0.0, 1_000.0) => Some(d.lifetime_h),
     /// Average platform power distribution, milliwatts.
-    pub avg_power_mw: Channel,
+    avg_power_mw: Channel::new(1e6, 0.0, 5_000.0) => Some(avg_power_mw(d, horizon_s)),
     /// Radio activation count distribution.
-    pub radio_activations: Channel,
-    /// Starvation time distribution, seconds.
-    pub starved_s: Channel,
+    radio_activations: Channel::new(1.0, 0.0, 20_000.0) => Some(d.radio_activations as f64),
+    /// Starvation time distribution, seconds (integer µs rendered as
+    /// seconds, so the 1e6 fixed point recovers the original integer
+    /// exactly).
+    starved_s: Channel::new(1e6, 0.0, horizon_s) => Some(d.starved_s),
     /// Per-device mean offload request latency, seconds (devices with at
-    /// least one completed offload).
-    pub offload_latency_s: Channel,
+    /// least one completed offload). Means live well under a minute; the
+    /// exact min/max still bracket any outlier past the clamp.
+    offload_latency_s: Channel::new(1e6, 0.0, 60.0) => (d.offload_completed > 0)
+        .then(|| d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6),
 }
 
 impl StreamSummary {
-    /// An empty summary for runs over `horizon`.
-    ///
-    /// Histogram ranges are fixed up front (they must be, for exact
-    /// merges): lifetimes 0–1000 h, power 0–5000 mW, activations
-    /// 0–20000, starvation 0–horizon. Out-of-range values clamp into the
-    /// edge bins — the exact min/max still bracket the distribution, only
-    /// the tail quantile estimate coarsens.
-    pub fn new(horizon: SimDuration) -> StreamSummary {
-        StreamSummary {
-            horizon,
-            devices: 0,
-            total_energy_uj: 0,
-            peripheral_energy_uj: 0,
-            quota_exhausted: 0,
-            bytes_blocked_sends: 0,
-            devices_in_debt: 0,
-            forced_shutdowns: 0,
-            offload_attempts: 0,
-            offload_accepted: 0,
-            offload_completed: 0,
-            offload_rejected: 0,
-            offload_timed_out: 0,
-            offload_latency_us: 0,
-            offload_energy_uj: 0,
-            policy_rerates: 0,
-            policy_demotions: 0,
-            lifetime_target_hits: 0,
-            presence_active_s: 0,
-            presence_ambient_s: 0,
-            presence_away_s: 0,
-            presence_asleep_s: 0,
-            link_flaps: 0,
-            link_down_us: 0,
-            flap_lost_bytes: 0,
-            crashes: 0,
-            restarts: 0,
-            retries: 0,
-            retries_exhausted: 0,
-            fade_uj: 0,
-            // µh fixed point: exact to a microhour per device.
-            lifetime_h: Channel::new(1e6, 0.0, 1_000.0),
-            avg_power_mw: Channel::new(1e6, 0.0, 5_000.0),
-            radio_activations: Channel::new(1.0, 0.0, 20_000.0),
-            // starved_s is integer µs rendered as seconds, so the 1e6
-            // fixed point recovers the original integer exactly.
-            starved_s: Channel::new(1e6, 0.0, horizon.as_secs_f64()),
-            // Mean request latencies live well under a minute; the exact
-            // min/max still bracket any outlier past the clamp.
-            offload_latency_s: Channel::new(1e6, 0.0, 60.0),
-        }
-    }
-
-    /// Folds one device's report into the summary.
-    pub fn observe(&mut self, d: &DeviceReport) {
-        self.devices += 1;
-        self.total_energy_uj += d.total_energy_uj as i128;
-        self.peripheral_energy_uj += (d.backlight_energy_uj + d.gps_energy_uj) as i128;
-        self.quota_exhausted += u64::from(d.quota_exhausted);
-        self.bytes_blocked_sends += u128::from(d.bytes_blocked_sends);
-        self.devices_in_debt += u64::from(d.debt_reserves > 0);
-        self.forced_shutdowns += u128::from(d.backlight_shutdowns + d.gps_shutdowns);
-        self.offload_attempts += u128::from(d.offload_attempts);
-        self.offload_accepted += u128::from(d.offload_accepted);
-        self.offload_completed += u128::from(d.offload_completed);
-        self.offload_rejected += u128::from(d.offload_rejected);
-        self.offload_timed_out += u128::from(d.offload_timed_out);
-        self.offload_latency_us += u128::from(d.offload_latency_us);
-        if d.offload_attempts > 0 {
-            self.offload_energy_uj += d.total_energy_uj as i128;
-        }
-        self.policy_rerates += u128::from(d.policy_rerates);
-        self.policy_demotions += u128::from(d.policy_demotions);
-        self.lifetime_target_hits += u64::from(d.lifetime_target_hit);
-        self.presence_active_s += u128::from(d.presence_active_s);
-        self.presence_ambient_s += u128::from(d.presence_ambient_s);
-        self.presence_away_s += u128::from(d.presence_away_s);
-        self.presence_asleep_s += u128::from(d.presence_asleep_s);
-        self.link_flaps += u128::from(d.link_flaps);
-        self.link_down_us += u128::from(d.link_down_us);
-        self.flap_lost_bytes += u128::from(d.flap_lost_bytes);
-        self.crashes += u128::from(d.crashes);
-        self.restarts += u128::from(d.restarts);
-        self.retries += u128::from(d.retries);
-        self.retries_exhausted += u128::from(d.retries_exhausted);
-        self.fade_uj += i128::from(d.fade_uj);
-        if d.offload_completed > 0 {
-            self.offload_latency_s
-                .observe(d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6);
-        }
-        self.lifetime_h.observe(d.lifetime_h);
-        self.avg_power_mw
-            .observe(d.total_energy_uj as f64 / self.horizon.as_secs_f64() / 1_000.0);
-        self.radio_activations.observe(d.radio_activations as f64);
-        self.starved_s.observe(d.starved_s);
-    }
-
-    /// Exact merge of two partial summaries over the same horizon.
-    pub fn merge(&mut self, other: &StreamSummary) {
-        assert_eq!(self.horizon, other.horizon, "merging different horizons");
-        self.devices += other.devices;
-        self.total_energy_uj += other.total_energy_uj;
-        self.peripheral_energy_uj += other.peripheral_energy_uj;
-        self.quota_exhausted += other.quota_exhausted;
-        self.bytes_blocked_sends += other.bytes_blocked_sends;
-        self.devices_in_debt += other.devices_in_debt;
-        self.forced_shutdowns += other.forced_shutdowns;
-        self.offload_attempts += other.offload_attempts;
-        self.offload_accepted += other.offload_accepted;
-        self.offload_completed += other.offload_completed;
-        self.offload_rejected += other.offload_rejected;
-        self.offload_timed_out += other.offload_timed_out;
-        self.offload_latency_us += other.offload_latency_us;
-        self.offload_energy_uj += other.offload_energy_uj;
-        self.policy_rerates += other.policy_rerates;
-        self.policy_demotions += other.policy_demotions;
-        self.lifetime_target_hits += other.lifetime_target_hits;
-        self.presence_active_s += other.presence_active_s;
-        self.presence_ambient_s += other.presence_ambient_s;
-        self.presence_away_s += other.presence_away_s;
-        self.presence_asleep_s += other.presence_asleep_s;
-        self.link_flaps += other.link_flaps;
-        self.link_down_us += other.link_down_us;
-        self.flap_lost_bytes += other.flap_lost_bytes;
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
-        self.retries += other.retries;
-        self.retries_exhausted += other.retries_exhausted;
-        self.fade_uj += other.fade_uj;
-        self.lifetime_h.merge(&other.lifetime_h);
-        self.avg_power_mw.merge(&other.avg_power_mw);
-        self.radio_activations.merge(&other.radio_activations);
-        self.starved_s.merge(&other.starved_s);
-        self.offload_latency_s.merge(&other.offload_latency_s);
-    }
-
     /// Total fleet energy in joules (exact integer total, descaled once).
     pub fn fleet_energy_j(&self) -> f64 {
         self.total_energy_uj as f64 / 1e6
@@ -453,46 +476,6 @@ impl StreamSummary {
         self.peripheral_energy_uj as f64 / 1e6
     }
 
-    /// Devices whose §9 data plan ran out.
-    pub fn quota_exhausted(&self) -> u64 {
-        self.quota_exhausted
-    }
-
-    /// Σ sends the kernel held on byte quotas.
-    pub fn bytes_blocked_sends(&self) -> u128 {
-        self.bytes_blocked_sends
-    }
-
-    /// Devices holding at least one reserve in debt at the horizon.
-    pub fn devices_in_debt(&self) -> u64 {
-        self.devices_in_debt
-    }
-
-    /// Σ forced peripheral shutdowns.
-    pub fn forced_shutdowns(&self) -> u128 {
-        self.forced_shutdowns
-    }
-
-    /// Σ `offload` syscalls across the fleet.
-    pub fn offload_attempts(&self) -> u128 {
-        self.offload_attempts
-    }
-
-    /// Σ offloads completed by a backend response in time.
-    pub fn offload_completed(&self) -> u128 {
-        self.offload_completed
-    }
-
-    /// Σ offloads refused up front.
-    pub fn offload_rejected(&self) -> u128 {
-        self.offload_rejected
-    }
-
-    /// Σ offloads whose deadline fired before the response.
-    pub fn offload_timed_out(&self) -> u128 {
-        self.offload_timed_out
-    }
-
     /// Joules per completed offload request (exact integer totals,
     /// descaled once; 0 when nothing completed).
     pub fn joules_per_request(&self) -> f64 {
@@ -501,21 +484,6 @@ impl StreamSummary {
         } else {
             self.offload_energy_uj as f64 / 1e6 / self.offload_completed as f64
         }
-    }
-
-    /// Σ tap/drive re-rates the policy engines applied.
-    pub fn policy_rerates(&self) -> u128 {
-        self.policy_rerates
-    }
-
-    /// Σ background-demotion edges.
-    pub fn policy_demotions(&self) -> u128 {
-        self.policy_demotions
-    }
-
-    /// Devices whose projected lifetime covered the policy's target.
-    pub fn lifetime_target_hits(&self) -> u64 {
-        self.lifetime_target_hits
     }
 
     /// Σ user-model seconds per presence state (Active, Ambient, Away,
@@ -529,91 +497,10 @@ impl StreamSummary {
         ]
     }
 
-    /// Σ radio link flaps the fault injectors landed.
-    pub fn link_flaps(&self) -> u128 {
-        self.link_flaps
-    }
-
-    /// Σ exact link-down time across the fleet, µs.
-    pub fn link_down_us(&self) -> u128 {
-        self.link_down_us
-    }
-
-    /// Σ in-flight bytes lost to drop-semantics flaps.
-    pub fn flap_lost_bytes(&self) -> u128 {
-        self.flap_lost_bytes
-    }
-
-    /// Σ transient app kills the fault supervisors landed.
-    pub fn crashes(&self) -> u128 {
-        self.crashes
-    }
-
-    /// Σ program instances respawned after a crash.
-    pub fn restarts(&self) -> u128 {
-        self.restarts
-    }
-
-    /// Σ backoff retries the resilience layers scheduled.
-    pub fn retries(&self) -> u128 {
-        self.retries
-    }
-
-    /// Σ work items abandoned after the retry budget ran out.
-    pub fn retries_exhausted(&self) -> u128 {
-        self.retries_exhausted
-    }
-
     /// Total battery capacity fade in joules (exact integer total,
     /// descaled once).
     pub fn fade_j(&self) -> f64 {
         self.fade_uj as f64 / 1e6
-    }
-
-    fn channels(&self) -> [(&'static str, &Channel); 5] {
-        [
-            ("lifetime_h", &self.lifetime_h),
-            ("avg_power_mw", &self.avg_power_mw),
-            ("radio_activations", &self.radio_activations),
-            ("starved_s", &self.starved_s),
-            ("offload_latency_s", &self.offload_latency_s),
-        ]
-    }
-
-    fn write_text(&self, out: &mut String) {
-        let _ = writeln!(out, "horizon_us {}", self.horizon.as_micros());
-        let _ = writeln!(out, "observed {}", self.devices);
-        let _ = writeln!(out, "total_energy_uj {}", self.total_energy_uj);
-        let _ = writeln!(out, "peripheral_energy_uj {}", self.peripheral_energy_uj);
-        let _ = writeln!(out, "quota_exhausted {}", self.quota_exhausted);
-        let _ = writeln!(out, "bytes_blocked_sends {}", self.bytes_blocked_sends);
-        let _ = writeln!(out, "devices_in_debt {}", self.devices_in_debt);
-        let _ = writeln!(out, "forced_shutdowns {}", self.forced_shutdowns);
-        let _ = writeln!(out, "offload_attempts {}", self.offload_attempts);
-        let _ = writeln!(out, "offload_accepted {}", self.offload_accepted);
-        let _ = writeln!(out, "offload_completed {}", self.offload_completed);
-        let _ = writeln!(out, "offload_rejected {}", self.offload_rejected);
-        let _ = writeln!(out, "offload_timed_out {}", self.offload_timed_out);
-        let _ = writeln!(out, "offload_latency_us {}", self.offload_latency_us);
-        let _ = writeln!(out, "offload_energy_uj {}", self.offload_energy_uj);
-        let _ = writeln!(out, "policy_rerates {}", self.policy_rerates);
-        let _ = writeln!(out, "policy_demotions {}", self.policy_demotions);
-        let _ = writeln!(out, "lifetime_target_hits {}", self.lifetime_target_hits);
-        let _ = writeln!(out, "presence_active_s {}", self.presence_active_s);
-        let _ = writeln!(out, "presence_ambient_s {}", self.presence_ambient_s);
-        let _ = writeln!(out, "presence_away_s {}", self.presence_away_s);
-        let _ = writeln!(out, "presence_asleep_s {}", self.presence_asleep_s);
-        let _ = writeln!(out, "link_flaps {}", self.link_flaps);
-        let _ = writeln!(out, "link_down_us {}", self.link_down_us);
-        let _ = writeln!(out, "flap_lost_bytes {}", self.flap_lost_bytes);
-        let _ = writeln!(out, "crashes {}", self.crashes);
-        let _ = writeln!(out, "restarts {}", self.restarts);
-        let _ = writeln!(out, "retries {}", self.retries);
-        let _ = writeln!(out, "retries_exhausted {}", self.retries_exhausted);
-        let _ = writeln!(out, "fade_uj {}", self.fade_uj);
-        for (name, ch) in self.channels() {
-            ch.write_text(name, out);
-        }
     }
 }
 
@@ -635,82 +522,88 @@ impl StreamReport {
     /// [`crate::FleetReport::to_json`] (percentiles are the streaming
     /// estimates; totals and min/max/mean are exact).
     pub fn to_json(&self) -> String {
+        self.render_json(self.summary.channels().map(|(_, ch)| ch.summary()))
+    }
+
+    /// The one JSON rendering of a fleet aggregate, shared with the
+    /// retained report so both emit the same keys in the same order (fixed
+    /// float precision): totals from the summary, distributions in channel
+    /// order — exact percentiles for a retained fleet, histogram estimates
+    /// for a streamed one.
+    pub(crate) fn render_json(
+        &self,
+        [lifetime_h, avg_power_mw, radio_activations, starved_s, offload_latency_s]: [Option<Summary>;
+            CHANNELS],
+    ) -> String {
         let s = &self.summary;
+        let presence = s.presence_s();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"devices\": {},", s.devices);
         let _ = writeln!(out, "  \"horizon_s\": {:.3},", self.horizon.as_secs_f64());
         let _ = writeln!(out, "  \"fleet_energy_j\": {:.6},", s.fleet_energy_j());
-        let _ = writeln!(
-            out,
-            "  \"lifetime_h\": {},",
-            summary_json(&s.lifetime_h.summary())
-        );
-        let _ = writeln!(
-            out,
-            "  \"avg_power_mw\": {},",
-            summary_json(&s.avg_power_mw.summary())
-        );
+        let _ = writeln!(out, "  \"lifetime_h\": {},", summary_json(lifetime_h));
+        let _ = writeln!(out, "  \"avg_power_mw\": {},", summary_json(avg_power_mw));
         let _ = writeln!(
             out,
             "  \"radio_activations\": {},",
-            summary_json(&s.radio_activations.summary())
+            summary_json(radio_activations)
         );
+        let _ = writeln!(out, "  \"starved_s\": {},", summary_json(starved_s));
+        let _ = writeln!(out, "  \"quota_exhausted\": {},", s.quota_exhausted());
         let _ = writeln!(
             out,
-            "  \"starved_s\": {},",
-            summary_json(&s.starved_s.summary())
+            "  \"bytes_blocked_sends\": {},",
+            s.bytes_blocked_sends()
         );
-        let _ = writeln!(out, "  \"quota_exhausted\": {},", s.quota_exhausted);
-        let _ = writeln!(out, "  \"bytes_blocked_sends\": {},", s.bytes_blocked_sends);
         let _ = writeln!(
             out,
             "  \"peripheral_energy_j\": {:.6},",
-            s.peripheral_energy_uj as f64 / 1e6
+            s.peripheral_energy_j()
         );
-        let _ = writeln!(out, "  \"forced_shutdowns\": {},", s.forced_shutdowns);
-        let _ = writeln!(out, "  \"offload_attempts\": {},", s.offload_attempts);
-        let _ = writeln!(out, "  \"offload_accepted\": {},", s.offload_accepted);
-        let _ = writeln!(out, "  \"offload_completed\": {},", s.offload_completed);
-        let _ = writeln!(out, "  \"offload_rejected\": {},", s.offload_rejected);
-        let _ = writeln!(out, "  \"offload_timed_out\": {},", s.offload_timed_out);
+        let _ = writeln!(out, "  \"forced_shutdowns\": {},", s.forced_shutdowns());
+        let _ = writeln!(out, "  \"offload_attempts\": {},", s.offload_attempts());
+        let _ = writeln!(out, "  \"offload_accepted\": {},", s.offload_accepted());
+        let _ = writeln!(out, "  \"offload_completed\": {},", s.offload_completed());
+        let _ = writeln!(out, "  \"offload_rejected\": {},", s.offload_rejected());
+        let _ = writeln!(out, "  \"offload_timed_out\": {},", s.offload_timed_out());
         let _ = writeln!(
             out,
             "  \"offload_latency_s\": {},",
-            summary_json(&s.offload_latency_s.summary())
+            summary_json(offload_latency_s)
         );
         let _ = writeln!(
             out,
             "  \"joules_per_request\": {:.6},",
             s.joules_per_request()
         );
-        let _ = writeln!(out, "  \"policy_rerates\": {},", s.policy_rerates);
-        let _ = writeln!(out, "  \"policy_demotions\": {},", s.policy_demotions);
+        let _ = writeln!(out, "  \"policy_rerates\": {},", s.policy_rerates());
+        let _ = writeln!(out, "  \"policy_demotions\": {},", s.policy_demotions());
         let _ = writeln!(
             out,
             "  \"lifetime_target_hits\": {},",
-            s.lifetime_target_hits
+            s.lifetime_target_hits()
         );
         let _ = writeln!(
             out,
             "  \"presence_s\": [{}, {}, {}, {}],",
-            s.presence_active_s, s.presence_ambient_s, s.presence_away_s, s.presence_asleep_s
+            presence[0], presence[1], presence[2], presence[3]
         );
-        let _ = writeln!(out, "  \"link_flaps\": {},", s.link_flaps);
-        let _ = writeln!(out, "  \"link_down_us\": {},", s.link_down_us);
-        let _ = writeln!(out, "  \"flap_lost_bytes\": {},", s.flap_lost_bytes);
-        let _ = writeln!(out, "  \"crashes\": {},", s.crashes);
-        let _ = writeln!(out, "  \"restarts\": {},", s.restarts);
-        let _ = writeln!(out, "  \"retries\": {},", s.retries);
-        let _ = writeln!(out, "  \"retries_exhausted\": {},", s.retries_exhausted);
+        let _ = writeln!(out, "  \"link_flaps\": {},", s.link_flaps());
+        let _ = writeln!(out, "  \"link_down_us\": {},", s.link_down_us());
+        let _ = writeln!(out, "  \"flap_lost_bytes\": {},", s.flap_lost_bytes());
+        let _ = writeln!(out, "  \"crashes\": {},", s.crashes());
+        let _ = writeln!(out, "  \"restarts\": {},", s.restarts());
+        let _ = writeln!(out, "  \"retries\": {},", s.retries());
+        let _ = writeln!(out, "  \"retries_exhausted\": {},", s.retries_exhausted());
         let _ = writeln!(out, "  \"fade_j\": {:.6},", s.fade_j());
-        let _ = writeln!(out, "  \"devices_in_debt\": {}", s.devices_in_debt);
+        let _ = writeln!(out, "  \"devices_in_debt\": {}", s.devices_in_debt());
         out.push_str("}\n");
         out
     }
 
-    /// The four channel histograms as one deterministic CSV
+    /// The five channel histograms as one deterministic CSV
     /// (`metric,bin_lo,count`, all bins, fixed order).
     pub fn histograms_csv(&self) -> String {
         let mut out = String::from("metric,bin_lo,count\n");
@@ -720,6 +613,18 @@ impl StreamReport {
             }
         }
         out
+    }
+}
+
+/// One distribution block of [`StreamReport::render_json`].
+fn summary_json(sum: Option<Summary>) -> String {
+    match sum {
+        None => "null".to_string(),
+        Some(s) => format!(
+            "{{ \"min\": {:.6}, \"p50\": {:.6}, \"p90\": {:.6}, \"p99\": {:.6}, \
+             \"max\": {:.6}, \"mean\": {:.6} }}",
+            s.min, s.p50, s.p90, s.p99, s.max, s.mean
+        ),
     }
 }
 
@@ -743,12 +648,14 @@ pub struct FleetCheckpoint {
     pub summary: StreamSummary,
 }
 
-/// The checkpoint format this build reads and writes. v1 predates the
-/// offload economy's counters, v2 the policy engine's, v3 the fault
-/// layer's; a summary restored through an old layout would silently zero
-/// the missing accumulators, so old versions are rejected outright rather
-/// than migrated. v4 also appends a `checksum` line (FNV-1a 64 over every
-/// preceding byte) so truncated or bit-flipped files are rejected by name.
+/// The checkpoint format this build reads and writes. Every line is a
+/// `key value` pair, read strictly in the order the aggregate table
+/// declares; a missing or unknown key is an error naming it, so adding a
+/// table row needs no version bump. v1–v3 predate that strictness (each
+/// was bumped because its successor added accumulators) and are rejected
+/// outright rather than migrated. v4 also appends a `checksum` line
+/// (FNV-1a 64 over every preceding byte) so truncated or bit-flipped files
+/// are rejected by name.
 pub const CHECKPOINT_FORMAT: &str = "cinder-fleet-checkpoint v4";
 
 /// FNV-1a 64-bit over the checkpoint body: cheap, dependency-free, and
@@ -783,10 +690,13 @@ impl FleetCheckpoint {
 
     /// Parses [`FleetCheckpoint::to_text`] output. A checkpoint written by
     /// an older format version (v1–v3) is rejected with an error naming
-    /// both versions — resuming it through the current layout would
-    /// silently drop accumulators — and one whose checksum line is missing
-    /// or does not match its body (truncation, bit flips) is rejected
-    /// before any field is trusted.
+    /// both versions, and one whose checksum line is missing or does not
+    /// match its body (truncation, bit flips) is rejected before any field
+    /// is trusted. A well-signed body must still have a positive horizon,
+    /// each channel's `cfg` equal to the horizon's, bins summing to each
+    /// `count` with `min ≤ max` in a non-empty channel, and `observed`
+    /// equal to `next_device`; each failure is an error naming the key or
+    /// channel, so resuming never merges or renders hostile state.
     pub fn from_text(text: &str) -> Result<FleetCheckpoint, String> {
         let mut lines = text.lines();
         let header = lines.next().unwrap_or("");
@@ -821,99 +731,50 @@ impl FleetCheckpoint {
                  {computed:016x} — the file is truncated or corrupted"
             ));
         }
-        let mut field = |key: &str| -> Result<String, String> {
-            let line = lines.next().ok_or_else(|| format!("missing {key}"))?;
-            line.strip_prefix(key)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .map(str::to_string)
-                .ok_or_else(|| format!("expected `{key} …`, got `{line}`"))
-        };
-        let scenario = parse_json_string(&field("scenario")?)?;
-        let seed = parse_num::<u64>(&field("seed")?)?;
-        let fleet_devices = parse_num::<u32>(&field("fleet_devices")?)?;
-        let next_device = parse_num::<u64>(&field("next_device")?)?;
-        let horizon = SimDuration::from_micros(parse_num::<u64>(&field("horizon_us")?)?);
-
-        let mut summary = StreamSummary::new(horizon);
-        summary.devices = parse_num(&field("observed")?)?;
-        summary.total_energy_uj = parse_num(&field("total_energy_uj")?)?;
-        summary.peripheral_energy_uj = parse_num(&field("peripheral_energy_uj")?)?;
-        summary.quota_exhausted = parse_num(&field("quota_exhausted")?)?;
-        summary.bytes_blocked_sends = parse_num(&field("bytes_blocked_sends")?)?;
-        summary.devices_in_debt = parse_num(&field("devices_in_debt")?)?;
-        summary.forced_shutdowns = parse_num(&field("forced_shutdowns")?)?;
-        summary.offload_attempts = parse_num(&field("offload_attempts")?)?;
-        summary.offload_accepted = parse_num(&field("offload_accepted")?)?;
-        summary.offload_completed = parse_num(&field("offload_completed")?)?;
-        summary.offload_rejected = parse_num(&field("offload_rejected")?)?;
-        summary.offload_timed_out = parse_num(&field("offload_timed_out")?)?;
-        summary.offload_latency_us = parse_num(&field("offload_latency_us")?)?;
-        summary.offload_energy_uj = parse_num(&field("offload_energy_uj")?)?;
-        summary.policy_rerates = parse_num(&field("policy_rerates")?)?;
-        summary.policy_demotions = parse_num(&field("policy_demotions")?)?;
-        summary.lifetime_target_hits = parse_num(&field("lifetime_target_hits")?)?;
-        summary.presence_active_s = parse_num(&field("presence_active_s")?)?;
-        summary.presence_ambient_s = parse_num(&field("presence_ambient_s")?)?;
-        summary.presence_away_s = parse_num(&field("presence_away_s")?)?;
-        summary.presence_asleep_s = parse_num(&field("presence_asleep_s")?)?;
-        summary.link_flaps = parse_num(&field("link_flaps")?)?;
-        summary.link_down_us = parse_num(&field("link_down_us")?)?;
-        summary.flap_lost_bytes = parse_num(&field("flap_lost_bytes")?)?;
-        summary.crashes = parse_num(&field("crashes")?)?;
-        summary.restarts = parse_num(&field("restarts")?)?;
-        summary.retries = parse_num(&field("retries")?)?;
-        summary.retries_exhausted = parse_num(&field("retries_exhausted")?)?;
-        summary.fade_uj = parse_num(&field("fade_uj")?)?;
-        for name in [
-            "lifetime_h",
-            "avg_power_mw",
-            "radio_activations",
-            "starved_s",
-            "offload_latency_s",
-        ] {
-            let header = field("channel")?;
-            if header != name {
-                return Err(format!("expected channel {name}, got {header}"));
-            }
-            let cfg = field("cfg")?;
-            let [scale, lo, hi] = parse_bits_row::<3>(&cfg)?;
-            let mut ch = Channel::new(scale, lo, hi);
-            let counts_line = {
-                let count = field("count")?;
-                let mut it = count.split(' ');
-                ch.count = parse_num(it.next().unwrap_or(""))?;
-                ch.nonfinite = parse_num(it.next().unwrap_or(""))?;
-                ch.sum_fp = parse_num(&field("sum_fp")?)?;
-                let [min, max] = parse_bits_row::<2>(&field("minmax")?)?;
-                ch.min = min;
-                ch.max = max;
-                field("counts")?
-            };
-            let counts: Result<Vec<u64>, String> = counts_line.split(' ').map(parse_num).collect();
-            ch.counts = counts?;
-            if ch.counts.len() != STREAM_BINS {
-                return Err(format!("expected {STREAM_BINS} bins for {name}"));
-            }
-            match name {
-                "lifetime_h" => summary.lifetime_h = ch,
-                "avg_power_mw" => summary.avg_power_mw = ch,
-                "radio_activations" => summary.radio_activations = ch,
-                "starved_s" => summary.starved_s = ch,
-                _ => summary.offload_latency_s = ch,
-            }
+        let mut fields = Fields(lines);
+        let scenario = parse_json_string(fields.value("scenario")?)?;
+        let seed = fields.parse("seed")?;
+        let fleet_devices = fields.parse("fleet_devices")?;
+        let next_device = fields.parse("next_device")?;
+        let summary = StreamSummary::read_text(&mut fields)?;
+        if summary.devices != next_device {
+            return Err(format!(
+                "checkpoint observed {} devices but next_device is {next_device}",
+                summary.devices
+            ));
         }
-        let _ = field("checksum")?;
-        if lines.next() != Some("end") {
-            return Err("missing end marker".into());
-        }
+        fields.value("checksum")?;
+        fields.value("end")?;
         Ok(FleetCheckpoint {
             scenario,
             seed,
             fleet_devices,
-            horizon,
+            horizon: summary.horizon,
             next_device,
             summary,
         })
+    }
+}
+
+/// A checkpoint body as `key value` lines, read strictly in order.
+struct Fields<'a>(std::str::Lines<'a>);
+
+impl<'a> Fields<'a> {
+    /// The value of the next line, whose key must be `key`.
+    fn value(&mut self, key: &str) -> Result<&'a str, String> {
+        let line = self.0.next().unwrap_or("");
+        let (found, value) = line.split_once(' ').unwrap_or((line, ""));
+        if found != key {
+            return Err(format!(
+                "expected checkpoint key `{key}`, found `{found}`: a key is missing or unknown"
+            ));
+        }
+        Ok(value)
+    }
+
+    /// The next line's value parsed as a number.
+    fn parse<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
+        parse_num(self.value(key)?).map_err(|e| format!("{e} for `{key}`"))
     }
 }
 
@@ -1216,5 +1077,109 @@ mod tests {
         let cp = checkpoint_fleet(&a, 2, 1);
         assert!(resume_fleet(&cp, &b, 1).is_err());
         assert!(resume_fleet(&cp, &a, 1).is_ok());
+    }
+
+    /// A real checkpoint of a small fleet, taken at n.
+    fn real_checkpoint() -> String {
+        let scenario = Scenario {
+            horizon: SimDuration::from_secs(60),
+            ..Scenario::mixed("hostile", 5, 3)
+        };
+        checkpoint_fleet(&scenario, 3, 1).to_text()
+    }
+
+    /// `text` with a recomputed, valid checksum line.
+    fn resign(text: &str) -> String {
+        let body_end = text.rfind("\nchecksum ").expect("checksum line") + 1;
+        let body = &text[..body_end];
+        format!("{body}checksum {:016x}\nend\n", fnv1a_64(body.as_bytes()))
+    }
+
+    /// `text` with the first `key` line after `after` set to `key value`,
+    /// re-signed so only the field checks stand between it and a resume.
+    fn edited(text: &str, after: &str, key: &str, value: &str) -> String {
+        let from = text.find(after).expect("anchor");
+        let at = from + text[from..].find(&format!("\n{key} ")).expect("key") + 1;
+        let end = at + text[at..].find('\n').expect("line end");
+        resign(&format!("{}{key} {value}{}", &text[..at], &text[end..]))
+    }
+
+    fn refused(text: &str) -> String {
+        FleetCheckpoint::from_text(text).expect_err("hostile checkpoint accepted")
+    }
+
+    fn bits(v: f64) -> String {
+        format!("{:016x}", v.to_bits())
+    }
+
+    #[test]
+    fn hostile_zero_horizon_is_refused() {
+        let err = refused(&edited(&real_checkpoint(), "", "horizon_us", "0"));
+        assert!(err.contains("horizon_us"), "{err}");
+    }
+
+    #[test]
+    fn hostile_degenerate_cfg_is_refused() {
+        let cfg = format!("{} {} {}", bits(1e6), bits(0.0), bits(0.0));
+        let text = edited(&real_checkpoint(), "channel lifetime_h", "cfg", &cfg);
+        let err = refused(&text);
+        assert!(err.contains("lifetime_h") && err.contains("cfg"), "{err}");
+    }
+
+    #[test]
+    fn hostile_foreign_cfg_is_refused() {
+        // A valid range, but not the one a 60 s horizon gives starved_s.
+        let cfg = format!("{} {} {}", bits(1e6), bits(0.0), bits(120.0));
+        let text = edited(&real_checkpoint(), "channel starved_s", "cfg", &cfg);
+        let err = refused(&text);
+        assert!(err.contains("starved_s") && err.contains("cfg"), "{err}");
+    }
+
+    #[test]
+    fn hostile_inverted_minmax_is_refused() {
+        let minmax = format!("{} {}", bits(5.0), bits(1.0));
+        let text = edited(&real_checkpoint(), "channel lifetime_h", "minmax", &minmax);
+        let err = refused(&text);
+        assert!(
+            err.contains("lifetime_h") && err.contains("minmax"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hostile_observed_count_is_refused() {
+        let err = refused(&edited(&real_checkpoint(), "", "observed", "2"));
+        assert!(
+            err.contains("observed") && err.contains("next_device"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hostile_bin_total_is_refused() {
+        let text = edited(&real_checkpoint(), "channel lifetime_h", "count", "4 0");
+        let err = refused(&text);
+        assert!(
+            err.contains("lifetime_h") && err.contains("counts"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn missing_checkpoint_key_is_named() {
+        let text = real_checkpoint();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("retries_exhausted "))
+            .expect("accumulator line");
+        let err = refused(&resign(&text.replacen(&format!("{line}\n"), "", 1)));
+        assert!(err.contains("retries_exhausted"), "{err}");
+    }
+
+    #[test]
+    fn unknown_checkpoint_key_is_named() {
+        let text = real_checkpoint().replacen("\nretries ", "\nbogus_total 1\nretries ", 1);
+        let err = refused(&resign(&text));
+        assert!(err.contains("bogus_total"), "{err}");
     }
 }
