@@ -17,6 +17,11 @@
 //! graph flowed one 100 ms tick per call for an hour, with the plugin's
 //! CPU charge between calls — the compiled single tick the full run loop
 //! pays every quantum, against the reference's tick.
+//!
+//! `idle_decay_lanes` is a sleeping device's idle jumps: the uncoop
+//! pollers' graph (a battery feeding two decaying reserves) with the
+//! default decay, flowed in 100-tick spans for an hour — the decay lanes
+//! against the reference's ticks.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -222,6 +227,53 @@ fn browser_single_ticks(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
     (ns_per_tick, state)
 }
 
+/// The uncoop pollers' graph with the default decay: a 15 kJ battery
+/// feeding the rss and mail reserves 37.5 mW each. Neither reserve has an
+/// out-tap, so under decay each is a lane.
+fn idle_pollers_graph() -> ResourceGraph {
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    for name in ["rss", "mail"] {
+        let r = g.create_reserve(&k, name, Label::default_label()).unwrap();
+        g.create_tap(
+            &k,
+            name,
+            battery,
+            r,
+            RateSpec::constant(Power::from_microwatts(37_500)),
+            Label::default_label(),
+        )
+        .unwrap();
+    }
+    g
+}
+
+/// Ticks per `flow_until` call of `idle_decay_lanes`: a ten-second idle
+/// jump on the fleet's 100 ms grid.
+const LANE_SPAN_TICKS: u64 = 100;
+
+/// Flows the idle pollers' graph an hour in `LANE_SPAN_TICKS`-tick spans.
+/// Returns the wall time in ms and the end state.
+fn idle_lane_spans(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let mut g = idle_pollers_graph();
+    let start = Instant::now();
+    for span in 1..=BROWSER_TICKS / LANE_SPAN_TICKS {
+        let now = black_box(SimTime::from_millis(100 * LANE_SPAN_TICKS * span));
+        if engine {
+            g.flow_until(now);
+        } else {
+            g.flow_until_reference(now);
+        }
+    }
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let state = g
+        .reserves()
+        .map(|(_, r)| (r.balance(), r.stats()))
+        .collect();
+    (ms, state)
+}
+
 fn bench_flow_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_hot_path_1h_100r_200t");
     group.bench_function("engine", |b| {
@@ -277,6 +329,12 @@ fn bench_flow_hot_path(c: &mut Criterion) {
     });
     group.bench_function("reference_single_tick_browser", |b| {
         b.iter(|| browser_single_ticks(false))
+    });
+    group.bench_function("engine_idle_decay_lanes", |b| {
+        b.iter(|| idle_lane_spans(true))
+    });
+    group.bench_function("reference_idle_decay_lanes", |b| {
+        b.iter(|| idle_lane_spans(false))
     });
     group.finish();
 }
@@ -355,11 +413,27 @@ fn speedup_report(_c: &mut Criterion) {
     };
     let (tick_ns, reference_tick_ns) = (median(&mut engine_ns), median(&mut reference_ns));
 
+    // A sleeping device's idle jumps: median of seven alternating hours.
+    let (mut lane_runs, mut reference_lane_runs) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let (engine_run_ms, engine_end) = idle_lane_spans(true);
+        let (reference_run_ms, reference_end) = idle_lane_spans(false);
+        assert_eq!(
+            engine_end, reference_end,
+            "engine and reference diverged on the idle decay lanes"
+        );
+        lane_runs.push(engine_run_ms);
+        reference_lane_runs.push(reference_run_ms);
+    }
+    let (lanes_ms, reference_lanes_ms) = (median(&mut lane_runs), median(&mut reference_lane_runs));
+    let lanes_speedup = reference_lanes_ms / lanes_ms;
+
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
     println!("flow_hot_path speedup (prop island):         {island_speedup:.1}x  (reference {reference_island_ms:.2} ms -> engine {engine_island_ms:.2} ms)");
     println!("flow_hot_path speedup (multi-kind, ff):      {multi_kind_speedup:.1}x  (reference {reference_mk_ms:.2} ms -> engine {engine_mk_ms:.4} ms)");
     println!("flow_hot_path single tick (Fig 6b browser):  {tick_ns:.1} ns/tick (reference {reference_tick_ns:.1} ns/tick)");
+    println!("flow_hot_path idle decay lanes:              {lanes_speedup:.1}x  (reference {reference_lanes_ms:.3} ms -> engine {lanes_ms:.3} ms)");
     assert!(
         speedup >= 5.0,
         "acceptance criterion: >=5x on the const scenario, got {speedup:.1}x"
@@ -374,7 +448,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

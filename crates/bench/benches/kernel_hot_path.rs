@@ -19,8 +19,10 @@
 //!   energy.
 //! * **netd-pooling** — §6.4's cooperative pollers for one hour on the
 //!   fleet's 100 ms quantum, with `fast_forward` on vs off (`idle_skip` on
-//!   in both): the pooled jump's closed form against netd's reduced
-//!   stepper, bit-identical on every reserve, the meter, and the poll log.
+//!   in both): the pooled jump's closed form, with the sleeping poller's
+//!   reserve as a decay lane, against the full loop stepping every
+//!   pooling quantum, bit-identical on every reserve, the meter, and the
+//!   poll log.
 //! * **retrying-pollers** — the same rig with the fault layer's bounded
 //!   retry: a backoff wake leaves a Ready poller whose reserve netd keeps
 //!   sweeping, which `fast_forward` crosses with gated pooled jumps and
@@ -230,7 +232,7 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
         k.run_until(SimTime::from_secs(POOLING_SECS));
         k
     };
-    group.bench_function("netd_pooling_reduced", |b| {
+    group.bench_function("netd_pooling_ff_off", |b| {
         b.iter_with_setup(|| netd_pooling_kernel(false, None), run_pooling)
     });
     group.bench_function("netd_pooling_fast_forward", |b| {
@@ -301,7 +303,7 @@ fn hot_path_report(_c: &mut Criterion) {
         backlit_drain >= Energy::from_joules(300),
         "600 s of 555 mW drained through the flow engine: {backlit_drain}"
     );
-    // netd pooling: pooled jumps against the reduced stepper. Everything
+    // netd pooling: pooled jumps against the ff-off loop. Everything
     // observable must match — every reserve's balance and flow stats, the
     // meter, the radio, when each poll went out, and how long each thread
     // was throttled.
@@ -335,7 +337,7 @@ fn hot_path_report(_c: &mut Criterion) {
     let (pool_ff_ms, pool_ff_observed, pool_profile) = run_pooling(true, None);
     assert_eq!(
         pool_observed, pool_ff_observed,
-        "pooled jumps must be bit-identical to netd's reduced stepper"
+        "pooled jumps must be bit-identical to stepping"
     );
     assert!(
         pool_profile.pooled_jumps > 0,
@@ -397,7 +399,7 @@ fn hot_path_report(_c: &mut Criterion) {
          {backlit_ms:.3}, \"idle_skip_wall_ms\": {backlit_skip_ms:.4}, \"skip_speedup\": \
          {backlit_speedup:.1}, \"backlight_drain_j\": {:.3}, \"forced_shutdowns\": {backlit_cuts}, \
          \"observables_bit_identical\": true }},\n  \"netd_pooling\": {{ \"sim_seconds\": \
-         {POOLING_SECS}, \"quantum_ms\": 100, \"reduced_wall_ms\": {pool_ms:.3}, \
+         {POOLING_SECS}, \"quantum_ms\": 100, \"ff_off_wall_ms\": {pool_ms:.3}, \
          \"fast_forward_wall_ms\": {pool_ff_ms:.4}, \"skip_speedup\": {pool_speedup:.1}, \
          \"pooled_jumps\": {}, \"pooled_quanta_share\": {pooled_share:.3}, \
          \"observables_bit_identical\": true }},\n  \"retrying_pollers\": {{ \"sim_seconds\": \

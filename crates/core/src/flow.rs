@@ -9,7 +9,8 @@
 //! O(ticks × (R + T) log R) with two heap allocations per tick. This module
 //! replaces that loop while preserving its semantics bit-for-bit (asserted
 //! by the differential property tests below against the naive reference
-//! model, [`crate::ResourceGraph::flow_until_reference`]):
+//! model, `ResourceGraph::flow_until_reference`, built for tests and under
+//! the `reference-flow` feature):
 //!
 //! * **Per-source adjacency index** — tap lists keyed by source reserve, in
 //!   tap-creation order, maintained incrementally by
@@ -46,19 +47,23 @@
 //!   starved with no inflow). Every tap adjacent to a dynamic reserve is
 //!   executed tick by tick over a flat structure-of-arrays loop (dense
 //!   slots, no map or arena lookups); every other tap is applied in closed
-//!   form over the whole run. With decay on, every energy source is simply
-//!   dynamic (quota kinds never decay, so their closed forms survive) and
-//!   the SoA loop runs the per-tick decay over a maintained
-//!   eligible-reserve list. An all-constant decay-free graph degenerates to
-//!   the pure closed form (the whole span is one event); a mixed graph pays
-//!   per-tick cost only for its proportional *island*, not the whole graph.
+//!   form over the whole run. An all-constant decay-free graph degenerates
+//!   to the pure closed form (the whole span is one event); a mixed graph
+//!   pays per-tick cost only for its proportional *island*, not the whole
+//!   graph.
+//! * **Decay lanes** — decaying sources are dynamic; exempt ones (the
+//!   battery too: decay only credits it) take the coverage test. While the
+//!   battery is not dynamic, a decaying reserve no tap drains and only
+//!   constant taps from covered or starved sources feed is a *lane*, run
+//!   alone in a scalar loop; other fed decaying reserves are dynamic.
 //!
 //! The partition is sound because a covered source can never clamp (its
 //! balance bounds the run length, counting every out-tap in either
 //! partition), so the in-run timing of its closed-formed transfers is
-//! unobservable; and every flow adjacent to a dynamic reserve is ticked, so
+//! unobservable; every flow adjacent to a dynamic reserve is ticked, so
 //! proportional snapshots and clamp order (tap creation order) see exactly
-//! the per-tick trajectory the reference model computes.
+//! the per-tick trajectory the reference model computes; and a lane's level
+//! reaches nothing but its own leak.
 //!
 //! The engine lives inside [`crate::ResourceGraph`]; it has no public
 //! surface of its own.
@@ -93,9 +98,86 @@ enum SourceRun {
     /// only tap carries advance (closed form).
     Starved,
     /// Tick-by-tick trajectory matters: a live proportional tap reads this
-    /// source's level, or it may clamp (or come alive) mid-run. All taps
-    /// touching a dynamic reserve join the ticked partition.
+    /// source's level, or it may clamp (or come alive) mid-run, or (a
+    /// sink) it decays while a tap fills it. All taps touching a dynamic
+    /// reserve join the ticked partition.
     Dynamic,
+}
+
+/// Decaying reserves no tap drains and only constant taps from sources
+/// that cannot clamp feed, so nothing else reads their levels. Each tick a
+/// lane credits what its feeds' carries release, then leaks ⌊L·ppm/10⁶⌋
+/// ([`FlowEngine::tick`]'s order); the battery takes the summed leaks once,
+/// and the feeds settle in closed form. Scratch for
+/// [`FlowEngine::run_span`] and [`crate::ResourceGraph::settle_pooled`].
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
+    /// Each lane's reserve and its level when opened.
+    lanes: Vec<(RawId, i64)>,
+    /// Each feed's lane, `rate_µW × tick_µs`, and carry when registered.
+    feeds: Vec<(usize, u128, u128)>,
+}
+
+impl Lanes {
+    /// Opens a lane; only its [`Lanes::feed`]s may credit it until settled.
+    pub(crate) fn open(&mut self, reserves: &Arena<Reserve>, reserve: RawId) {
+        let level = reserves.get(reserve).map(|r| r.balance().as_microjoules());
+        self.lanes.push((reserve, level.unwrap_or(0)));
+    }
+
+    fn position(&self, reserve: RawId) -> Option<usize> {
+        self.lanes.iter().position(|&(r, _)| r == reserve)
+    }
+
+    /// Registers `tap` if it is a constant feed of a lane that delivers
+    /// unclamped over the run.
+    pub(crate) fn feed(&mut self, tap: &Tap, dt_us: u128) {
+        if let (Some(lane), RateSpec::Const(p)) = (self.position(tap.sink().0), tap.rate()) {
+            let step = u128::from(p.as_microwatts()) * dt_us;
+            self.feeds.push((lane, step, tap.remainder()));
+        }
+    }
+
+    /// Runs every lane `ticks` ticks, debits each lane's leaks as decay,
+    /// credits their sum to `battery`, and closes the lanes.
+    pub(crate) fn settle(
+        &mut self,
+        reserves: &mut Arena<Reserve>,
+        battery: RawId,
+        ppm: u64,
+        ticks: u64,
+    ) {
+        let mut reclaimed = 0;
+        for (lane, &(reserve, mut level)) in self.lanes.iter().enumerate() {
+            let fed = self.feeds.iter().any(|f| f.0 == lane && f.1 > 0);
+            let mut leaked = 0;
+            for _ in 0..ticks {
+                for (_, step, carry) in self.feeds.iter_mut().filter(|f| f.0 == lane) {
+                    let (moved, kept) = split::<1_000_000>(*step + *carry);
+                    *carry = kept;
+                    level += moved;
+                }
+                let leak = if level > 0 { decay_leak(level, ppm) } else { 0 };
+                if leak == 0 && !fed {
+                    break; // unfed, the level only falls: the leak stays zero
+                }
+                level -= leak;
+                leaked += leak;
+            }
+            if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
+                r.debit_decay(Energy::from_microjoules(leaked));
+                reclaimed += leaked;
+            }
+        }
+        if reclaimed > 0 {
+            reserves
+                .get_mut(battery)
+                .expect("battery is never deleted")
+                .credit(Energy::from_microjoules(reclaimed));
+        }
+        self.lanes.clear();
+        self.feeds.clear();
+    }
 }
 
 /// How a ticked tap computes its per-tick desired transfer (the image of
@@ -266,7 +348,7 @@ pub(crate) struct FlowEngine {
     prop_slots: Vec<u32>,
     snap: Vec<i64>,
     /// Slots subject to the global decay this run (Energy, non-exempt,
-    /// not the battery), and the per-slot decayed totals.
+    /// not a lane), and the per-slot decayed totals.
     decay_slots: Vec<u32>,
     decay_acc: Vec<i64>,
     /// Decay-eligible reserves (Energy kind, not exempt), maintained by the
@@ -274,6 +356,8 @@ pub(crate) struct FlowEngine {
     /// planning walks the whole arena. Order is immaterial: per-reserve
     /// leaks are independent and the battery is credited once.
     decay_eligible: Vec<RawId>,
+    /// The decay lanes of the run being settled.
+    pub(crate) lanes: Lanes,
 }
 
 fn is_live_prop(rate: RateSpec) -> bool {
@@ -300,6 +384,7 @@ impl FlowEngine {
             decay_slots: Vec::new(),
             decay_acc: Vec::new(),
             decay_eligible: Vec::new(),
+            lanes: Lanes::default(),
         }
     }
 
@@ -594,28 +679,30 @@ impl FlowEngine {
 
     /// Attempts to advance up to `max_ticks` ticks as one planned *run*,
     /// returning how many were applied (0 means: run one tick the slow
-    /// way). Caller-checked precondition: decay disabled.
+    /// way).
     ///
     /// Sources are classified per run:
     ///
     /// * **Dynamic** — a live proportional tap reads this source's level,
-    ///   or it could clamp mid-run (balance covers less than the demotion
-    ///   threshold of the span), or it is empty but a tap may refill it.
-    ///   Every tap touching a dynamic reserve (either endpoint) joins the
-    ///   ticked partition and is executed tick by tick over dense SoA
-    ///   arrays — bit-identical to [`FlowEngine::tick`], minus the map and
-    ///   arena lookups.
+    ///   or decay re-shapes it every tick, or it could clamp mid-run
+    ///   (balance covers less than the demotion threshold of the span), or
+    ///   it is empty but a tap may refill it. Every tap touching a dynamic
+    ///   reserve (either endpoint) joins the ticked partition and is
+    ///   executed tick by tick over dense SoA arrays — bit-identical to
+    ///   [`FlowEngine::tick`], minus the map and arena lookups.
     /// * **Covered** — balance ≥ n × an upper bound of its per-tick outflow
     ///   (each const tap moves at most ⌊(p·dt + 999_999)/1e6⌋ µJ per tick,
     ///   counting taps of *both* partitions), so no clamp can engage within
     ///   the run and its closed-formed taps telescope exactly
-    ///   ([`Tap::bulk_advance_const`]).
+    ///   ([`Tap::bulk_advance_const`]). Decay-exempt sources qualify under
+    ///   decay too: decay only ever credits the battery.
     /// * **Starved** — non-positive balance, no inbound tap, no live
     ///   proportional outflow *or* provably stuck at ≤ 0: every transfer
     ///   clamps to zero for the whole run, only carries advance.
     ///
-    /// With no dynamic source this is the pure closed form (an all-const
-    /// span is one event); with dynamic sources only the proportional
+    /// With decay on, decaying reserves no tap drains are [`Lanes`] or
+    /// dynamic sinks (see the module docs). With no dynamic reserve this is
+    /// the pure closed form plus the lanes; otherwise only the dynamic
     /// island pays per-tick cost.
     pub(crate) fn run_span(
         &mut self,
@@ -647,32 +734,20 @@ impl FlowEngine {
         let mut n = max_ticks;
         let mut any_dynamic = false;
         for (&source, entry) in &self.by_source {
-            let balance = reserves.get(source).map(|r| r.balance());
-            if entry.live_prop > 0 {
-                // A live proportional tap reads this level every tick —
+            let reserve = reserves.get(source);
+            let balance = reserve.map(|r| r.balance());
+            let decays = decaying
+                && reserve.is_some_and(|r| {
+                    r.kind() == crate::kind::ResourceKind::Energy && !r.is_decay_exempt()
+                });
+            if entry.live_prop > 0 || decays {
+                // A live proportional tap reads this level every tick, and
+                // decay re-shapes a positive decaying balance every tick —
                 // unless the source is provably stuck at ≤ 0 (no inflow
                 // possible), in which case nothing ever moves or touches a
                 // carry and the whole run is a no-op for its taps.
                 let stuck = balance.is_some_and(|b| !b.is_positive()) && !self.has_inbound(source);
                 if stuck {
-                    self.run_plan.insert(source, SourceRun::Starved);
-                } else {
-                    self.run_plan.insert(source, SourceRun::Dynamic);
-                    any_dynamic = true;
-                }
-                continue;
-            }
-            if decaying
-                && reserves
-                    .get(source)
-                    .is_some_and(|r| r.kind() == crate::kind::ResourceKind::Energy)
-            {
-                // Decay re-shapes every positive energy balance each tick,
-                // so no energy source can be *covered* for a run. Stuck
-                // empties are still starved (decay never touches ≤ 0);
-                // everything else ticks. Quota kinds never decay, so their
-                // closed forms below survive unchanged.
-                if balance.is_some_and(|b| !b.is_positive()) && !self.has_inbound(source) {
                     self.run_plan.insert(source, SourceRun::Starved);
                 } else {
                     self.run_plan.insert(source, SourceRun::Dynamic);
@@ -720,22 +795,55 @@ impl FlowEngine {
             }
         }
 
-        // Under decay no energy source is Covered (forced Dynamic or
-        // Starved above), so with nothing Dynamic no closed form below can
-        // touch an energy balance. If additionally every decay-eligible
-        // balance is too small for its per-tick leak to round above zero,
-        // the decay pass is a provable no-op for the whole run: skip the
-        // SoA build and the per-tick loop entirely. This is what lets a
-        // drained device (battery and reserves at or under the
-        // leak-rounding floor) settle a span in O(R + T) instead of
-        // O(ticks) — the fleet's dead-battery tail.
+        // A drained battery is not starved while decay may credit it: a
+        // leak, or a flow into a decaying reserve, revives its taps.
+        if decaying
+            && self.run_plan.get(&battery) == Some(&SourceRun::Starved)
+            && (self.run_plan.values().any(|&run| run != SourceRun::Starved)
+                || !self.decay_is_inert(reserves, decay_ppm_per_tick, |_| false))
+        {
+            self.run_plan.insert(battery, SourceRun::Dynamic);
+            any_dynamic = true;
+        }
+
+        // ----- lanes: the decaying reserves nothing else reads -----------
+        // Lane leaks reach the battery at the run's end, so a dynamic
+        // battery closes every lane. A feed that could not feed a lane
+        // makes its sink dynamic: its inflow must land each tick ahead of
+        // its decay.
+        if decaying {
+            let lanes = self.run_plan.get(&battery) != Some(&SourceRun::Dynamic);
+            self.open_lanes(reserves, |_| false);
+            for &(_, tid) in &self.order {
+                let tap = taps.get(tid.0).expect("flow index out of sync");
+                let Some(lane) = self.lanes.position(tap.sink().0) else {
+                    continue;
+                };
+                let source = self.run_plan.get(&tap.source().0);
+                if !lanes
+                    || !matches!(tap.rate(), RateSpec::Const(_))
+                    || !matches!(source, Some(SourceRun::Covered | SourceRun::Starved))
+                {
+                    self.lanes.lanes.swap_remove(lane);
+                    self.run_plan.insert(tap.sink().0, SourceRun::Dynamic);
+                    any_dynamic = true;
+                }
+            }
+            if !lanes {
+                self.lanes.lanes.clear(); // unfed: decayed in the SoA loop
+            }
+        }
+
+        // With nothing dynamic, no closed form below touches a decaying
+        // balance but a lane's. If every other decaying balance is too
+        // small for its leak to round above zero, the SoA decay pass is a
+        // provable no-op: skip the SoA build and the per-tick loop. This
+        // is what lets a drained device settle a span in O(R + T) instead
+        // of O(ticks) — the fleet's dead-battery tail.
         let decay_inert = decaying
             && !any_dynamic
-            && self.decay_eligible.iter().all(|&rid| {
-                reserves.get(rid).is_none_or(|r| {
-                    let b = r.balance();
-                    !b.is_positive() || !b.scale_ppm(decay_ppm_per_tick).is_positive()
-                })
+            && self.decay_is_inert(reserves, decay_ppm_per_tick, |rid| {
+                self.lanes.position(rid).is_some()
             });
 
         // ----- apply the linear partition, collect the ticked one --------
@@ -750,14 +858,16 @@ impl FlowEngine {
         self.decay_slots.clear();
         let mut battery_slot = u32::MAX;
         if decaying && !decay_inert {
-            // Every decayable energy reserve joins the ticked arrays (its
-            // balance changes every tick), plus the battery to receive the
-            // reclaimed leakage. Safe to slot before the closed forms
-            // below: under decay no energy source is Covered, so no
-            // closed-form transfer ever touches an energy reserve.
+            // Every decaying reserve but the lanes joins the ticked arrays,
+            // plus the battery to receive the leakage. Safe to slot before
+            // the closed forms below: they touch no dynamic or decaying
+            // reserve but the lanes, and writeback applies deltas.
             for i in 0..self.decay_eligible.len() {
                 let rid = self.decay_eligible[i];
                 debug_assert!(rid != battery, "battery is always exempt");
+                if self.lanes.position(rid).is_some() {
+                    continue;
+                }
                 let slot = slot_for(
                     &mut self.slot_of,
                     &mut self.slot_raw,
@@ -832,6 +942,7 @@ impl FlowEngine {
                 Some(SourceRun::Covered) | None => {
                     // `None` only happens for all-zero-rate sources, where
                     // the move is zero anyway.
+                    self.lanes.feed(tap, dt_us);
                     let moved = tap.bulk_advance_const(n, dt);
                     if moved.is_zero() {
                         continue;
@@ -944,7 +1055,18 @@ impl FlowEngine {
                     .set_remainder(tap.carry);
             }
         }
+        self.lanes.settle(reserves, battery, decay_ppm_per_tick, n);
         n
+    }
+
+    /// Opens a lane for every decay-eligible reserve that no tap drains
+    /// and `skip` leaves out (a pooled run's swept waiters).
+    pub(crate) fn open_lanes(&mut self, reserves: &Arena<Reserve>, skip: impl Fn(RawId) -> bool) {
+        for &rid in &self.decay_eligible {
+            if !skip(rid) && !self.by_source.contains_key(&rid) {
+                self.lanes.open(reserves, rid);
+            }
+        }
     }
 }
 
@@ -1677,6 +1799,203 @@ mod differential {
             assert_eq!(dump(&engine_g), dump(&reference_g), "at {now:?}");
         }
         assert!(engine_g.totals().conserved());
+    }
+
+    /// Builds the same graph twice with `build` (decay on, `battery_j`
+    /// in the battery), flows both through `spans_ms` — the engine and
+    /// the reference — and asserts every observable byte agrees after
+    /// each span.
+    fn decay_lanes_match_reference(
+        battery_j: i64,
+        spans_ms: &[u64],
+        build: impl Fn(&mut ResourceGraph),
+    ) -> ResourceGraph {
+        let config = GraphConfig::default();
+        let initial = Energy::from_joules(battery_j);
+        let mut engine_g = ResourceGraph::with_config(initial, config);
+        let mut reference_g = ResourceGraph::with_config(initial, config);
+        build(&mut engine_g);
+        build(&mut reference_g);
+        let mut now = SimTime::ZERO;
+        for &ms in spans_ms {
+            now += SimDuration::from_millis(ms);
+            engine_g.flow_until(now);
+            reference_g.flow_until_reference(now);
+            assert_eq!(dump(&engine_g), dump(&reference_g), "at {now:?}");
+        }
+        assert!(engine_g.totals().conserved());
+        engine_g
+    }
+
+    /// A constant tap of `uw` µW from `source` into `sink`.
+    fn feed(g: &mut ResourceGraph, source: ReserveId, sink: ReserveId, uw: u64) -> TapId {
+        g.create_tap(
+            &Actor::kernel(),
+            "feed",
+            source,
+            sink,
+            RateSpec::constant(Power::from_microwatts(uw)),
+            Label::default_label(),
+        )
+        .unwrap()
+    }
+
+    fn reserve(g: &mut ResourceGraph, name: &str) -> ReserveId {
+        g.create_reserve(&Actor::kernel(), name, Label::default_label())
+            .unwrap()
+    }
+
+    /// The spans of a sleeping device's idle jumps: single ticks, a
+    /// minute, ten minutes, an hour, and an off-grid tail.
+    const IDLE_SPANS_MS: [u64; 6] = [100, 300, 60_000, 600_000, 3_600_000, 12_345];
+
+    /// Lanes fed by jittered constant taps from the battery: every carry
+    /// is nonzero at every span edge, so each tick's delivery alternates
+    /// between two amounts exactly as the reference's carries release it.
+    #[test]
+    fn lanes_with_jittered_feeds_match_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let battery = g.battery();
+            for uw in [37_513, 36_977, 1_234_567] {
+                let lane = reserve(g, "lane");
+                feed(g, battery, lane, uw);
+            }
+        });
+    }
+
+    /// One lane fed twice, from the battery and from a decay-exempt
+    /// covered reserve: each tick it takes both deliveries before it
+    /// leaks.
+    #[test]
+    fn lane_with_two_feeds_matches_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let k = Actor::kernel();
+            let battery = g.battery();
+            let exempt = reserve(g, "exempt");
+            g.transfer(&k, battery, exempt, Energy::from_joules(5_000))
+                .unwrap();
+            g.set_decay_exempt(&k, exempt, true).unwrap();
+            let lane = reserve(g, "lane");
+            feed(g, battery, lane, 37_513);
+            feed(g, exempt, lane, 511_111);
+        });
+    }
+
+    /// A lane that starts in debt: its feed pays the debt off before the
+    /// level turns positive and starts to leak.
+    #[test]
+    fn lane_starting_in_debt_matches_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let battery = g.battery();
+            let lane = reserve(g, "lane");
+            g.consume_with_debt(&Actor::kernel(), lane, Energy::from_joules(40))
+                .unwrap();
+            feed(g, battery, lane, 37_513);
+        });
+    }
+
+    /// Fig 6b's proportional island (a plugin fed 70 mW, leaking 10%/s
+    /// back to the battery) beside an idle lane and an unfed hoard: the
+    /// island ticks while the lane and the hoard advance alone.
+    #[test]
+    fn idle_lane_beside_fig6b_island_matches_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let k = Actor::kernel();
+            let battery = g.battery();
+            let plugin = reserve(g, "plugin");
+            feed(g, battery, plugin, 70_000);
+            g.create_tap(
+                &k,
+                "bwd",
+                plugin,
+                battery,
+                RateSpec::proportional(0.1),
+                Label::default_label(),
+            )
+            .unwrap();
+            let lane = reserve(g, "lane");
+            feed(g, battery, lane, 37_500);
+            let hoard = reserve(g, "hoard");
+            g.transfer(&k, battery, hoard, Energy::from_joules(20))
+                .unwrap();
+        });
+    }
+
+    /// Decaying sinks of the covered battery that are not lanes: one
+    /// drains through a tap into a second, which the battery also feeds,
+    /// and a third also takes a proportional feed. Their inflows must land
+    /// tick by tick, ahead of their decay.
+    #[test]
+    fn decaying_sinks_that_are_not_lanes_are_ticked() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let k = Actor::kernel();
+            let battery = g.battery();
+            let drained = reserve(g, "drained");
+            let onward = reserve(g, "onward");
+            feed(g, battery, drained, 90_001);
+            feed(g, drained, onward, 20_003);
+            feed(g, battery, onward, 37_513);
+            let exempt = reserve(g, "exempt");
+            g.transfer(&k, battery, exempt, Energy::from_joules(500))
+                .unwrap();
+            g.set_decay_exempt(&k, exempt, true).unwrap();
+            let mixed = reserve(g, "mixed");
+            feed(g, battery, mixed, 41_000);
+            g.create_tap(
+                &k,
+                "prop",
+                exempt,
+                mixed,
+                RateSpec::Proportional { ppm_per_s: 700 },
+                Label::default_label(),
+            )
+            .unwrap();
+        });
+    }
+
+    /// A 40 J battery feeding 30 mW into two lanes covers about 13,300
+    /// of an hour's 36,000 ticks: its coverage caps each run, and the
+    /// runs continue from the leaks the lanes return, until the lanes
+    /// hold most of the energy.
+    #[test]
+    fn battery_coverage_caps_lane_runs() {
+        let g = decay_lanes_match_reference(40, &[3_600_000, 600_000], |g| {
+            let battery = g.battery();
+            for uw in [20_001, 9_999] {
+                let lane = reserve(g, "lane");
+                feed(g, battery, lane, uw);
+            }
+        });
+        assert!(g.reserve(g.battery()).unwrap().balance() < Energy::from_joules(20));
+    }
+
+    /// A drained battery that no tap refills comes back to life when a
+    /// hoard's leaks credit it: its taps must move again mid-run.
+    #[test]
+    fn drained_battery_refilled_by_decay_matches_reference() {
+        decay_lanes_match_reference(100, &IDLE_SPANS_MS, |g| {
+            let battery = g.battery();
+            let hoard = reserve(g, "hoard");
+            g.transfer(&Actor::kernel(), battery, hoard, Energy::from_joules(100))
+                .unwrap();
+            let lane = reserve(g, "lane");
+            feed(g, battery, lane, 5_000);
+        });
+    }
+
+    /// A fed lane seeded far beyond `i64::MAX / ppm` by `inject`: its
+    /// leak takes the i128 path on every tick of the lane's loop.
+    #[test]
+    fn lane_leak_beyond_the_i64_product_is_exact() {
+        let config = GraphConfig::default();
+        let ppm = config.decay.unwrap().leak_ppm_per_tick(config.flow_tick);
+        let huge = Energy::from_microjoules(i64::MAX / ppm as i64 * 2);
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let battery = g.battery();
+            let lane = reserve(g, "lane");
+            g.inject(&Actor::kernel(), lane, huge).unwrap();
+            feed(g, battery, lane, 37_513);
+        });
     }
 
     /// Re-rating taps between spans re-plans the partition: a tap flipped

@@ -46,12 +46,13 @@
 //! Multi-tick spans are planned as partitioned *runs*: sources provably
 //! linear for the run are applied in closed form, and only taps adjacent
 //! to dynamic reserves (live proportional sources, clamp boundaries,
-//! refillable empties — every energy source when decay is on) tick, over
-//! dense SoA arrays. Long `flow_until` spans cost work proportional to
-//! graph *events* plus the dynamic island, not tick count × graph size.
-//! The engine's results are bit-identical to the naive per-tick loop,
-//! which is retained as [`ResourceGraph::flow_until_reference`] for
-//! differential testing and benchmarking.
+//! refillable empties, decaying sources, and fed decaying sinks that are
+//! not *decay lanes*, which advance alone) tick, over dense SoA arrays.
+//! Long `flow_until` spans cost work proportional to graph *events* plus
+//! the dynamic island, not tick count × graph size. The engine's results
+//! are bit-identical to the naive per-tick loop, which is retained as
+//! `ResourceGraph::flow_until_reference` (built for tests and under the
+//! `reference-flow` feature) for differential testing and benchmarking.
 
 use cinder_label::{Label, PrivilegeSet};
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
@@ -197,8 +198,9 @@ pub enum PoolRefusal {
     /// A waiter holds a positive balance its next sweep would move.
     WaiterHolds,
     /// A live tap the closed form does not cover: proportional, draining
-    /// a waiter or the pool, filling the pool or a decaying reserve that
-    /// is neither swept nor gated, or refilling a drained source.
+    /// a waiter or the pool, filling the pool, filling a decaying reserve
+    /// that is neither swept nor gated and that a tap drains (one no tap
+    /// drains is a decay lane), or refilling a drained source.
     LiveFlow,
     /// The global decay could move a microjoule during the run.
     LiveDecay,
@@ -1001,13 +1003,14 @@ impl ResourceGraph {
     ///
     /// Executed by the embedded `FlowEngine` ([`crate::flow`]): the span
     /// is planned as partitioned *runs* — sources provably linear for the
-    /// run are applied in closed form, and only the taps adjacent to
-    /// dynamic reserves (live proportional sources, clamp boundaries,
-    /// refillable empties, and every energy source when decay is on) are
-    /// ticked, over dense SoA arrays. Sub-planning-threshold spans skip the
-    /// planner and run the compiled single tick, with no per-tick
-    /// allocation. Results are bit-identical to
-    /// [`ResourceGraph::flow_until_reference`].
+    /// run are applied in closed form, decaying reserves nothing else
+    /// reads advance in decay lanes, and only the taps adjacent to dynamic
+    /// reserves (live proportional sources, clamp boundaries, refillable
+    /// empties, decaying sources and decaying sinks that are not lanes)
+    /// are ticked, over dense SoA arrays. Sub-planning-threshold spans skip
+    /// the planner and run the compiled single tick, with no per-tick
+    /// allocation. Results are bit-identical to the reference loop,
+    /// `ResourceGraph::flow_until_reference`.
     pub fn flow_until(&mut self, now: SimTime) {
         let tick = self.config.flow_tick;
         let span = now.saturating_since(self.now);
@@ -1120,20 +1123,22 @@ impl ResourceGraph {
     ///   source stays strictly positive after every covered tap it feeds
     ///   has moved its whole run, so no transfer clamps and the graph
     ///   never freezes;
-    /// * decay cannot move a microjoule: the pool and every covered sink
-    ///   but the waiters and `gated` are exempt; a waiter's balance after
-    ///   a tick is at most that tick's delivery (it starts each tick at or
-    ///   below zero), and the worst such delivery leaks nothing; a `gated`
-    ///   sink stays at or below zero for the whole run (the caller's
+    /// * decay moves nothing the closed form does not settle: the pool is
+    ///   exempt and neither it nor a waiter is the battery, which decay
+    ///   credits; a waiter's balance after a tick is at most that tick's
+    ///   delivery (it starts each tick at or below zero), and the worst
+    ///   such delivery leaks nothing; a decaying sink of a covered tap is
+    ///   `gated` — at or below zero for the whole run (the caller's
     ///   promise: swept, or in deficit for at least `max_ticks` by
-    ///   [`ResourceGraph::quiet_ticks`]), where decay never reaches; every
-    ///   other eligible balance leaks nothing and only shrinks;
+    ///   [`ResourceGraph::quiet_ticks`]) — or a lane, drained by no tap;
+    ///   every other decaying balance leaks nothing and only shrinks;
     /// * the run's cumulative sweep stays below `shortfall`.
     ///
     /// Under it, a waiter starting at `w ≤ 0` that receives `D` over the
     /// run ends at `min(0, w + D)` and sweeps `max(0, w + D)`, exactly the
-    /// sum of its per-tick sweeps, and every tap's carry telescopes
-    /// exactly as the flow engine's closed form does.
+    /// sum of its per-tick sweeps, every tap's carry telescopes exactly as
+    /// the flow engine's closed form does, and a decay lane, fed only by
+    /// covered or starved constant taps, advances alone.
     pub fn pooled_run(
         &self,
         waiters: &[ReserveId],
@@ -1166,11 +1171,17 @@ impl ResourceGraph {
     }
 
     /// Applies a run [`ResourceGraph::pooled_run`] certified: every live
-    /// tap advances `ticks` in closed form, every waiter is swept into
-    /// `pool`, and the flow clock moves `ticks` ticks. Returns the total
-    /// swept, which netd's memoised shortfall must be advanced by.
+    /// tap advances `ticks` in closed form, each decaying reserve that is
+    /// not a waiter and that no tap drains advances as a decay lane, every
+    /// waiter is swept into `pool`, and the flow clock moves `ticks` ticks.
+    /// Returns the total swept, which netd's memoised shortfall must be
+    /// advanced by.
     pub fn settle_pooled(&mut self, waiters: &[ReserveId], pool: ReserveId, ticks: u64) -> Energy {
-        let dt = self.config.flow_tick;
+        let (dt, ppm) = (self.config.flow_tick, self.decay_ppm_per_tick);
+        if ppm > 0 {
+            let swept = |rid| waiters.iter().any(|w| w.0 == rid);
+            self.flow.open_lanes(&self.reserves, swept);
+        }
         for (_, tap) in self.taps.iter_mut() {
             if !matches!(tap.rate(), RateSpec::Const(p) if p.as_microwatts() > 0) {
                 continue;
@@ -1184,6 +1195,7 @@ impl ResourceGraph {
                 tap.bulk_advance_const_starved(ticks, dt);
                 continue;
             }
+            self.flow.lanes.feed(tap, u128::from(dt.as_micros()));
             let amount = tap.bulk_advance_const(ticks, dt);
             self.reserves
                 .get_mut(source.0)
@@ -1194,6 +1206,10 @@ impl ResourceGraph {
                 .expect("taps to dead sinks are GC'd")
                 .credit(amount);
         }
+        let battery = self.battery.0;
+        self.flow
+            .lanes
+            .settle(&mut self.reserves, battery, ppm, ticks);
         let mut swept = Energy::ZERO;
         for (i, &w) in waiters.iter().enumerate() {
             if !waiters[..i].contains(&w) {
@@ -1213,9 +1229,9 @@ impl ResourceGraph {
     ) -> Result<PoolPlan, PoolRefusal> {
         let ppm = self.decay_ppm_per_tick as u128;
         let pool_kind = match self.reserves.get(pool.0) {
-            Some(r) if r.is_decay_exempt() || r.kind() != ResourceKind::Energy || ppm == 0 => {
-                r.kind()
-            }
+            // Decay credits the battery outside any tap.
+            Some(r) if pool != self.battery && (r.is_decay_exempt() || ppm == 0) => r.kind(),
+            Some(r) if r.kind() != ResourceKind::Energy => r.kind(),
             _ => return Err(PoolRefusal::LiveDecay),
         };
         let mut plan = PoolPlan {
@@ -1228,7 +1244,8 @@ impl ResourceGraph {
                 continue;
             }
             let r = self.reserves.get(w.0).ok_or(PoolRefusal::LiveFlow)?;
-            if w == pool || r.kind() != pool_kind || self.flow.outbound(w.0).next().is_some() {
+            let drained = self.flow.outbound(w.0).next().is_some();
+            if w == pool || w == self.battery || r.kind() != pool_kind || drained {
                 return Err(PoolRefusal::LiveFlow);
             }
             if r.balance().is_positive() {
@@ -1277,7 +1294,8 @@ impl ResourceGraph {
                         || self.reserves.get(sink.0).is_some_and(|r| {
                             r.is_decay_exempt() || r.kind() != ResourceKind::Energy
                         });
-                    if !inert && ppm > 0 {
+                    if !inert && ppm > 0 && self.flow.outbound(sink.0).next().is_some() {
+                        // Drained by no tap, it would be a decay lane.
                         return Err(PoolRefusal::LiveFlow);
                     }
                 }
@@ -1308,10 +1326,12 @@ impl ResourceGraph {
         {
             return Err(PoolRefusal::LiveDecay);
         }
-        let swept = |rid: RawId| plan.waiters.iter().any(|w| w.id.0 == rid);
+        // Waiters (bounded above) and lanes are the decaying reserves no
+        // tap drains; every other one must leak nothing.
+        let undrained = |rid: RawId| self.flow.outbound(rid).next().is_none();
         if !self
             .flow
-            .decay_is_inert(&self.reserves, self.decay_ppm_per_tick, swept)
+            .decay_is_inert(&self.reserves, self.decay_ppm_per_tick, undrained)
         {
             return Err(PoolRefusal::LiveDecay);
         }

@@ -28,8 +28,8 @@
 //!   snapshot scratch instead of per-tick allocation, quiescent-source
 //!   skipping, and closed-form fast-forward of all-constant tick runs —
 //!   bit-identical to the naive reference loop
-//!   ([`ResourceGraph::flow_until_reference`]), which differential property
-//!   tests enforce.
+//!   (`ResourceGraph::flow_until_reference`, built for tests and under the
+//!   `reference-flow` feature), which differential property tests enforce.
 //! * [`decay`] — the global half-life decay that prevents hoarding (§5.2.2).
 //! * [`sched`] — the resource-aware scheduler: threads whose reserves are
 //!   empty cannot run (§3.2), with per-kind reserve sets.

@@ -654,8 +654,8 @@ mod tests {
     #[test]
     fn pooled_jumps_cover_steady_pooling() {
         // Every coop-poller device of the steady fleet: pooled jumps cross
-        // at least 70% of the quanta netd spends pooling (jumped or
-        // stepped in reduced form). Counts are deterministic.
+        // at least 95% of the quanta they and the full loop take between
+        // them. Counts are deterministic.
         let mut coop = 0;
         for spec in Scenario::steady_heavy("coverage", 2011, 24).specs() {
             if spec.workload != (Workload::Pollers { coop: true }) {
@@ -665,9 +665,9 @@ mod tests {
             let mut scratch = DeviceScratch::default();
             simulate_device_with(&spec, &mut scratch);
             let p = scratch.profile;
-            let pooling = p.pooled_quanta + p.reduced_quanta;
+            let pooling = p.pooled_quanta + p.full_quanta;
             assert!(
-                p.pooled_quanta * 10 >= pooling * 7,
+                p.pooled_quanta * 100 >= pooling * 95,
                 "device {}: {p:?}",
                 spec.id
             );
@@ -680,7 +680,7 @@ mod tests {
         // The fleetbench `storm` mixture (every tag under fault_heavy's
         // offload, policy and faults; seed 2011, 1 h), first 44 devices:
         // every coop poller — whose retry backoff wakes it while netd
-        // still pools its send — steps at most 25% of its quanta in the
+        // still pools its send — steps at most 5% of its quanta in the
         // full loop, because pooled and idle jumps cross its reserve-gated
         // Ready quanta. Counts are deterministic.
         let name = "storm-coverage";
@@ -697,7 +697,11 @@ mod tests {
             let mut scratch = DeviceScratch::default();
             simulate_device_with(&spec, &mut scratch);
             let p = scratch.profile;
-            assert!(p.full_quanta * 4 <= p.quanta(), "device {}: {p:?}", spec.id);
+            assert!(
+                p.full_quanta * 20 <= p.quanta(),
+                "device {}: {p:?}",
+                spec.id
+            );
             assert!(p.gated_quanta > 0, "device {}: {p:?}", spec.id);
         }
         assert!(coop >= 8, "{coop} coop devices");

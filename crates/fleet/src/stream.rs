@@ -694,9 +694,10 @@ impl FleetCheckpoint {
     /// match its body (truncation, bit flips) is rejected before any field
     /// is trusted. A well-signed body must still have a positive horizon,
     /// each channel's `cfg` equal to the horizon's, bins summing to each
-    /// `count` with `min ≤ max` in a non-empty channel, and `observed`
-    /// equal to `next_device`; each failure is an error naming the key or
-    /// channel, so resuming never merges or renders hostile state.
+    /// `count` with `min ≤ max` in a non-empty channel, `next_device` at
+    /// most `fleet_devices`, and `observed` equal to `next_device`; each
+    /// failure is an error naming the key or channel, so resuming never
+    /// merges or renders hostile state.
     pub fn from_text(text: &str) -> Result<FleetCheckpoint, String> {
         let mut lines = text.lines();
         let header = lines.next().unwrap_or("");
@@ -736,6 +737,11 @@ impl FleetCheckpoint {
         let seed = fields.parse("seed")?;
         let fleet_devices = fields.parse("fleet_devices")?;
         let next_device = fields.parse("next_device")?;
+        if next_device > u64::from(fleet_devices) {
+            return Err(format!(
+                "checkpoint next_device {next_device} is beyond fleet_devices {fleet_devices}"
+            ));
+        }
         let summary = StreamSummary::read_text(&mut fields)?;
         if summary.devices != next_device {
             return Err(format!(
@@ -1151,6 +1157,16 @@ mod tests {
         let err = refused(&edited(&real_checkpoint(), "", "observed", "2"));
         assert!(
             err.contains("observed") && err.contains("next_device"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hostile_cursor_beyond_fleet_is_refused() {
+        let beyond = edited(&real_checkpoint(), "", "next_device", "5");
+        let err = refused(&edited(&beyond, "", "observed", "5"));
+        assert!(
+            err.contains("next_device") && err.contains("fleet_devices"),
             "{err}"
         );
     }

@@ -188,9 +188,6 @@ pub struct FaultCounters {
 pub struct RunProfile {
     /// Quanta stepped by the full loop.
     pub full_quanta: u64,
-    /// Quanta stepped in reduced form (flow tick and net poll only) while
-    /// a net stack pooled.
-    pub reduced_quanta: u64,
     /// Quanta crossed by idle jumps (`KernelConfig::idle_skip`).
     pub idle_quanta: u64,
     /// Quanta crossed by frozen jumps (`KernelConfig::fast_forward`).
@@ -214,11 +211,7 @@ pub struct RunProfile {
 impl RunProfile {
     /// Every quantum the run loop advanced, whichever path took it.
     pub fn quanta(&self) -> u64 {
-        self.full_quanta
-            + self.reduced_quanta
-            + self.idle_quanta
-            + self.frozen_quanta
-            + self.pooled_quanta
+        self.full_quanta + self.idle_quanta + self.frozen_quanta + self.pooled_quanta
     }
 
     /// How often the certificate refused to jump for `obstacle`.
@@ -248,8 +241,8 @@ pub enum Obstacle {
     /// A lit peripheral is not provably funded across the span.
     Peripheral,
     /// The pooling stack's polls are not certified: no memoised grant
-    /// check, a granted backlog, a downed link, a poll clock off the flow
-    /// grid, or `fast_forward` off.
+    /// check, a granted backlog, a poll clock off the flow grid, or
+    /// `fast_forward` off.
     NetPolls,
     /// A waiter holds energy its next sweep would move.
     WaiterHolds,
@@ -277,12 +270,6 @@ impl Obstacle {
         Obstacle::LiveDecay,
         Obstacle::NoRoom,
     ];
-
-    /// Whether the next net poll may clear it: netd re-establishes its
-    /// memo, the poll clock returns to the flow grid, waiters are swept.
-    fn clears_at_poll(self) -> bool {
-        matches!(self, Obstacle::NetPolls | Obstacle::WaiterHolds)
-    }
 }
 
 impl From<PoolRefusal> for Obstacle {
@@ -1025,24 +1012,6 @@ impl Kernel {
         }
     }
 
-    /// Whether the per-quantum enforcement pass would act *right now* —
-    /// the reduced net-busy stepper's stop condition.
-    fn peripheral_enforcement_due(&self) -> bool {
-        if self.enabled_peripherals == 0 {
-            return false;
-        }
-        let quantum = self.sched.quantum();
-        PeripheralKind::ALL.iter().any(|&kind| {
-            let slot = &self.peripherals[kind.index()];
-            slot.enabled && {
-                let need = self.peripheral_drain_power(kind).energy_over(quantum);
-                slot.reserve
-                    .and_then(|r| self.graph.reserve(r))
-                    .is_none_or(|r| r.balance() < need)
-            }
-        })
-    }
-
     /// Conservative proof that every lit peripheral stays funded across a
     /// prospective fast-forward of `span`: assuming *zero* inflow, the
     /// reserve must cover the span's *total* constant outflow (every tap
@@ -1468,10 +1437,10 @@ impl Kernel {
     /// replays the *identical* instruction stream: `run_span(t₁); …;
     /// run_until(t_n)` is bit-equal to `run_until(t_n)` for any grid or
     /// off-grid split points. After each quantum that ran nothing the loop
-    /// consults its one certificate (idle, frozen, or pooled jump, or
-    /// netd's reduced stepper); every jump stops at `end`, so a split
-    /// point only shortens a jump. The fleet's device loop runs on this,
-    /// splitting its spans only at policy ticks and fault boundaries.
+    /// consults its one certificate (idle, frozen, or pooled jump); every
+    /// jump stops at `end`, so a split point only shortens a jump. The
+    /// fleet's device loop runs on this, splitting its spans only at policy
+    /// ticks and fault boundaries.
     pub fn run_span(&mut self, end: SimTime) {
         let quantum = self.sched.quantum();
         while self.now + quantum <= end {
@@ -1489,37 +1458,21 @@ impl Kernel {
             self.now = t + quantum;
             self.profile.full_quanta += 1;
             if ran.is_none() {
-                self.jump_or_reduce(end);
+                self.try_jump(end);
             }
         }
     }
 
-    /// After a quantum that ran nothing: jump if [`Kernel::certify`]
-    /// allows it, and while netd pools with the CPU idle, step the rest in
-    /// reduced form (`idle_skip`). A refusal is tallied per [`Obstacle`].
-    fn jump_or_reduce(&mut self, end: SimTime) {
+    /// After a quantum that ran nothing: land the jump [`Kernel::certify`]
+    /// allows, or tally its refusal per [`Obstacle`]. Quanta no jump
+    /// crosses run through the full loop.
+    fn try_jump(&mut self, end: SimTime) {
         if !(self.config.idle_skip || self.config.fast_forward) {
             return;
         }
-        let retry = match self.certify(end) {
-            Ok(jump) => {
-                let pooled = matches!(jump.kind, JumpKind::Pooled { .. });
-                self.land(jump);
-                if !pooled {
-                    return;
-                }
-                true
-            }
-            Err(obstacle) => {
-                self.profile.refusals[obstacle as usize] += 1;
-                self.config.fast_forward && obstacle.clears_at_poll()
-            }
-        };
-        if self.config.idle_skip
-            && !self.sched.has_ready()
-            && self.net.as_ref().is_some_and(|n| !n.is_idle())
-        {
-            self.step_net_busy_quanta(end, retry);
+        match self.certify(end) {
+            Ok(jump) => self.land(jump),
+            Err(obstacle) => self.profile.refusals[obstacle as usize] += 1,
         }
     }
 
@@ -1529,7 +1482,7 @@ impl Kernel {
     /// [`Kernel::land`] applies the verdict. Three kinds, each bit-identical
     /// to stepping every quantum:
     ///
-    /// * **Idle** (`idle_skip`) — the stack idle and nothing Ready but
+    /// * **Idle** (`idle_skip`) — the stack quiet and nothing Ready but
     ///   reserve-gated threads (those under `fast_forward`): only flows
     ///   and the meter integrate until the next wake source.
     /// * **Frozen** (`fast_forward`) — the graph is frozen
@@ -1540,14 +1493,18 @@ impl Kernel {
     ///   sweeps them into the pool, and netd's memoised refusal holds, so
     ///   whole ticks settle in closed form ([`ResourceGraph::pooled_run`]).
     ///
-    /// With the stack idle no reserve is swept, so a Ready thread whose
+    /// A downed link counts as a quiet stack: `net_poll` does nothing
+    /// until the queued `LinkUp` event, which bounds every jump, and no
+    /// held send can move meanwhile.
+    ///
+    /// With the stack quiet no reserve is swept, so a Ready thread whose
     /// deficit cannot outlast two ticks refuses at once when its sole
     /// constant feed draws on a positive source: that live feed already
     /// fails the frozen certificate, so the run/starve alternations of
     /// busy threads pay no more than a few compares here.
     fn certify(&self, end: SimTime) -> Result<Jump, Obstacle> {
         let ready = self.sched.has_ready();
-        let stack_idle = self.net.as_ref().is_none_or(|n| n.is_idle());
+        let stack_quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
         let mut refusal = if ready {
             Obstacle::Ready
         } else {
@@ -1557,7 +1514,7 @@ impl Kernel {
         // `fast_forward`, and only while gated.
         let mut idle_ticks = (!ready).then_some(u64::MAX);
         if self.config.fast_forward {
-            if ready && stack_idle {
+            if ready && stack_quiet {
                 match self.gated_ticks(&[]) {
                     Ok(ticks) => idle_ticks = Some(ticks),
                     Err(reserve) if self.graph.fed_by_live_source(reserve) => {
@@ -1566,7 +1523,7 @@ impl Kernel {
                     Err(_) => {}
                 }
             }
-            match self.certify_frozen(end, ready) {
+            match self.certify_frozen(end, ready, stack_quiet) {
                 Ok(quanta) => {
                     return Ok(Jump {
                         quanta,
@@ -1575,12 +1532,12 @@ impl Kernel {
                 }
                 Err(obstacle) => refusal = obstacle,
             }
-            if !stack_idle {
+            if !stack_quiet {
                 return self.certify_pooled(end, ready);
             }
         }
         match idle_ticks {
-            Some(ticks) if stack_idle && self.config.idle_skip => {
+            Some(ticks) if stack_quiet && self.config.idle_skip => {
                 self.certify_idle(end, ticks).map(|quanta| Jump {
                     quanta,
                     kind: JumpKind::Idle,
@@ -1706,10 +1663,16 @@ impl Kernel {
     /// per-quantum funding checks); the graph is frozen — no tap can
     /// deliver and decay leaks round to zero, so no reserve can refill and
     /// no Ready task can become fundable; a pooling stack's polls reduce
-    /// to zero sweeps against a standing refusal ([`NetStack::pooling`]);
+    /// to zero sweeps against a standing refusal ([`NetStack::pooling`]),
+    /// unless the stack is quiet (idle, or its link down);
     /// and no held send is submittable (a frozen graph keeps an uncovered
     /// plan uncovered).
-    fn certify_frozen(&self, end: SimTime, ready: bool) -> Result<u64, Obstacle> {
+    fn certify_frozen(
+        &self,
+        end: SimTime,
+        ready: bool,
+        stack_quiet: bool,
+    ) -> Result<u64, Obstacle> {
         if self.enabled_peripherals != 0 {
             return Err(Obstacle::Peripheral);
         }
@@ -1721,7 +1684,7 @@ impl Kernel {
                 Obstacle::LiveFlow
             });
         }
-        if let Some(stack) = self.net.as_ref().filter(|n| !n.is_idle()) {
+        if let Some(stack) = self.net.as_ref().filter(|_| !stack_quiet) {
             let radio = self.arm9.radio();
             let inert = self.net_poll_snappable
                 && stack
@@ -1748,9 +1711,10 @@ impl Kernel {
     /// then, cheapest first:
     ///
     /// * no lit peripheral and no held send (every poll re-checks them);
-    /// * every flow tick is followed by exactly one poll: the link is up,
-    ///   the poll clock sits on the tick just settled, and the flow grid
-    ///   refines the quantum grid;
+    /// * every flow tick is followed by exactly one poll: the poll clock
+    ///   sits on the tick just settled, and the flow grid refines the
+    ///   quantum grid (the link is up: the caller treats a downed one as a
+    ///   quiet stack);
     /// * the stack's polls reduce to sweeps against a standing refusal
     ///   ([`NetStack::pooling`]: for netd, its memoised failed grant check
     ///   matches the live pool and radio);
@@ -1763,7 +1727,8 @@ impl Kernel {
     ///
     /// The run ends before any tick whose boundary meets an event or a
     /// radio transition, and its last quantum ends by `end`; it lands one
-    /// quantum past its last tick, where the reduced stepper would stand.
+    /// quantum past its last tick, the boundary whose quantum the last
+    /// tick's poll belongs to.
     fn certify_pooled(&self, end: SimTime, ready: bool) -> Result<Jump, Obstacle> {
         if self.enabled_peripherals != 0 {
             return Err(Obstacle::Peripheral);
@@ -1776,8 +1741,7 @@ impl Kernel {
         }
         let tick = self.config.graph.flow_tick;
         let settled = self.graph.now();
-        if self.link_down
-            || !self.net_poll_snappable
+        if !self.net_poll_snappable
             || self.last_net_poll != Some(settled)
             || settled + tick < self.now
         {
@@ -1841,7 +1805,7 @@ impl Kernel {
     ///
     /// Pooled jumps: the graph settles the run's ticks and sweeps, netd's
     /// memo advances by the total swept, and the poll clock moves to the
-    /// last tick — exactly where the reduced stepper would leave them.
+    /// last tick — exactly where stepping would leave them.
     ///
     /// Either way each crossed boundary's `pick_next` would have throttled
     /// every Ready task (gated, or unfundable in a frozen graph), which
@@ -1882,76 +1846,6 @@ impl Kernel {
         };
         *quanta += jump.quanta;
         *jumps += 1;
-    }
-
-    /// Steps quanta in reduced form while the net stack is busy (pooling)
-    /// but the CPU is provably idle: only the flow tick and the net poll
-    /// run per quantum. Byte-identical to full stepping because every other
-    /// per-quantum action is a proven no-op over the stepped span —
-    /// no thread is Ready (the scheduler idles and counts nothing), no
-    /// event or radio transition falls inside it (checked per step), and
-    /// the metered power is constant (CPU idle, radio phase unchanged), so
-    /// the deferred `set_power` integrates identically. The loop stops
-    /// *before* consuming any quantum in which the poll woke a thread,
-    /// queued a delivery, or touched the radio — the ordinary loop then
-    /// replays that boundary, where `flow_until` (time already reached) and
-    /// `net_poll` (cadence already satisfied) are no-ops, and completes the
-    /// quantum with real scheduling and metering.
-    ///
-    /// The certificate is consulted again only when a poll may have
-    /// changed its inputs: after the first poll that follows a pooled
-    /// landing or a refusal the poll can clear (`retry`).
-    fn step_net_busy_quanta(&mut self, end: SimTime, mut retry: bool) {
-        let quantum = self.sched.quantum();
-        while self.now + quantum <= end {
-            let t = self.now;
-            if self.events.peek_time().is_some_and(|e| e <= t) {
-                return;
-            }
-            let radio_before = self.arm9.radio().next_transition();
-            if radio_before.is_some_and(|tt| tt <= t) {
-                return;
-            }
-            self.graph.flow_until(t);
-            if self.peripheral_enforcement_due() {
-                // A lit peripheral just went unfunded: hand the boundary
-                // back before polling, so the full loop replays it —
-                // flow_until is a no-op there, enforcement fires at the
-                // same instant it would under per-quantum stepping, and
-                // the poll then runs on schedule.
-                return;
-            }
-            if self.config.fast_forward && self.graph.flow_is_frozen() {
-                // A frozen graph is what the frozen jump certifies over:
-                // hand the boundary back before polling, so the full loop
-                // replays it and the certificate gets to look again.
-                return;
-            }
-            let polled_before = self.last_net_poll;
-            self.net_poll(t);
-            if self.sched.has_ready()
-                || self.arm9.radio().next_transition() != radio_before
-                || self.net.as_ref().is_none_or(|n| n.is_idle())
-            {
-                // The poll granted, woke, or drained: hand the boundary
-                // back to the full loop (idle-skip may now also apply).
-                return;
-            }
-            self.now = t + quantum;
-            self.profile.reduced_quanta += 1;
-            if retry && self.last_net_poll != polled_before {
-                retry = match self.certify(end) {
-                    Ok(jump) => {
-                        self.land(jump);
-                        true
-                    }
-                    Err(obstacle) => {
-                        self.profile.refusals[obstacle as usize] += 1;
-                        false
-                    }
-                };
-            }
-        }
     }
 
     /// Advances radio timers up to `to`, updating the meter exactly at each

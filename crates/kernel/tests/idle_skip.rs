@@ -16,7 +16,7 @@
 
 use cinder_apps::{PeriodicPoller, PollerLog};
 use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig, TapId};
-use cinder_faults::{FaultConfig, RetryPolicy};
+use cinder_faults::{FaultConfig, FlapSemantics, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, RunProfile, Step};
 use cinder_label::Label;
 use cinder_net::{CoopNetd, UncoopStack};
@@ -470,7 +470,7 @@ fn drained_coop_kernel(fast_forward: bool) -> Kernel {
 
 /// The frozen hand-off: a coop-netd device whose battery drains within
 /// the first hour, run as *one* `run_until(24 h)`, must leave netd's
-/// reduced stepper once the graph freezes and cross the frozen tail in a
+/// pooling phases once the graph freezes and cross the frozen tail in a
 /// handful of frozen jumps — bit-identical to the stepped run.
 #[test]
 fn drained_netd_device_jumps_its_frozen_tail_in_one_span() {
@@ -488,7 +488,7 @@ fn drained_netd_device_jumps_its_frozen_tail_in_one_span() {
     assert!(profile.frozen_jumps <= 8, "{profile:?}");
     // The battery is gone within two hours; everything after is jumped.
     assert!(profile.frozen_quanta >= quanta - 2 * 36_000, "{profile:?}");
-    assert!(profile.reduced_quanta + profile.full_quanta <= 2 * 36_000);
+    assert!(profile.full_quanta <= 2 * 36_000);
 }
 
 /// The pooled jump's rig: coop netd and a set of pollers with the given
@@ -514,8 +514,15 @@ struct PoolRig {
 /// path counters.
 type PoolRun = (Fingerprint, Vec<SimTime>, i64, cinder_kernel::RunProfile);
 
+type SharedLog = std::rc::Rc<std::cell::RefCell<PollerLog>>;
+
+/// Extra rig setup: called with second 0 once the pollers are spawned,
+/// then at the end of every one-second span.
+type Hook<'a> = &'a dyn Fn(&mut Kernel, u64);
+
 impl PoolRig {
-    fn run(&self, idle_skip: bool, fast_forward: bool, secs: u64) -> PoolRun {
+    /// The rig's kernel, its poll log, and the pollers' reserves.
+    fn kernel(&self, idle_skip: bool, fast_forward: bool) -> (Kernel, SharedLog, Vec<ReserveId>) {
         let mut graph = GraphConfig::default();
         if !self.decay {
             graph.decay = None;
@@ -554,6 +561,12 @@ impl PoolRig {
                 .set_decay_exempt(&Actor::kernel(), side, true)
                 .unwrap();
         }
+        (k, log, reserves)
+    }
+
+    fn run_with(&self, idle_skip: bool, fast_forward: bool, secs: u64, hook: Hook) -> PoolRun {
+        let (mut k, log, reserves) = self.kernel(idle_skip, fast_forward);
+        hook(&mut k, 0);
         // One-second spans: split points are invisible to the run, and
         // their ends sample the poller reserves.
         let mut lowest = 0;
@@ -564,6 +577,7 @@ impl PoolRig {
                     .consume_with_debt(&Actor::kernel(), reserves[0], Energy::from_joules(joules))
                     .unwrap();
             }
+            hook(&mut k, s);
             for &r in &reserves {
                 lowest = lowest.min(k.reserve_level(r).as_microjoules());
             }
@@ -573,13 +587,17 @@ impl PoolRig {
         (fingerprint(&k), sends, lowest, k.run_profile())
     }
 
-    /// Runs stepped (both fast paths off), reduced-only (`idle_skip`),
+    /// Runs stepped (both fast paths off), idle-skip-only (`idle_skip`),
     /// and with every fast path on; asserts all three agree exactly and
     /// returns the fast run.
     fn differential(&self, secs: u64) -> PoolRun {
-        let stepped = self.run(false, false, secs);
-        let reduced = self.run(true, false, secs);
-        let fast = self.run(true, true, secs);
+        self.differential_with(secs, &|_, _| {})
+    }
+
+    fn differential_with(&self, secs: u64, hook: Hook) -> PoolRun {
+        let stepped = self.run_with(false, false, secs, hook);
+        let reduced = self.run_with(true, false, secs, hook);
+        let fast = self.run_with(true, true, secs, hook);
         assert_eq!(stepped.0, fast.0, "fingerprint");
         assert_eq!(stepped.1, fast.1, "poll log");
         assert_eq!(reduced.0, fast.0, "fingerprint vs reduced");
@@ -609,10 +627,7 @@ fn pooled_jumps_match_stepping_with_jittered_feeds() {
         };
         let (_, _, _, profile) = rig.differential(900);
         assert!(profile.pooled_jumps >= 3, "{profile:?}");
-        assert!(
-            profile.pooled_quanta > profile.reduced_quanta,
-            "{profile:?}"
-        );
+        assert!(profile.pooled_quanta > profile.full_quanta, "{profile:?}");
     }
 }
 
@@ -659,8 +674,8 @@ fn pooled_jumps_respect_radio_tails() {
 }
 
 /// One poller waits while the other sleeps. With decay on, the sleeper's
-/// filling reserve would leak, so the certificate refuses those phases;
-/// with decay off its growth is inert and they are jumped too.
+/// filling reserve leaks, and it advances as a decay lane beside the
+/// pooled run, so those phases are jumped about as far as with decay off.
 #[test]
 fn pooled_jumps_with_one_waiter_and_a_sleeper() {
     let pollers = vec![(37_500, 0, 60, 8_192), (37_500, 40, 60, 4_096)];
@@ -673,14 +688,17 @@ fn pooled_jumps_with_one_waiter_and_a_sleeper() {
         retry: None,
     };
     let (_, _, _, profile) = decaying.differential(900);
-    assert!(profile.refused(Obstacle::LiveFlow) > 0, "{profile:?}");
+    assert_eq!(profile.refused(Obstacle::LiveFlow), 0, "{profile:?}");
+    assert_eq!(profile.refused(Obstacle::LiveDecay), 0, "{profile:?}");
     let decay_free = PoolRig {
         decay: false,
         ..decaying
     };
     let (_, _, _, free) = decay_free.differential(900);
-    assert!(free.pooled_jumps > profile.pooled_jumps, "{free:?}");
-    assert!(free.pooled_quanta > profile.pooled_quanta);
+    assert!(
+        profile.pooled_quanta * 100 >= free.pooled_quanta * 95,
+        "{profile:?} vs {free:?}"
+    );
 }
 
 /// A constant tap into a decay-exempt side reserve (the fault layer's
@@ -730,4 +748,102 @@ fn pooled_jumps_cross_retrying_pollers_held_in_netd() {
         );
         assert!(profile.full_quanta * 4 < profile.quanta(), "{profile:?}");
     }
+}
+
+/// The one-waiter phases of the sleeper rig with a second, unfed decaying
+/// reserve holding 20 J: its leak stays above zero for the whole run, and
+/// it advances as a lane beside the pooled runs instead of refusing them.
+#[test]
+fn pooled_jumps_carry_an_unfed_decaying_hoard() {
+    let rig = PoolRig {
+        quantum_ms: 100,
+        decay: true,
+        pollers: vec![(37_500, 0, 60, 8_192), (37_500, 40, 60, 4_096)],
+        side_sink: None,
+        debit: None,
+        retry: None,
+    };
+    let hoard = |k: &mut Kernel, s: u64| {
+        if s == 0 {
+            let root = Actor::kernel();
+            let battery = k.battery();
+            let g = k.graph_mut();
+            let hoard = g
+                .create_reserve(&root, "hoard", Label::default_label())
+                .unwrap();
+            g.transfer(&root, battery, hoard, Energy::from_joules(20))
+                .unwrap();
+        }
+    };
+    let (fp, _, _, profile) = rig.differential_with(900, &hoard);
+    assert!(profile.pooled_jumps >= 3, "{profile:?}");
+    assert_eq!(profile.refused(Obstacle::LiveDecay), 0, "{profile:?}");
+    assert!(fp.flowed.iter().any(|&[_, _, decayed]| decayed > 1_000_000));
+}
+
+/// One waiter beside a sleeper on the paper's 10 ms quanta, with jittered
+/// feeds: the sleeper's filling reserve is a lane whose feed's carry is
+/// nonzero at every jump edge, and the jumps land between flow ticks.
+#[test]
+fn pooled_jumps_cross_a_jittered_sleeper() {
+    let rig = PoolRig {
+        quantum_ms: 10,
+        decay: true,
+        pollers: vec![(37_513, 0, 60, 8_192), (36_977, 40, 60, 4_096)],
+        side_sink: None,
+        debit: None,
+        retry: None,
+    };
+    let (_, _, _, profile) = rig.differential(900);
+    assert!(profile.pooled_jumps >= 3, "{profile:?}");
+    assert_eq!(profile.refused(Obstacle::LiveFlow), 0, "{profile:?}");
+    assert!(profile.pooled_quanta > profile.full_quanta, "{profile:?}");
+}
+
+/// A link flap from 230 s to 270.5 s while netd holds both pollers' sends
+/// (submitted at about 220 s, granted after the flap): the downed link
+/// makes the stack quiet, so idle jumps cross the flap up to the queued
+/// `LinkUp`, which bounds them inside a one-second span.
+#[test]
+fn idle_jumps_cross_a_link_flap_while_netd_holds_a_send() {
+    const DOWN_S: u64 = 230;
+    const UP: SimTime = SimTime::from_millis(270_500);
+    let rig = PoolRig {
+        quantum_ms: 100,
+        decay: true,
+        pollers: vec![(37_500, 0, 60, 8_192), (37_500, 15, 60, 4_096)],
+        side_sink: None,
+        debit: None,
+        retry: None,
+    };
+    let flap = |k: &mut Kernel, s: u64| {
+        if s == DOWN_S {
+            k.fault_link_down(UP, FlapSemantics::Stall);
+        }
+    };
+    let (_, sends, _, _) = rig.differential_with(900, &flap);
+    let down = SimTime::from_secs(DOWN_S);
+    let last_before = sends.iter().copied().filter(|&t| t < down).max();
+    let first_after = sends.iter().copied().find(|&t| t >= down);
+    assert!(
+        last_before < Some(SimTime::from_secs(DOWN_S - 60)) && first_after > Some(UP),
+        "netd must hold the sends across the flap: {sends:?}"
+    );
+    // The fast run's path counters across the flap, in one span.
+    let (mut k, _, _) = rig.kernel(true, true);
+    k.run_span(down);
+    flap(&mut k, DOWN_S);
+    let before = k.run_profile();
+    k.run_span(UP);
+    let after = k.run_profile();
+    assert!(
+        k.link_is_down(),
+        "`LinkUp` fires at the next span's first boundary"
+    );
+    let flap_quanta = UP.since(down).as_micros() / 100_000;
+    let idle = after.idle_quanta - before.idle_quanta;
+    assert!(
+        idle * 10 >= flap_quanta * 9,
+        "{idle} of {flap_quanta}: {after:?}"
+    );
 }

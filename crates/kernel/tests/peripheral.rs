@@ -1,8 +1,8 @@
 //! Reserve-gated peripheral tests: exact accounting, forced shutdown, and
 //! differential bit-identity of the fast paths with peripherals lit.
 //!
-//! The peripheral layer must compose with `KernelConfig::idle_skip` (and
-//! its reduced net-busy stepping) as a pure wall-clock optimisation: a
+//! The peripheral layer must compose with `KernelConfig::idle_skip` as a
+//! pure wall-clock optimisation, netd pooling included: a
 //! funded lit peripheral is steady state the fast-forward may jump, while a
 //! near-empty peripheral reserve pins the slow path so the forced shutdown
 //! lands on exactly the boundary per-quantum stepping would choose.
@@ -508,8 +508,8 @@ fn protected_reserve_locks_out_stranger_control() {
     assert_eq!(k.peripheral_drive_ppm(PeripheralKind::Backlight), 1_000_000);
 }
 
-/// Pooling netd (blocked senders, reduced net-busy stepping) composed with
-/// a lit backlight: grants, wakes, and the screen's drain all land on
+/// Pooling netd (blocked senders, each pooling quantum stepped) composed
+/// with a lit backlight: grants, wakes, and the screen's drain all land on
 /// identical boundaries.
 #[test]
 fn netd_pooling_with_lit_backlight_identical() {
