@@ -12,30 +12,30 @@ use cinder_kernel::{Ctx, Program, Step};
 use cinder_label::Label;
 use cinder_sim::{Power, SimDuration, SimTime};
 
-/// A thread that spins forever (in short chunks so the kernel re-steps it
-/// often enough to keep accounting responsive).
+/// The compute an endless spinner queues: 2⁶⁰ µs, some 36,000 years —
+/// past any horizon, yet far enough below `u64::MAX` that a later
+/// `gate_call` adding its work to it cannot overflow.
+const ENDLESS: SimDuration = SimDuration::from_micros(1 << 60);
+
+/// A thread that spins forever. It queues one endless chunk of compute, so
+/// the kernel never steps its program again: each quantum only runs it if
+/// its reserve is funded and throttles it if not, and the fast-forward's
+/// duty jump crosses those quanta in bulk.
 #[derive(Debug, Clone)]
 pub struct Spinner {
-    chunk: SimDuration,
     kind: CpuKind,
 }
 
 impl Spinner {
-    /// A default spinner: 100 ms compute chunks, worst-case instruction mix.
+    /// A default spinner: the worst-case instruction mix.
     pub fn new() -> Self {
-        Spinner {
-            chunk: SimDuration::from_millis(100),
-            kind: CpuKind::default(),
-        }
+        Spinner::with_kind(CpuKind::default())
     }
 
     /// A spinner with an explicit instruction mix (for the power-model
     /// experiment: integer vs memory-intensive streams).
     pub fn with_kind(kind: CpuKind) -> Self {
-        Spinner {
-            chunk: SimDuration::from_millis(100),
-            kind,
-        }
+        Spinner { kind }
     }
 }
 
@@ -48,7 +48,7 @@ impl Default for Spinner {
 impl Program for Spinner {
     fn step(&mut self, _ctx: &mut Ctx<'_>) -> Step {
         Step::Compute {
-            duration: self.chunk,
+            duration: ENDLESS,
             kind: self.kind,
         }
     }
@@ -67,7 +67,8 @@ pub struct ForkPlan {
 }
 
 /// Fig 9's process B: spins, forking children on a schedule, each isolated
-/// behind its own subdivided reserve.
+/// behind its own subdivided reserve. It spins in 100 ms chunks, so the
+/// kernel steps it often enough to fork on time.
 #[derive(Debug, Clone)]
 pub struct ForkingSpinner {
     forks: Vec<ForkPlan>,

@@ -6,9 +6,12 @@
 //! * **busy** — one spinner thread with an ample reserve: every quantum
 //!   schedules, charges, and meters. Measures the slab-indexed dispatch
 //!   path (`pick_next` fast path, single-probe charge, meter dedupe).
-//! * **duty-cycled** — a spinner throttled by a half-power tap: quanta
-//!   alternate run/starve, exercising the throttle accounting and the
-//!   flow tick every boundary.
+//! * **duty-cycled** — Fig 9's hog, an endless spinner throttled by a
+//!   half-power tap, with `fast_forward` off and on (`idle_skip` on in
+//!   both): off, quanta alternate run/starve through the full loop; on,
+//!   duty jumps settle them with the hog's reserve as a charged decay lane
+//!   — bit-identical on every reserve, the meter, and every thread's
+//!   charged energy, throttled time and power estimate.
 //! * **idle-heavy** — a thread sleeping in long stretches, run both with
 //!   and without `idle_skip`, so the O(1) idle-skip guard's effect is the
 //!   ratio between the two.
@@ -33,14 +36,16 @@
 //!   full loop's per-quantum cost (flow tick over three constant and two
 //!   proportional taps with decay, a multi-Ready pick, a charge).
 //!
+//! Each speedup is the ratio of the best wall times of the two sides, run
+//! in alternating pairs so that drift on a shared host hits both alike.
 //! Writes `BENCH_kernel_hot_path.json` at the repo root.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-use cinder_apps::{build_browser, build_pollers_with_retry, BrowserConfig};
-use cinder_core::{Actor, RateSpec, SchedulerConfig};
+use cinder_apps::{build_browser, build_pollers_with_retry, BrowserConfig, Spinner};
+use cinder_core::{Actor, RateSpec, ReserveStats, SchedulerConfig};
 use cinder_fleet::{FaultConfig, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, PeripheralKind, Program, Step};
 use cinder_label::Label;
@@ -85,8 +90,12 @@ fn busy_kernel() -> Kernel {
     k
 }
 
-fn duty_cycled_kernel() -> Kernel {
-    let mut k = kernel(false);
+fn duty_cycled_kernel(fast_forward: bool) -> Kernel {
+    let mut k = Kernel::new(KernelConfig {
+        idle_skip: true,
+        fast_forward,
+        ..KernelConfig::default()
+    });
     let battery = k.battery();
     let r = k
         .graph_mut()
@@ -102,7 +111,7 @@ fn duty_cycled_kernel() -> Kernel {
             Label::default_label(),
         )
         .unwrap();
-    k.spawn_unprivileged("hog", spinner(), r);
+    k.spawn_unprivileged("hog", Box::new(Spinner::new()), r);
     k
 }
 
@@ -211,8 +220,11 @@ fn run(mut k: Kernel) -> Kernel {
 fn bench_kernel_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_hot_path_10min");
     group.bench_function("busy_spinner", |b| b.iter_with_setup(busy_kernel, run));
-    group.bench_function("duty_cycled_spinner", |b| {
-        b.iter_with_setup(duty_cycled_kernel, run)
+    group.bench_function("duty_cycled_spinner_ff_off", |b| {
+        b.iter_with_setup(|| duty_cycled_kernel(false), run)
+    });
+    group.bench_function("duty_cycled_spinner_fast_forward", |b| {
+        b.iter_with_setup(|| duty_cycled_kernel(true), run)
     });
     group.bench_function("idle_heavy_no_skip", |b| {
         b.iter_with_setup(|| idle_heavy_kernel(false), run)
@@ -253,90 +265,135 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fixed-iteration wall times, sanity checks (skip/no-skip bit-identity on
-/// the metered energy), and the seed JSON.
-fn hot_path_report(_c: &mut Criterion) {
-    fn time_runs<F: FnMut() -> Kernel>(mut build: F, iters: u32) -> (f64, Energy) {
-        let mut total = 0.0;
-        let mut energy = Energy::ZERO;
-        for _ in 0..iters {
-            let mut k = build();
-            let start = Instant::now();
-            k.run_until(SimTime::from_secs(SIM_SECS));
-            total += start.elapsed().as_secs_f64() * 1e3;
-            energy = k.meter().total_energy();
-        }
-        (total / iters as f64, energy)
-    }
+/// Everything a fast path must leave as stepping does: every reserve's
+/// balance and stats, the meter, radio activations, and each thread's
+/// charged energy, throttled time and power estimate.
+type Observed = (
+    Vec<(Energy, ReserveStats)>,
+    Energy,
+    u64,
+    Vec<(Energy, SimDuration, Power)>,
+);
 
-    let (busy_ms, _) = time_runs(busy_kernel, 10);
-    let (duty_ms, _) = time_runs(duty_cycled_kernel, 10);
-    let (idle_ms, idle_energy) = time_runs(|| idle_heavy_kernel(false), 10);
-    let (skip_ms, skip_energy) = time_runs(|| idle_heavy_kernel(true), 10);
+fn observe(k: &mut Kernel) -> Observed {
+    let reserves = k
+        .graph()
+        .reserves()
+        .map(|(_, r)| (r.balance(), r.stats()))
+        .collect();
+    let threads = k
+        .thread_ids()
+        .into_iter()
+        .map(|t| {
+            let energy = k.thread_consumed(t);
+            let throttled = k.thread_throttled(t);
+            (energy, throttled, k.thread_power_estimate(t))
+        })
+        .collect();
+    (
+        reserves,
+        k.meter().total_energy(),
+        k.arm9().radio().stats().activations,
+        threads,
+    )
+}
+
+/// Runs `k` to `secs` and returns its wall time in ms.
+fn timed(k: &mut Kernel, secs: u64) -> f64 {
+    let start = Instant::now();
+    k.run_until(SimTime::from_secs(secs));
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Alternating pairs per speedup.
+const PAIRS: usize = 7;
+
+/// Times `run(false)` against `run(true)`, a fast path off and on, in
+/// [`PAIRS`] pairs that alternate which side runs first; `run` returns its
+/// wall ms and what it observed. Returns each side's best wall ms and its
+/// last observation, off side first.
+fn alternate<T>(mut run: impl FnMut(bool) -> (f64, T)) -> [(f64, T); 2] {
+    let mut sides: [(f64, Option<T>); 2] = [(f64::INFINITY, None), (f64::INFINITY, None)];
+    for pair in 0..PAIRS {
+        for on in [pair % 2 == 1, pair % 2 == 0] {
+            let (ms, seen) = run(on);
+            let side = &mut sides[usize::from(on)];
+            side.0 = side.0.min(ms);
+            side.1 = Some(seen);
+        }
+    }
+    sides.map(|(ms, seen)| (ms, seen.expect("every side ran")))
+}
+
+/// Wall times, bit-identity checks of each fast path against its
+/// stepped side, and the seed JSON.
+fn hot_path_report(_c: &mut Criterion) {
+    let busy_ms = (0..PAIRS)
+        .map(|_| timed(&mut busy_kernel(), SIM_SECS))
+        .fold(f64::INFINITY, f64::min);
+    let [(idle_ms, idle_energy), (skip_ms, skip_energy)] = alternate(|idle_skip| {
+        let mut k = idle_heavy_kernel(idle_skip);
+        (timed(&mut k, SIM_SECS), k.meter().total_energy())
+    });
     assert_eq!(
         idle_energy, skip_energy,
         "idle_skip must be bit-identical on metered energy"
     );
     // The funded-peripheral steady state: a lit backlight must not pin the
     // loop — the fast-forward still engages, with identical observables.
-    let run_backlit = |idle_skip: bool| {
+    let [(backlit_ms, backlit), (backlit_skip_ms, backlit_skip)] = alternate(|idle_skip| {
         let mut k = backlit_idle_kernel(idle_skip);
-        let start = Instant::now();
-        k.run_until(SimTime::from_secs(SIM_SECS));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        (
-            wall_ms,
+        let wall_ms = timed(&mut k, SIM_SECS);
+        let seen = (
             k.meter().total_energy(),
             k.peripheral_energy(PeripheralKind::Backlight),
             k.peripheral_forced_shutdowns(PeripheralKind::Backlight),
-        )
-    };
-    let (backlit_ms, backlit_energy, backlit_drain, backlit_cuts) = run_backlit(false);
-    let (backlit_skip_ms, skip_backlit_energy, skip_drain, skip_cuts) = run_backlit(true);
+        );
+        (wall_ms, seen)
+    });
     assert_eq!(
-        (backlit_energy, backlit_drain, backlit_cuts),
-        (skip_backlit_energy, skip_drain, skip_cuts),
+        backlit, backlit_skip,
         "a lit peripheral must not perturb the fast-forward's observables"
     );
+    let (_, backlit_drain, backlit_cuts) = backlit;
     assert_eq!(backlit_cuts, 0, "the funded backlight must stay lit");
     assert!(
         backlit_drain >= Energy::from_joules(300),
         "600 s of 555 mW drained through the flow engine: {backlit_drain}"
     );
+    // Fig 9's hog: duty jumps against the ff-off loop, which steps every
+    // run-or-throttle quantum.
+    let [(duty_ms, duty_observed), (duty_ff_ms, (duty_ff_observed, duty_profile))] =
+        alternate(|fast_forward| {
+            let mut k = duty_cycled_kernel(fast_forward);
+            let wall_ms = timed(&mut k, SIM_SECS);
+            (wall_ms, (observe(&mut k), k.run_profile()))
+        });
+    assert_eq!(
+        duty_observed.0, duty_ff_observed,
+        "duty jumps must be bit-identical to stepping"
+    );
+    assert!(
+        duty_profile.duty_jumps > 0,
+        "the duty-cycled case must take duty jumps: {duty_profile:?}"
+    );
+    let duty_share = duty_profile.duty_quanta as f64 / duty_profile.quanta() as f64;
+    let duty_speedup = duty_ms / duty_ff_ms;
     // netd pooling: pooled jumps against the ff-off loop. Everything
     // observable must match — every reserve's balance and flow stats, the
-    // meter, the radio, when each poll went out, and how long each thread
-    // was throttled.
+    // meter, the radio, when each poll went out, and each thread's
+    // accounting.
     let run_pooling = |fast_forward: bool, retry: Option<RetryPolicy>| {
-        let mut wall_ms = f64::INFINITY;
-        let mut seen = None;
-        for _ in 0..5 {
-            let (mut k, handles) = netd_pooling_kernel(fast_forward, retry);
-            let start = Instant::now();
-            k.run_until(SimTime::from_secs(POOLING_SECS));
-            wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            let reserves: Vec<_> = k
-                .graph()
-                .reserves()
-                .map(|(_, r)| (r.balance(), r.stats()))
-                .collect();
-            let throttled: Vec<_> = k.thread_id_iter().map(|t| k.thread_throttled(t)).collect();
-            let observed = (
-                reserves,
-                k.meter().total_energy(),
-                k.arm9().radio().stats().activations,
-                handles.log.borrow().sends.clone(),
-                throttled,
-            );
-            seen = Some((observed, k.run_profile()));
-        }
-        let (observed, profile) = seen.expect("ran");
-        (wall_ms, observed, profile)
+        let (mut k, handles) = netd_pooling_kernel(fast_forward, retry);
+        let wall_ms = timed(&mut k, POOLING_SECS);
+        let sends = handles.log.borrow().sends.clone();
+        (wall_ms, ((observe(&mut k), sends), k.run_profile()))
     };
-    let (pool_ms, pool_observed, _) = run_pooling(false, None);
-    let (pool_ff_ms, pool_ff_observed, pool_profile) = run_pooling(true, None);
+    let [(pool_ms, pool_observed), (pool_ff_ms, pool_ff_observed)] =
+        alternate(|ff| run_pooling(ff, None));
+    let pool_profile = pool_ff_observed.1;
     assert_eq!(
-        pool_observed, pool_ff_observed,
+        pool_observed.0, pool_ff_observed.0,
         "pooled jumps must be bit-identical to stepping"
     );
     assert!(
@@ -347,10 +404,11 @@ fn hot_path_report(_c: &mut Criterion) {
     let pool_speedup = pool_ms / pool_ff_ms;
     // Retrying pollers: gated jumps against the ff-off loop, which steps
     // every quantum a swept Ready poller waits out in full.
-    let (retry_ms, retry_observed, _) = run_pooling(false, heavy_retry());
-    let (retry_ff_ms, retry_ff_observed, retry_profile) = run_pooling(true, heavy_retry());
+    let [(retry_ms, retry_observed), (retry_ff_ms, retry_ff_observed)] =
+        alternate(|ff| run_pooling(ff, heavy_retry()));
+    let retry_profile = retry_ff_observed.1;
     assert_eq!(
-        retry_observed, retry_ff_observed,
+        retry_observed.0, retry_ff_observed.0,
         "gated jumps must be bit-identical to stepping"
     );
     assert!(
@@ -365,9 +423,7 @@ fn hot_path_report(_c: &mut Criterion) {
     let mut browser_full_quanta = 0;
     for _ in 0..5 {
         let mut k = browser_kernel();
-        let start = Instant::now();
-        k.run_until(SimTime::from_secs(POOLING_SECS));
-        let wall_ns = start.elapsed().as_secs_f64() * 1e9;
+        let wall_ns = timed(&mut k, POOLING_SECS) * 1e6;
         browser_full_quanta = k.run_profile().full_quanta;
         browser_ns = browser_ns.min(wall_ns / browser_full_quanta as f64);
     }
@@ -376,14 +432,17 @@ fn hot_path_report(_c: &mut Criterion) {
     let skip_speedup = idle_ms / skip_ms;
     let backlit_speedup = backlit_ms / backlit_skip_ms;
     println!(
-        "kernel_hot_path: busy {busy_ms:.2} ms ({:.0} ns/quantum), duty-cycled {duty_ms:.2} ms, \
-         idle {idle_ms:.2} ms vs idle_skip {skip_ms:.3} ms ({skip_speedup:.0}x), backlit idle \
+        "kernel_hot_path: busy {busy_ms:.2} ms ({:.0} ns/quantum), duty-cycled {duty_ms:.2} ms \
+         vs fast_forward {duty_ff_ms:.3} ms ({duty_speedup:.0}x, {:.0}% of quanta in {} duty \
+         jumps), idle {idle_ms:.2} ms vs idle_skip {skip_ms:.3} ms ({skip_speedup:.0}x), backlit idle \
          {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x), netd pooling \
          1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
          quanta in {} pooled jumps), retrying pollers 1 h {retry_ms:.2} ms vs fast_forward \
          {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated), browser \
          {browser_ns:.1} ns/quantum over {browser_full_quanta} full-loop quanta",
         busy_ms * 1e6 / quanta as f64,
+        duty_share * 100.0,
+        duty_profile.duty_jumps,
         pooled_share * 100.0,
         pool_profile.pooled_jumps,
         gated_share * 100.0,
@@ -392,8 +451,10 @@ fn hot_path_report(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"kernel_hot_path\",\n  \"scenario\": {{ \"sim_seconds\": {SIM_SECS}, \
          \"quantum_ms\": 10, \"quanta\": {quanta} }},\n  \"busy_spinner\": {{ \"wall_ms\": \
-         {busy_ms:.3}, \"ns_per_quantum\": {:.1} }},\n  \"duty_cycled_spinner\": {{ \"wall_ms\": \
-         {duty_ms:.3} }},\n  \"idle_heavy\": {{ \"no_skip_wall_ms\": {idle_ms:.3}, \
+         {busy_ms:.3}, \"ns_per_quantum\": {:.1} }},\n  \"duty_cycled_spinner\": {{ \"ff_off_wall_ms\": \
+         {duty_ms:.3}, \"fast_forward_wall_ms\": {duty_ff_ms:.4}, \"skip_speedup\": \
+         {duty_speedup:.1}, \"duty_jumps\": {}, \"duty_quanta_share\": {duty_share:.3}, \
+         \"observables_bit_identical\": true }},\n  \"idle_heavy\": {{ \"no_skip_wall_ms\": {idle_ms:.3}, \
          \"idle_skip_wall_ms\": {skip_ms:.4}, \"skip_speedup\": {skip_speedup:.1}, \
          \"metered_energy_bit_identical\": true }},\n  \"backlit_idle\": {{ \"no_skip_wall_ms\": \
          {backlit_ms:.3}, \"idle_skip_wall_ms\": {backlit_skip_ms:.4}, \"skip_speedup\": \
@@ -409,6 +470,7 @@ fn hot_path_report(_c: &mut Criterion) {
          \"browser_quantum\": {{ \"sim_seconds\": {POOLING_SECS}, \"quantum_ms\": 100, \
          \"ns_per_quantum\": {browser_ns:.1}, \"full_quanta\": {browser_full_quanta} }}\n}}\n",
         busy_ms * 1e6 / quanta as f64,
+        duty_profile.duty_jumps,
         backlit_drain.as_microjoules() as f64 / 1e6,
         pool_profile.pooled_jumps
     );

@@ -53,6 +53,11 @@ impl PowerEstimator {
         self.expire(t);
     }
 
+    /// Counts `amount` in the lifetime total only: a record already expired.
+    pub fn record_expired(&mut self, amount: Energy) {
+        self.lifetime_total += amount;
+    }
+
     /// The estimated power at time `now`: energy recorded in
     /// `(now - window, now]` divided by the window.
     pub fn estimate(&mut self, now: SimTime) -> Power {

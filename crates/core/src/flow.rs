@@ -55,7 +55,9 @@
 //!   battery too: decay only credits it) take the coverage test. While the
 //!   battery is not dynamic, a decaying reserve no tap drains and only
 //!   constant taps from covered or starved sources feed is a *lane*, run
-//!   alone in a scalar loop; other fed decaying reserves are dynamic.
+//!   alone in a scalar loop; other fed decaying reserves are dynamic. A
+//!   [`Duty`] run adds one *charged* lane, decaying or not: a sole Ready
+//!   thread's reserve, whose loop also runs each quantum's charge.
 //!
 //! The partition is sound because a covered source can never clamp (its
 //! balance bounds the run length, counting every out-tap in either
@@ -73,7 +75,7 @@ use std::collections::{BTreeMap, HashMap};
 use cinder_sim::{Energy, SimDuration};
 
 use crate::arena::{Arena, RawId};
-use crate::graph::TapId;
+use crate::graph::{ReserveId, TapId};
 use crate::reserve::Reserve;
 use crate::tap::{RateSpec, Tap};
 
@@ -90,7 +92,7 @@ struct SourceTaps {
 
 /// What the run planner decided about one source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SourceRun {
+pub(crate) enum SourceRun {
     /// Balance provably covers the whole run: transfers apply unclamped, in
     /// closed form.
     Covered,
@@ -104,12 +106,89 @@ enum SourceRun {
     Dynamic,
 }
 
+/// A sole Ready thread's quanta across a duty run
+/// ([`crate::ResourceGraph::settle_duty`]): each charges `cost` to its
+/// reserve while the level is positive and throttles it otherwise, as the
+/// scheduler would. The reserve is a charged decay lane: `head` quanta
+/// before the first tick, then `per_tick` after each tick's feeds and leak.
+#[derive(Debug, Clone)]
+pub struct Duty {
+    reserve: RawId,
+    /// What each run charges.
+    pub cost: Energy,
+    head: u64,
+    per_tick: u64,
+    /// Quanta that ran.
+    pub runs: u64,
+    /// Quanta throttled.
+    pub throttles: u64,
+    /// Whether the latest quantum ran (the one before the run did).
+    pub ran: bool,
+    /// The last quantum whose outcome differs from the one before it, and
+    /// the throttles before it.
+    pub edge: Option<(u64, u64)>,
+    /// The last quantum that ran, and which of the [`Duty::HISTORY`] quanta
+    /// up to it ran: bit `k` is quantum `last − k`.
+    pub last_run: Option<(u64, u128)>,
+    history: u128,
+}
+
+impl Duty {
+    /// Quanta of run history kept for the last run.
+    pub const HISTORY: u64 = u128::BITS as u64;
+
+    /// A duty run charging `cost` to `reserve` per quantum that runs.
+    pub fn new(reserve: ReserveId, cost: Energy, head: u64, per_tick: u64) -> Self {
+        Duty {
+            reserve: reserve.0,
+            cost,
+            head,
+            per_tick,
+            runs: 0,
+            throttles: 0,
+            ran: true,
+            edge: None,
+            last_run: None,
+            history: 0,
+        }
+    }
+
+    /// Quanta settled so far.
+    pub fn quanta(&self) -> u64 {
+        self.runs + self.throttles
+    }
+
+    /// What the runs charged.
+    pub fn charged(&self) -> Energy {
+        self.cost * self.runs as i64
+    }
+
+    /// Steps `n` quanta against the lane's `level`.
+    fn step(&mut self, level: &mut i64, n: u64) {
+        for _ in 0..n {
+            let ran = *level > 0;
+            if ran != self.ran {
+                (self.edge, self.ran) = (Some((self.quanta(), self.throttles)), ran);
+            }
+            self.history = (self.history << 1) | u128::from(ran);
+            if ran {
+                *level -= self.cost.as_microjoules();
+                self.last_run = Some((self.quanta(), self.history));
+                self.runs += 1;
+            } else {
+                self.throttles += 1;
+            }
+        }
+    }
+}
+
 /// Decaying reserves no tap drains and only constant taps from sources
 /// that cannot clamp feed, so nothing else reads their levels. Each tick a
 /// lane credits what its feeds' carries release, then leaks ⌊L·ppm/10⁶⌋
 /// ([`FlowEngine::tick`]'s order); the battery takes the summed leaks once,
-/// and the feeds settle in closed form. Scratch for
-/// [`FlowEngine::run_span`] and [`crate::ResourceGraph::settle_pooled`].
+/// and the feeds settle in closed form. A [`Duty`]'s charged lane then
+/// runs that tick's quanta. Scratch for [`FlowEngine::run_span`] and
+/// [`crate::ResourceGraph::settle_pooled`].
 #[derive(Debug, Default)]
 pub(crate) struct Lanes {
     /// Each lane's reserve and its level when opened.
@@ -139,17 +218,23 @@ impl Lanes {
     }
 
     /// Runs every lane `ticks` ticks, debits each lane's leaks as decay,
-    /// credits their sum to `battery`, and closes the lanes.
+    /// credits their sum to `battery`, and closes the lanes. `duty`'s lane
+    /// also steps its quanta, its charges debited as consumption.
     pub(crate) fn settle(
         &mut self,
         reserves: &mut Arena<Reserve>,
         battery: RawId,
         ppm: u64,
         ticks: u64,
+        mut duty: Option<&mut Duty>,
     ) {
         let mut reclaimed = 0;
         for (lane, &(reserve, mut level)) in self.lanes.iter().enumerate() {
             let fed = self.feeds.iter().any(|f| f.0 == lane && f.1 > 0);
+            let mut charged = duty.as_deref_mut().filter(|d| d.reserve == reserve);
+            if let Some(d) = charged.as_deref_mut() {
+                d.step(&mut level, d.head);
+            }
             let mut leaked = 0;
             for _ in 0..ticks {
                 for (_, step, carry) in self.feeds.iter_mut().filter(|f| f.0 == lane) {
@@ -158,15 +243,21 @@ impl Lanes {
                     level += moved;
                 }
                 let leak = if level > 0 { decay_leak(level, ppm) } else { 0 };
-                if leak == 0 && !fed {
+                if leak == 0 && !fed && charged.is_none() {
                     break; // unfed, the level only falls: the leak stays zero
                 }
                 level -= leak;
                 leaked += leak;
+                if let Some(d) = charged.as_deref_mut() {
+                    d.step(&mut level, d.per_tick);
+                }
             }
             if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
                 r.debit_decay(Energy::from_microjoules(leaked));
                 reclaimed += leaked;
+            }
+            if let (Some(r), Some(d)) = (reserves.get_mut(reserve), charged) {
+                r.debit_consumed(d.charged());
             }
         }
         if reclaimed > 0 {
@@ -358,6 +449,8 @@ pub(crate) struct FlowEngine {
     decay_eligible: Vec<RawId>,
     /// The decay lanes of the run being settled.
     pub(crate) lanes: Lanes,
+    /// Bumped by every tap hook: create, remove, re-rate.
+    pub(crate) tap_epoch: u64,
 }
 
 fn is_live_prop(rate: RateSpec) -> bool {
@@ -385,6 +478,7 @@ impl FlowEngine {
             decay_acc: Vec::new(),
             decay_eligible: Vec::new(),
             lanes: Lanes::default(),
+            tap_epoch: 0,
         }
     }
 
@@ -452,6 +546,7 @@ impl FlowEngine {
             self.live_prop += 1;
         }
         self.plan.dt = None;
+        self.tap_epoch += 1;
     }
 
     /// Unregisters a tap about to be (or just) removed.
@@ -470,6 +565,7 @@ impl FlowEngine {
             }
         }
         self.plan.dt = None;
+        self.tap_epoch += 1;
         let feeds = &mut self.inbound[sink.index() as usize];
         feeds.taps -= 1;
         feeds.count(source, rate, false);
@@ -509,6 +605,7 @@ impl FlowEngine {
         feeds.count(source, old, false);
         feeds.count(source, new, true);
         self.plan.dt = None;
+        self.tap_epoch += 1;
         let (was, is) = (is_live_prop(old), is_live_prop(new));
         if was == is {
             return;
@@ -703,7 +800,9 @@ impl FlowEngine {
     /// With decay on, decaying reserves no tap drains are [`Lanes`] or
     /// dynamic sinks (see the module docs). With no dynamic reserve this is
     /// the pure closed form plus the lanes; otherwise only the dynamic
-    /// island pays per-tick cost.
+    /// island pays per-tick cost. `duty`'s reserve, proved lane-shaped by
+    /// [`crate::ResourceGraph::duty_run`], is a charged lane.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_span(
         &mut self,
         reserves: &mut Arena<Reserve>,
@@ -712,10 +811,11 @@ impl FlowEngine {
         max_ticks: u64,
         decay_ppm_per_tick: u64,
         battery: RawId,
+        duty: Option<&mut Duty>,
     ) -> u64 {
         debug_assert!(max_ticks > 0);
         let decaying = decay_ppm_per_tick > 0;
-        if self.order.is_empty() && !decaying {
+        if self.order.is_empty() && !decaying && duty.is_none() {
             // No taps at all: nothing moves, whole span is one event.
             return max_ticks;
         }
@@ -733,66 +833,20 @@ impl FlowEngine {
         self.run_plan.clear();
         let mut n = max_ticks;
         let mut any_dynamic = false;
-        for (&source, entry) in &self.by_source {
-            let reserve = reserves.get(source);
-            let balance = reserve.map(|r| r.balance());
-            let decays = decaying
-                && reserve.is_some_and(|r| {
-                    r.kind() == crate::kind::ResourceKind::Energy && !r.is_decay_exempt()
-                });
-            if entry.live_prop > 0 || decays {
-                // A live proportional tap reads this level every tick, and
-                // decay re-shapes a positive decaying balance every tick —
-                // unless the source is provably stuck at ≤ 0 (no inflow
-                // possible), in which case nothing ever moves or touches a
-                // carry and the whole run is a no-op for its taps.
-                let stuck = balance.is_some_and(|b| !b.is_positive()) && !self.has_inbound(source);
-                if stuck {
-                    self.run_plan.insert(source, SourceRun::Starved);
-                } else {
-                    self.run_plan.insert(source, SourceRun::Dynamic);
-                    any_dynamic = true;
-                }
-                continue;
-            }
-            // Upper bound of this source's per-tick outflow in µJ.
-            let mut bound_uj: u128 = 0;
-            for &tid in entry.taps.values() {
-                let tap = taps.get(tid.0).expect("flow index out of sync");
-                if let RateSpec::Const(p) = tap.rate() {
-                    bound_uj += (p.as_microwatts() as u128 * dt_us).div_ceil(1_000_000);
-                }
-            }
-            if bound_uj == 0 {
-                // Only zero-rate taps: inert, no constraint either way
-                // (closed form moves zero and leaves carries untouched,
-                // exactly like the per-tick loop).
-                continue;
-            }
-            let Some(balance) = balance else {
-                // Dead source (unreachable: reserve GC revokes its taps):
-                // carries advance, nothing can move.
-                self.run_plan.insert(source, SourceRun::Starved);
+        for &source in self.by_source.keys() {
+            let Some((mut run, n_src)) = self.plan_source(reserves, taps, source, dt, decaying)
+            else {
                 continue;
             };
-            if balance.is_positive() {
-                let n_src = (balance.as_microjoules() as u128 / bound_uj) as u64;
+            if run == SourceRun::Covered {
                 if n_src < demote_below {
-                    // Near the clamp boundary: tick it out.
-                    self.run_plan.insert(source, SourceRun::Dynamic);
-                    any_dynamic = true;
+                    run = SourceRun::Dynamic; // near the clamp boundary: tick it out
                 } else {
                     n = n.min(n_src);
-                    self.run_plan.insert(source, SourceRun::Covered);
                 }
-            } else if self.has_inbound(source) {
-                // Empty (or indebted) but refillable: it may come alive
-                // mid-run, so its clamps must be computed per tick.
-                self.run_plan.insert(source, SourceRun::Dynamic);
-                any_dynamic = true;
-            } else {
-                self.run_plan.insert(source, SourceRun::Starved);
             }
+            any_dynamic |= run == SourceRun::Dynamic;
+            self.run_plan.insert(source, run);
         }
 
         // A drained battery is not starved while decay may credit it: a
@@ -811,9 +865,13 @@ impl FlowEngine {
         // battery closes every lane. A feed that could not feed a lane
         // makes its sink dynamic: its inflow must land each tick ahead of
         // its decay.
-        if decaying {
-            let lanes = self.run_plan.get(&battery) != Some(&SourceRun::Dynamic);
-            self.open_lanes(reserves, |_| false);
+        if decaying || duty.is_some() {
+            let lanes = !decaying || self.run_plan.get(&battery) != Some(&SourceRun::Dynamic);
+            match duty.as_deref() {
+                _ if decaying => self.open_lanes(reserves, |_| false),
+                Some(duty) => self.lanes.open(reserves, duty.reserve),
+                None => {}
+            }
             for &(_, tid) in &self.order {
                 let tap = taps.get(tid.0).expect("flow index out of sync");
                 let Some(lane) = self.lanes.position(tap.sink().0) else {
@@ -832,6 +890,8 @@ impl FlowEngine {
             if !lanes {
                 self.lanes.lanes.clear(); // unfed: decayed in the SoA loop
             }
+            let charged = duty.as_deref().map(|d| self.lanes.position(d.reserve));
+            debug_assert!(charged.is_none_or(|lane| lane.is_some()));
         }
 
         // With nothing dynamic, no closed form below touches a decaying
@@ -1055,8 +1115,58 @@ impl FlowEngine {
                     .set_remainder(tap.carry);
             }
         }
-        self.lanes.settle(reserves, battery, decay_ppm_per_tick, n);
+        self.lanes
+            .settle(reserves, battery, decay_ppm_per_tick, n, duty);
         n
+    }
+
+    /// How a run plans `source`: Starved, Covered for runs of up to the
+    /// returned ticks (the caller demotes it below its threshold), or
+    /// Dynamic. `None` leaves it out of the plan: no live tap drains it.
+    pub(crate) fn plan_source(
+        &self,
+        reserves: &Arena<Reserve>,
+        taps: &Arena<Tap>,
+        source: RawId,
+        dt: SimDuration,
+        decaying: bool,
+    ) -> Option<(SourceRun, u64)> {
+        let entry = self.by_source.get(&source)?;
+        let reserve = reserves.get(source);
+        // A dead source is unreachable (reserve GC revokes its taps).
+        let balance = reserve.map_or(0, |r| r.balance().as_microjoules());
+        let decays = decaying
+            && reserve.is_some_and(|r| {
+                r.kind() == crate::kind::ResourceKind::Energy && !r.is_decay_exempt()
+            });
+        // A live proportional tap reads this level every tick, and decay
+        // re-shapes a positive decaying balance every tick.
+        let dynamic = entry.live_prop > 0 || decays;
+        // Upper bound of this source's per-tick outflow in µJ.
+        let dt_us = u128::from(dt.as_micros());
+        let mut bound_uj: u128 = 0;
+        for &tid in entry.taps.values() {
+            let tap = taps.get(tid.0).expect("flow index out of sync");
+            if let RateSpec::Const(p) = tap.rate() {
+                bound_uj += (p.as_microwatts() as u128 * dt_us).div_ceil(1_000_000);
+            }
+        }
+        if !dynamic && bound_uj == 0 {
+            // Only zero-rate taps: inert, no constraint either way
+            // (closed form moves zero and leaves carries untouched,
+            // exactly like the per-tick loop).
+            return None;
+        }
+        // Stuck at ≤ 0 with no inflow possible, nothing ever moves or
+        // touches a carry but the closed form's; empty (or indebted) but
+        // refillable, it may come alive mid-run and clamp per tick.
+        Some(if balance <= 0 && !self.has_inbound(source) {
+            (SourceRun::Starved, u64::MAX)
+        } else if dynamic || balance <= 0 {
+            (SourceRun::Dynamic, 0)
+        } else {
+            (SourceRun::Covered, (balance as u128 / bound_uj) as u64)
+        })
     }
 
     /// Opens a lane for every decay-eligible reserve that no tap drains
@@ -1072,7 +1182,7 @@ impl FlowEngine {
 
 /// Below this span length a mixed graph is ticked directly: run planning
 /// and SoA assembly cost more than a few indexed ticks.
-const MIN_PARTITIONED_SPAN: u64 = 4;
+pub(crate) const MIN_PARTITIONED_SPAN: u64 = 4;
 
 /// Dense-slot assignment for the ticked partition (free function so the
 /// borrow checker sees disjoint field borrows).

@@ -60,7 +60,7 @@ use cinder_sim::{Energy, Power, SimDuration, SimTime};
 use crate::arena::{Arena, RawId};
 use crate::decay::DecayConfig;
 use crate::errors::GraphError;
-use crate::flow::FlowEngine;
+use crate::flow::{Duty, FlowEngine, SourceRun, MIN_PARTITIONED_SPAN};
 use crate::kind::{Quantity, Rate, ResourceKind};
 use crate::reserve::Reserve;
 use crate::tap::{RateSpec, Tap};
@@ -1041,14 +1041,7 @@ impl ResourceGraph {
             .declines_span(remaining, self.decay_ppm_per_tick > 0);
         while remaining > 0 {
             if try_span {
-                let advanced = self.flow.run_span(
-                    &mut self.reserves,
-                    &mut self.taps,
-                    tick,
-                    remaining,
-                    self.decay_ppm_per_tick,
-                    battery,
-                );
+                let advanced = self.run_span(remaining, None);
                 if advanced < MIN_PROFITABLE_RUN {
                     try_span = false;
                 }
@@ -1209,7 +1202,7 @@ impl ResourceGraph {
         let battery = self.battery.0;
         self.flow
             .lanes
-            .settle(&mut self.reserves, battery, ppm, ticks);
+            .settle(&mut self.reserves, battery, ppm, ticks, None);
         let mut swept = Energy::ZERO;
         for (i, &w) in waiters.iter().enumerate() {
             if !waiters[..i].contains(&w) {
@@ -1218,6 +1211,79 @@ impl ResourceGraph {
         }
         self.now += dt * ticks;
         swept
+    }
+
+    /// Certifies a *duty run* for `reserve`, a sole Ready thread's, whose
+    /// quanta each run if funded and throttle if not: how many of the next
+    /// flow ticks, at most `max_ticks` and at least the planner's shortest
+    /// span, [`ResourceGraph::settle_duty`] may settle with it as a charged
+    /// lane. It must be lane-shaped: no tap drains it, only constant taps
+    /// feed it, and with decay on it decays. Each feed's source must stay
+    /// Covered or Starved in the run plan, which caps the run at its
+    /// coverage rather than let the planner demote it. With decay on, so
+    /// must the battery, which takes the lanes' leaks at the run's end.
+    /// `None` means not lane-shaped, until the tap set changes
+    /// ([`ResourceGraph::tap_epoch`]); `Some(0)`, no room for now.
+    pub fn duty_run(&self, reserve: ReserveId, max_ticks: u64) -> Option<u64> {
+        let decaying = self.decay_ppm_per_tick > 0;
+        let r = self.reserves.get(reserve.0)?;
+        if reserve == self.battery
+            || r.kind() != ResourceKind::Energy
+            || decaying && r.is_decay_exempt()
+            || self.flow.inbound(reserve.0).live_prop > 0
+            || self.flow.outbound(reserve.0).next().is_some()
+        {
+            return None;
+        }
+        let tick = self.config.flow_tick;
+        let plan = |source: ReserveId| {
+            self.flow
+                .plan_source(&self.reserves, &self.taps, source.0, tick, decaying)
+        };
+        let mut ticks = max_ticks;
+        if decaying {
+            match plan(self.battery) {
+                Some((SourceRun::Covered, n)) => ticks = ticks.min(n),
+                Some(_) => return Some(0),
+                None => {}
+            }
+        }
+        for (_, tap) in self.taps.iter().filter(|(_, t)| t.sink() == reserve) {
+            match (tap.rate(), plan(tap.source())) {
+                (RateSpec::Const(_), Some((SourceRun::Covered, n))) => ticks = ticks.min(n),
+                (RateSpec::Const(_), Some((SourceRun::Starved, _))) => {}
+                (RateSpec::Const(_), Some((SourceRun::Dynamic, _))) => return Some(0),
+                _ => return None,
+            }
+        }
+        Some(if ticks < MIN_PARTITIONED_SPAN {
+            0
+        } else {
+            ticks
+        })
+    }
+
+    /// Applies a run [`ResourceGraph::duty_run`] certified: the flow
+    /// engine's partition over at most `ticks` ticks (another source's
+    /// coverage may end it sooner), with `duty`'s reserve a charged lane
+    /// whose charges are consumed. Returns the ticks settled.
+    pub fn settle_duty(&mut self, duty: &mut Duty, ticks: u64) -> u64 {
+        let settled = self.run_span(ticks, Some(duty));
+        self.now += self.config.flow_tick * settled;
+        self.total_consumed[ResourceKind::Energy.index()] += duty.charged();
+        settled
+    }
+
+    /// One planned run of at most `ticks` ticks ([`FlowEngine::run_span`]).
+    fn run_span(&mut self, ticks: u64, duty: Option<&mut Duty>) -> u64 {
+        let (tick, ppm, battery) = (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
+        let (flow, reserves, taps) = (&mut self.flow, &mut self.reserves, &mut self.taps);
+        flow.run_span(reserves, taps, tick, ticks, ppm, battery.0, duty)
+    }
+
+    /// Counts tap creations, deletions and re-rates.
+    pub fn tap_epoch(&self) -> u64 {
+        self.flow.tap_epoch
     }
 
     /// Classifies the live taps for [`ResourceGraph::pooled_run`].

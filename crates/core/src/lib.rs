@@ -88,6 +88,7 @@ pub use accounting::PowerEstimator;
 pub use arena::{Arena, RawId};
 pub use decay::DecayConfig;
 pub use errors::GraphError;
+pub use flow::Duty;
 pub use graph::{Actor, GraphConfig, PoolRefusal, ReserveId, ResourceGraph, TapId};
 pub use kind::{Quantity, Rate, ResourceKind};
 pub use reserve::{Reserve, ReserveStats};

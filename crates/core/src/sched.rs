@@ -36,6 +36,7 @@ use cinder_sim::{Energy, Power, SimDuration, SimTime};
 use crate::accounting::PowerEstimator;
 use crate::arena::{Arena, RawId};
 use crate::errors::GraphError;
+use crate::flow::Duty;
 #[cfg(test)]
 use crate::graph::Actor;
 use crate::graph::{ReserveId, ResourceGraph};
@@ -321,6 +322,11 @@ impl ResourceScheduler {
         picked
     }
 
+    /// The only Ready task, when exactly one is and it is known.
+    pub fn sole_ready(&self) -> Option<TaskId> {
+        self.sole_ready
+    }
+
     /// The run queue, front first: the order in which the next full
     /// [`ResourceScheduler::pick_next`] scan examines tasks. A task that
     /// exited stays queued until a scan drops it.
@@ -394,6 +400,32 @@ impl ResourceScheduler {
                 "bulk_throttle on a fundable ready task"
             );
         }
+    }
+
+    /// Replays the picks and charges of a duty run that
+    /// [`crate::ResourceGraph::settle_duty`] settled from `start` on, for
+    /// `id`, the sole Ready task. The estimator records, oldest first, only
+    /// the runs within a window of the last one; each earlier run would
+    /// have expired by then, so only its lifetime total counts it.
+    pub fn settle_duty(&mut self, id: TaskId, start: SimTime, duty: &Duty) {
+        let (quantum, window) = (self.config.quantum, self.config.estimate_window);
+        let Some(task) = self.tasks.get_mut(id.0) else {
+            return;
+        };
+        task.consumed += duty.charged();
+        task.throttled_quanta += duty.throttles;
+        let mut kept = 0;
+        if let Some((last, ran)) = duty.last_run {
+            for k in (0..Duty::HISTORY).rev().filter(|&k| quantum * k < window) {
+                if ran >> k & 1 == 1 {
+                    task.estimator
+                        .record(start + quantum * (last - k), duty.cost);
+                    kept += 1;
+                }
+            }
+        }
+        task.estimator
+            .record_expired(duty.cost * (duty.runs - kept) as i64);
     }
 
     /// Charges `power × quantum` to the task's active reserve and records it

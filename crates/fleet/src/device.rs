@@ -708,6 +708,60 @@ mod tests {
     }
 
     #[test]
+    fn duty_jumps_cover_hogs() {
+        // The fleetbench mixtures at seed 2011: a spinner's run-or-throttle
+        // quanta, and an offloader's while it computes locally, are crossed
+        // by duty jumps; the browser's plugin, whose reserve a backward
+        // proportional tap drains, never is. Counts are deterministic.
+        let name = "duty-coverage";
+        let storm = Scenario {
+            mix: Scenario::all_workloads(name, 2011, 44).mix,
+            ..Scenario::fault_heavy(name, 2011, 44)
+        };
+        let duty_share = |p: RunProfile| p.duty_quanta * 1_000 / (p.duty_quanta + p.full_quanta);
+        type Pin = fn(RunProfile, u64) -> bool;
+        let pins: [(Scenario, Workload, Pin); 5] = [
+            (
+                Scenario::steady_heavy(name, 2011, 24),
+                Workload::Spinner,
+                |p, _| p.full_quanta <= 20,
+            ),
+            (
+                Scenario::mixed(name, 2011, 40),
+                Workload::Spinner,
+                |p, _| p.full_quanta <= 10,
+            ),
+            (storm.clone(), Workload::Spinner, |_, share| share >= 980),
+            (storm, Workload::Offloader, |_, share| share >= 900),
+            (
+                Scenario::mixed(name, 2011, 40),
+                Workload::Browser,
+                |p, _| p.duty_quanta == 0,
+            ),
+        ];
+        for (scenario, workload, pin) in pins {
+            let mut devices = 0;
+            for spec in scenario
+                .specs()
+                .into_iter()
+                .filter(|s| s.workload == workload)
+            {
+                devices += 1;
+                let mut scratch = DeviceScratch::default();
+                simulate_device_with(&spec, &mut scratch);
+                let p = scratch.profile;
+                assert!(
+                    pin(p, duty_share(p)),
+                    "{} device {}: {p:?}",
+                    workload.tag(),
+                    spec.id
+                );
+            }
+            assert!(devices >= 4, "{devices} {} devices", workload.tag());
+        }
+    }
+
+    #[test]
     fn every_mixed_workload_simulates() {
         for spec in Scenario::all_workloads("all", 9, 10).specs() {
             let mut quick = spec.clone();

@@ -384,6 +384,23 @@ impl Scenario {
         Scenario::data_plan(name, seed, devices, 380_000)
     }
 
+    /// Checks the knobs a device cannot run without, naming the one that
+    /// fails: a mixture with some weight, a positive `quantum` (a zero one
+    /// would never advance the run loop), and `jitter_ppm` below 1,000,000
+    /// (rates scale by `1 ± jitter`, which must stay a positive factor).
+    pub fn validate(&self) -> Result<(), String> {
+        let refusal = if self.mix.iter().all(|&(_, w)| w == 0) {
+            "has an empty workload mixture"
+        } else if self.quantum.is_zero() {
+            "needs a positive quantum"
+        } else if self.jitter_ppm >= 1_000_000 {
+            "needs jitter_ppm below 1000000"
+        } else {
+            return Ok(());
+        };
+        Err(format!("scenario '{}' {refusal}", self.name))
+    }
+
     /// Expands one device of the scenario: the spec is a pure function of
     /// `(self, id)` — its jitter draws come only from the fleet seed's
     /// [`SimRng::split`] stream for this id, so device `i` is identical
@@ -393,14 +410,13 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the mixture is empty or all weights are zero.
+    /// Panics, naming the knob, if [`Scenario::validate`] refuses the
+    /// scenario.
     pub fn spec_for(&self, id: u64) -> DeviceSpec {
+        if let Err(refusal) = self.validate() {
+            panic!("{refusal}");
+        }
         let total_weight: u32 = self.mix.iter().map(|&(_, w)| w).sum();
-        assert!(
-            total_weight > 0,
-            "scenario '{}' has an empty workload mixture",
-            self.name
-        );
         // Round-robin through the weighted mixture: slot k of each
         // `total_weight`-sized block belongs to the workload whose
         // cumulative weight first exceeds k.
@@ -456,7 +472,8 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the mixture is empty or all weights are zero.
+    /// Panics, naming the knob, if [`Scenario::validate`] refuses the
+    /// scenario.
     pub fn specs(&self) -> Vec<DeviceSpec> {
         (0..self.devices as u64)
             .map(|id| self.spec_for(id))
@@ -564,5 +581,41 @@ mod tests {
         let mut s = Scenario::mixed("m", 1, 4);
         s.mix.clear();
         let _ = s.specs();
+    }
+
+    /// A refused knob is named by `validate`, by the panic of `spec_for`
+    /// (which every fleet entry point expands devices through), and by
+    /// `resume_fleet`'s error.
+    fn assert_knob_named(scenario: Scenario, knob: &str) {
+        let refusal = scenario.validate().unwrap_err();
+        assert!(refusal.contains(knob), "{refusal}");
+        let panic = std::panic::catch_unwind(|| scenario.spec_for(0)).unwrap_err();
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(message.contains(knob), "{message}");
+        let empty = crate::checkpoint_fleet(&scenario, 0, 1);
+        let refusal = crate::resume_fleet(&empty, &scenario, 1).unwrap_err();
+        assert!(refusal.contains(knob), "{refusal}");
+    }
+
+    #[test]
+    fn zero_quantum_is_named() {
+        let scenario = Scenario {
+            quantum: SimDuration::ZERO,
+            ..Scenario::mixed("m", 1, 4)
+        };
+        assert_knob_named(scenario, "quantum");
+    }
+
+    #[test]
+    fn oversized_jitter_is_named() {
+        let scenario = Scenario {
+            jitter_ppm: 1_500_000,
+            ..Scenario::mixed("m", 1, 4)
+        };
+        assert_knob_named(scenario, "jitter_ppm");
     }
 }

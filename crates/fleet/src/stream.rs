@@ -899,12 +899,14 @@ pub fn checkpoint_fleet(scenario: &Scenario, upto: u64, threads: usize) -> Fleet
 
 /// Finishes a checkpointed run: simulates the remaining devices and merges
 /// them into the checkpoint's summary. Errs if `checkpoint` was taken
-/// against a different scenario identity.
+/// against a different scenario identity, or if [`Scenario::validate`]
+/// refuses the scenario.
 pub fn resume_fleet(
     checkpoint: &FleetCheckpoint,
     scenario: &Scenario,
     threads: usize,
 ) -> Result<StreamReport, String> {
+    scenario.validate()?;
     let identity = (
         checkpoint.scenario == scenario.name,
         checkpoint.seed == scenario.seed,

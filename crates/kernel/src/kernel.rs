@@ -14,10 +14,11 @@
 //!    quantum at the accounting power (137 mW);
 //! 6. the meter records total platform power for the quantum.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use cinder_core::{
-    quota, Actor, GraphConfig, PoolRefusal, Quantity, RateSpec, ReserveId, ResourceGraph,
+    quota, Actor, Duty, GraphConfig, PoolRefusal, Quantity, RateSpec, ReserveId, ResourceGraph,
     ResourceKind, ResourceScheduler, SchedulerConfig, TapId, TaskId, TaskState,
 };
 use cinder_faults::FlapSemantics;
@@ -82,7 +83,7 @@ pub struct KernelConfig {
     /// faster, which is what makes fleet-scale studies practical. Off by
     /// default so single-device experiments run the literal paper loop.
     pub idle_skip: bool,
-    /// Fast-forward spans `idle_skip` cannot cross, with two more jump
+    /// Fast-forward spans `idle_skip` cannot cross, with three more jump
     /// kinds of the run loop's one certificate:
     ///
     /// * *frozen* — threads exist (Ready but provably unfundable, or
@@ -95,6 +96,11 @@ pub struct KernelConfig {
     ///   sweeps settle whole flow ticks in closed form
     ///   ([`cinder_core::ResourceGraph::pooled_run`]) up to the tick before
     ///   the pool could reach its grant threshold.
+    ///
+    /// * *duty* — one Ready thread on queued compute, which each quantum
+    ///   runs if its reserve is funded and throttles if not: the reserve is
+    ///   a charged decay lane ([`cinder_core::ResourceGraph::settle_duty`]),
+    ///   and the scheduler, estimator and meter replay the quanta in bulk.
     ///
     /// It also lets idle and pooled jumps cross Ready threads that are
     /// *reserve-gated* — every crossed `pick_next` provably throttles
@@ -194,24 +200,29 @@ pub struct RunProfile {
     pub frozen_quanta: u64,
     /// Quanta crossed by pooled jumps (`KernelConfig::fast_forward`).
     pub pooled_quanta: u64,
+    /// Quanta crossed by duty jumps (`KernelConfig::fast_forward`).
+    pub duty_quanta: u64,
     /// Idle jumps taken.
     pub idle_jumps: u64,
     /// Frozen jumps taken.
     pub frozen_jumps: u64,
     /// Pooled jumps taken.
     pub pooled_jumps: u64,
+    /// Duty jumps taken.
+    pub duty_jumps: u64,
     /// Quanta crossed by idle and pooled jumps while a Ready thread was
     /// reserve-gated (a share of `idle_quanta` and `pooled_quanta`).
     pub gated_quanta: u64,
-    /// Certificate refusals, indexed by `Obstacle as usize` (see
-    /// [`RunProfile::refused`]).
+    /// Certificate refusals after a quantum that ran nothing (so no duty
+    /// jump's), indexed by `Obstacle as usize` ([`RunProfile::refused`]).
     pub refusals: [u64; Obstacle::ALL.len()],
 }
 
 impl RunProfile {
     /// Every quantum the run loop advanced, whichever path took it.
     pub fn quanta(&self) -> u64 {
-        self.full_quanta + self.idle_quanta + self.frozen_quanta + self.pooled_quanta
+        let jumped = self.idle_quanta + self.frozen_quanta + self.pooled_quanta + self.duty_quanta;
+        self.full_quanta + jumped
     }
 
     /// How often the certificate refused to jump for `obstacle`.
@@ -304,6 +315,8 @@ enum JumpKind {
         waiters: Vec<ReserveId>,
         ticks: u64,
     },
+    /// `n` flow ticks settle with `duty`'s charged lane for `task`.
+    Duty { task: TaskId, duty: Duty, n: u64 },
 }
 
 /// Events on the kernel timeline.
@@ -436,11 +449,16 @@ pub struct Kernel {
     faults: FaultCounters,
     /// Run-loop path counters.
     profile: RunProfile,
+    /// The last reserve the duty certificate found not lane-shaped, at the
+    /// graph's tap epoch then.
+    duty_refused: Cell<Option<(ReserveId, u64)>>,
 }
 
 impl Kernel {
-    /// Boots a kernel with the given configuration.
+    /// Boots a kernel with the given configuration. Panics if the scheduler
+    /// quantum or the flow tick is zero.
     pub fn new(config: KernelConfig) -> Self {
+        assert!(!config.sched.quantum.is_zero(), "quantum must be positive");
         let graph = ResourceGraph::with_config(config.battery, config.graph);
         let sched = ResourceScheduler::new(config.sched);
         let quantum_us = config.sched.quantum.as_micros();
@@ -498,6 +516,7 @@ impl Kernel {
             link_down: false,
             faults: FaultCounters::default(),
             profile: RunProfile::default(),
+            duty_refused: Cell::new(None),
             now: SimTime::ZERO,
             config,
         }
@@ -1457,30 +1476,30 @@ impl Kernel {
             self.meter.set_power(t, total);
             self.now = t + quantum;
             self.profile.full_quanta += 1;
-            if ran.is_none() {
-                self.try_jump(end);
-            }
+            self.try_jump(end, ran.is_some());
         }
     }
 
-    /// After a quantum that ran nothing: land the jump [`Kernel::certify`]
-    /// allows, or tally its refusal per [`Obstacle`]. Quanta no jump
-    /// crosses run through the full loop.
-    fn try_jump(&mut self, end: SimTime) {
+    /// After each quantum: land the jump [`Kernel::certify`] allows, or,
+    /// after a quantum that ran nothing, tally its refusal per
+    /// [`Obstacle`]. Quanta no jump crosses run through the full loop.
+    fn try_jump(&mut self, end: SimTime, ran: bool) {
         if !(self.config.idle_skip || self.config.fast_forward) {
             return;
         }
-        match self.certify(end) {
+        match self.certify(end, ran) {
             Ok(jump) => self.land(jump),
-            Err(obstacle) => self.profile.refusals[obstacle as usize] += 1,
+            Err(obstacle) if !ran => self.profile.refusals[obstacle as usize] += 1,
+            Err(_) => {}
         }
     }
 
     /// The run loop's one certificate. Read-only: it decides whether the
     /// quanta from `now` on provably change nothing the loop could not
     /// settle in closed form, and which jump crosses them;
-    /// [`Kernel::land`] applies the verdict. Three kinds, each bit-identical
-    /// to stepping every quantum:
+    /// [`Kernel::land`] applies the verdict. After a quantum that `ran`,
+    /// only a duty jump ([`Kernel::certify_duty`]), else three kinds, each
+    /// bit-identical to stepping every quantum:
     ///
     /// * **Idle** (`idle_skip`) — the stack quiet and nothing Ready but
     ///   reserve-gated threads (those under `fast_forward`): only flows
@@ -1502,7 +1521,10 @@ impl Kernel {
     /// constant feed draws on a positive source: that live feed already
     /// fails the frozen certificate, so the run/starve alternations of
     /// busy threads pay no more than a few compares here.
-    fn certify(&self, end: SimTime) -> Result<Jump, Obstacle> {
+    fn certify(&self, end: SimTime, ran: bool) -> Result<Jump, Obstacle> {
+        if ran {
+            return self.certify_duty(end).ok_or(Obstacle::Ready);
+        }
         let ready = self.sched.has_ready();
         let stack_quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
         let mut refusal = if ready {
@@ -1793,6 +1815,55 @@ impl Kernel {
         })
     }
 
+    /// The duty certificate, after a quantum in which the sole Ready thread
+    /// ran on queued compute, so that each next one runs it if its reserve
+    /// is positive and throttles it if not. Cheapest check first:
+    /// `fast_forward`, no sampling meter, held send or lit peripheral, a
+    /// flow tick of whole quanta, a quiet stack, one known Ready thread,
+    /// and its reserve not refused since the tap set changed. The span,
+    /// which ends before a flow tick, is the least of the wake bound, the
+    /// queued compute, and the graph's half ([`ResourceGraph::duty_run`]).
+    fn certify_duty(&self, end: SimTime) -> Option<Jump> {
+        let quantum = self.sched.quantum();
+        if !self.config.fast_forward
+            || self.config.meter_trace
+            || self.byte_waiters > 0
+            || self.enabled_peripherals != 0
+            || !self.net_poll_snappable
+        {
+            return None;
+        }
+        let task = self.sched.sole_ready()?;
+        let reserve = self.sched.active_reserve(task)?;
+        let epoch = self.graph.tap_epoch();
+        let quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
+        // The landing replays the estimator's window off the run history.
+        if self.duty_refused.get() == Some((reserve, epoch))
+            || !quiet
+            || self.config.sched.estimate_window > quantum * Duty::HISTORY
+        {
+            return None;
+        }
+        let tick = self.config.graph.flow_tick;
+        let next_tick = self.graph.now() + tick;
+        let head = next_tick.since(self.now).div_duration(quantum);
+        let per_tick = tick.div_duration(quantum);
+        let pending = self.thread(self.thread_for_task(task)?)?.pending_compute;
+        let wake = self.quanta_to_wake(end).ok()?;
+        let max_ticks = wake.min(pending.div_duration(quantum)).checked_sub(head)? / per_tick;
+        match self.graph.duty_run(reserve, max_ticks) {
+            None => self.duty_refused.set(Some((reserve, epoch))),
+            Some(0) => {}
+            Some(n) => {
+                let cost = self.platform.cpu.accounting_power().energy_over(quantum);
+                let duty = Duty::new(reserve, cost, head, per_tick);
+                let (quanta, kind) = (head + n * per_tick, JumpKind::Duty { task, duty, n });
+                return Some(Jump { quanta, kind });
+            }
+        }
+        None
+    }
+
     /// Lands a certified jump.
     ///
     /// Idle and frozen jumps: stepping runs each flow tick at its own
@@ -1812,9 +1883,36 @@ impl Kernel {
     /// [`ResourceScheduler::bulk_throttle`] replays in bulk against the
     /// graph as the last crossed boundary saw it, leaving the round-robin
     /// queue bit-identically unchanged.
+    ///
+    /// Duty jumps: the graph settles the ticks with the charged lane (fewer
+    /// if another source's coverage ends first), and its quanta land in
+    /// O(window): [`ResourceScheduler::settle_duty`], one exact meter
+    /// update up to the last run↔throttle edge, queued compute, CPU state.
     fn land(&mut self, jump: Jump) {
         let quantum = self.sched.quantum();
         match jump.kind {
+            JumpKind::Duty { task, mut duty, n } => {
+                self.graph.settle_duty(&mut duty, n);
+                let start = self.now;
+                self.sched.settle_duty(task, start, &duty);
+                let st = self.thread_for_task(task).and_then(|t| self.thread_mut(t));
+                let st = st.expect("the sole Ready task has a thread");
+                st.pending_compute -= quantum * duty.runs;
+                let kind = st.cpu_kind;
+                let extra = self.arm9.radio().extra_power();
+                self.platform.set_cpu(None);
+                let idle = self.platform.total(extra);
+                self.platform.set_cpu(duty.ran.then_some(kind));
+                if let Some((edge, idled)) = duty.edge {
+                    let (at, last) = (start + quantum * edge, self.platform.total(extra));
+                    self.meter
+                        .settle_alternating(at, idle, quantum * idled, last);
+                }
+                self.now += quantum * duty.quanta();
+                self.profile.duty_quanta += duty.quanta();
+                self.profile.duty_jumps += 1;
+                return;
+            }
             JumpKind::Idle | JumpKind::Frozen => {
                 self.now += quantum * jump.quanta;
                 self.graph.flow_until(SimTime::from_micros(
@@ -1843,6 +1941,7 @@ impl Kernel {
             JumpKind::Idle => (&mut p.idle_quanta, &mut p.idle_jumps),
             JumpKind::Frozen => (&mut p.frozen_quanta, &mut p.frozen_jumps),
             JumpKind::Pooled { .. } => (&mut p.pooled_quanta, &mut p.pooled_jumps),
+            JumpKind::Duty { .. } => unreachable!("landed above"),
         };
         *quanta += jump.quanta;
         *jumps += 1;
@@ -3300,6 +3399,14 @@ mod tests {
             r,
         );
         k.run_until(SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be positive")]
+    fn zero_quantum_is_refused() {
+        let mut config = KernelConfig::default();
+        config.sched.quantum = SimDuration::ZERO;
+        let _ = Kernel::new(config);
     }
 
     #[test]

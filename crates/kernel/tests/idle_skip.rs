@@ -1,6 +1,6 @@
 //! Differential tests for the run loop's fast paths (`KernelConfig::idle_skip`
-//! and `KernelConfig::fast_forward`: idle, frozen, and pooled jumps, and
-//! the jumps across reserve-gated Ready threads).
+//! and `KernelConfig::fast_forward`: idle, frozen, pooled and duty jumps,
+//! and the jumps across reserve-gated Ready threads).
 //!
 //! The flags must be a pure wall-clock optimisation: every observable — the
 //! meter's integrated energy, every reserve balance and accounting stat,
@@ -9,12 +9,14 @@
 //! episodes, the pooling (netd) stack whose blocked senders must keep being
 //! polled, and Ready threads held at or below zero — swept by netd, or in
 //! a deficit their constant feeds cannot close — which only `fast_forward`
-//! crosses. The gate's refusals (a proportional feed, the tightest of
+//! crosses. So are a sole hog's run-or-throttle quanta, which duty jumps
+//! cross (the fingerprint compares every thread's power estimate, the
+//! window the duty landing replays). The gate's refusals (a proportional feed, the tightest of
 //! several deficits, a quantum finer than the flow tick, a re-rated feed,
 //! a battery that decay refills) are differentials too. Each test checks through `Kernel::run_profile`
 //! that the path it targets ran.
 
-use cinder_apps::{PeriodicPoller, PollerLog};
+use cinder_apps::{PeriodicPoller, PollerLog, Spinner};
 use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig, TapId};
 use cinder_faults::{FaultConfig, FlapSemantics, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, RunProfile, Step};
@@ -35,9 +37,11 @@ struct Fingerprint {
     radio_rx: u64,
     thread_energy: Vec<i64>,
     thread_throttled_us: Vec<u64>,
+    thread_estimates_uw: Vec<u64>,
 }
 
-fn fingerprint(k: &Kernel) -> Fingerprint {
+/// Takes `&mut` only because reading a power estimate expires its window.
+fn fingerprint(k: &mut Kernel) -> Fingerprint {
     Fingerprint {
         now_us: k.now().as_micros(),
         meter_uj: k.meter().total_energy().as_microjoules(),
@@ -71,6 +75,11 @@ fn fingerprint(k: &Kernel) -> Fingerprint {
             .thread_ids()
             .iter()
             .map(|&t| k.thread_throttled(t).as_micros())
+            .collect(),
+        thread_estimates_uw: k
+            .thread_ids()
+            .into_iter()
+            .map(|t| k.thread_power_estimate(t).as_microwatts())
             .collect(),
     }
 }
@@ -124,7 +133,7 @@ fn square_wave_identical_with_and_without_skip() {
             r,
         );
         k.run_until(SimTime::from_secs(400));
-        fingerprint(&k)
+        fingerprint(&mut k)
     };
     assert_eq!(run(false), run(true));
 }
@@ -143,7 +152,7 @@ fn uncoop_pollers_identical_with_and_without_skip() {
         k.spawn_unprivileged("mail", Box::new(PeriodicPoller::mail(log.clone())), r_mail);
         k.run_until(SimTime::from_secs(600));
         let sends = log.borrow().sends.clone();
-        (fingerprint(&k), sends)
+        (fingerprint(&mut k), sends)
     };
     assert_eq!(run(false), run(true));
 }
@@ -166,7 +175,7 @@ fn coop_netd_identical_with_and_without_skip() {
             let log = log.borrow();
             (log.sends.clone(), log.blocked_first)
         };
-        (fingerprint(&k), sends, blocked)
+        (fingerprint(&mut k), sends, blocked)
     };
     let (base, base_sends, base_blocked) = run(false);
     let (fast, fast_sends, fast_blocked) = run(true);
@@ -268,7 +277,7 @@ fn starved_ready_thread_jumps_only_under_fast_forward() {
                 k.thread_throttled(t) > SimDuration::from_secs(60),
                 "scenario must exercise starvation"
             );
-            (fingerprint(&k), k.run_profile())
+            (fingerprint(&mut k), k.run_profile())
         });
         assert_eq!(stepped.full_quanta, stepped.quanta());
         assert_eq!(reduced.full_quanta, reduced.quanta(), "{reduced:?}");
@@ -305,7 +314,7 @@ fn gate_refuses_a_proportionally_fed_deficit() {
         )
         .unwrap();
         k.run_until(SimTime::from_secs(60));
-        (fingerprint(&k), k.run_profile())
+        (fingerprint(&mut k), k.run_profile())
     });
     assert_eq!(fast.gated_quanta, 0, "{fast:?}");
     assert!(fast.refused(Obstacle::Ready) > 1_000, "{fast:?}");
@@ -327,7 +336,7 @@ fn gate_takes_the_tightest_of_two_deficits() {
             other,
         );
         k.run_until(SimTime::from_secs(120));
-        (fingerprint(&k), k.run_profile())
+        (fingerprint(&mut k), k.run_profile())
     });
     assert!(fast.idle_jumps > 10, "{fast:?}");
     assert!(fast.gated_quanta * 2 > fast.quanta(), "{fast:?}");
@@ -342,7 +351,7 @@ fn gated_jumps_stop_short_of_the_funding_tick() {
     let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
         let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, 10, &[173, 311]);
         k.run_until(SimTime::from_secs(120));
-        (fingerprint(&k), k.run_profile())
+        (fingerprint(&mut k), k.run_profile())
     });
     assert!(fast.idle_jumps > 10, "{fast:?}");
     assert!(fast.gated_quanta * 10 >= fast.quanta() * 9, "{fast:?}");
@@ -380,7 +389,7 @@ fn gate_refuses_a_battery_that_decay_refills() {
             k.thread_throttled(t) > SimDuration::from_secs(60),
             "the battery must run dry and be refilled by decay"
         );
-        (fingerprint(&k), k.run_profile())
+        (fingerprint(&mut k), k.run_profile())
     });
     assert_eq!(fast.gated_quanta, 0, "{fast:?}");
     assert!(fast.refused(Obstacle::Ready) > 1_000, "{fast:?}");
@@ -398,7 +407,7 @@ fn gate_follows_a_re_rated_feed() {
             k.rerate_tap(taps[0], Power::from_microwatts(uw)).unwrap();
         }
         k.run_until(SimTime::from_secs(120));
-        (fingerprint(&k), k.run_profile())
+        (fingerprint(&mut k), k.run_profile())
     });
     assert!(fast.idle_jumps > 10, "{fast:?}");
     assert!(fast.gated_quanta * 2 > fast.quanta(), "{fast:?}");
@@ -479,7 +488,7 @@ fn drained_netd_device_jumps_its_frozen_tail_in_one_span() {
     stepped.run_until(day);
     let mut fast = drained_coop_kernel(true);
     fast.run_until(day);
-    assert_eq!(fingerprint(&stepped), fingerprint(&fast));
+    assert_eq!(fingerprint(&mut stepped), fingerprint(&mut fast));
     let quanta = 24 * 36_000;
     let profile = fast.run_profile();
     assert_eq!(profile.quanta(), quanta, "{profile:?}");
@@ -584,7 +593,7 @@ impl PoolRig {
         }
         k.run_until(SimTime::from_secs(secs));
         let sends = log.borrow().sends.clone();
-        (fingerprint(&k), sends, lowest, k.run_profile())
+        (fingerprint(&mut k), sends, lowest, k.run_profile())
     }
 
     /// Runs stepped (both fast paths off), idle-skip-only (`idle_skip`),
@@ -846,4 +855,228 @@ fn idle_jumps_cross_a_link_flap_while_netd_holds_a_send() {
         idle * 10 >= flap_quanta * 9,
         "{idle} of {flap_quanta}: {after:?}"
     );
+}
+
+/// Fig 9's hog: an endless `Spinner` on `quantum_ms` quanta whose reserve
+/// the battery feeds at 68.5 mW, half the CPU's 137 mW, so it runs about
+/// every other quantum. `tweak` edits the configuration first. Returns the
+/// kernel, the hog's reserve, and its feed.
+fn hog_kernel(
+    idle_skip: bool,
+    fast_forward: bool,
+    quantum_ms: u64,
+    tweak: impl FnOnce(&mut KernelConfig),
+) -> (Kernel, ReserveId, TapId) {
+    let mut config = KernelConfig {
+        fast_forward,
+        sched: SchedulerConfig {
+            quantum: SimDuration::from_millis(quantum_ms),
+            ..SchedulerConfig::default()
+        },
+        ..config(idle_skip)
+    };
+    tweak(&mut config);
+    let mut k = Kernel::new(config);
+    let r = tapped(&mut k, "hog", 68_500);
+    let (feed, _) = k.graph().taps().find(|(_, t)| t.sink() == r).unwrap();
+    k.spawn_unprivileged("hog", Box::new(Spinner::new()), r);
+    (k, r, feed)
+}
+
+/// Runs `run` three ways (see [`three_ways`]) and checks that duty jumps
+/// took at least `share_pct`% of the quanta they and the full loop took
+/// in the fast run, and that neither slower run took one.
+fn duty_three_ways(
+    share_pct: u64,
+    run: impl Fn(bool, bool) -> (Fingerprint, RunProfile),
+) -> RunProfile {
+    let [stepped, reduced, fast] = three_ways(run);
+    assert_eq!(stepped.full_quanta, stepped.quanta(), "{stepped:?}");
+    assert_eq!(reduced.duty_jumps, 0, "{reduced:?}");
+    assert!(fast.duty_jumps > 0, "{fast:?}");
+    assert!(
+        fast.duty_quanta * 100 >= (fast.duty_quanta + fast.full_quanta) * share_pct,
+        "{fast:?}"
+    );
+    fast
+}
+
+/// The sole hog with decay on, on the fleet's 100 ms quantum and on the
+/// paper's 10 ms quantum under the 100 ms tick: each tick's 6,850 µJ feed
+/// is exactly 5 (or half of one) 137 mW charges, so the level lands on
+/// zero and a zero level must throttle. The run ends inside a duty jump,
+/// so the estimator window the landing replays is the one compared.
+#[test]
+fn duty_jumps_cross_a_sole_hog() {
+    for quantum_ms in [100, 10] {
+        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            k.run_until(SimTime::from_secs(600));
+            let hog = k.thread_by_name("hog").unwrap();
+            let throttled = k.thread_throttled(hog);
+            assert!(throttled > SimDuration::from_secs(200), "{throttled}");
+            assert!(k.thread_power_estimate(hog) > Power::from_milliwatts(60));
+            (fingerprint(&mut k), k.run_profile())
+        });
+        assert!(fast.duty_jumps <= 2, "{fast:?}");
+    }
+}
+
+/// A hog whose reserve starts at 20 J, far above the 8,620 µJ below which
+/// the leak rounds to zero: it runs every quantum while its lane leaks,
+/// and the leak lands before each tick's charges.
+#[test]
+fn duty_jumps_leak_a_full_reserve_while_the_hog_runs() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            let battery = k.battery();
+            k.graph_mut()
+                .transfer(&Actor::kernel(), battery, r, Energy::from_joules(20))
+                .unwrap();
+            k.run_until(SimTime::from_secs(600));
+            let decayed = k.graph().reserve(r).unwrap().stats().decayed;
+            assert!(decayed > Energy::from_joules(1), "{decayed}");
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
+}
+
+/// The feed re-rated between spans, faster then slower: each span's jump
+/// reads the new rate's carries and coverage.
+#[test]
+fn duty_jumps_follow_a_re_rated_feed() {
+    let fast = duty_three_ways(95, |idle_skip, fast_forward| {
+        let (mut k, _, feed) = hog_kernel(idle_skip, fast_forward, 10, |_| {});
+        for (secs, uw) in [(30, 90_000), (60, 9_013), (90, 68_500)] {
+            k.run_span(SimTime::from_secs(secs));
+            k.rerate_tap(feed, Power::from_microwatts(uw)).unwrap();
+        }
+        k.run_until(SimTime::from_secs(120));
+        (fingerprint(&mut k), k.run_profile())
+    });
+    assert!(fast.duty_jumps >= 4, "{fast:?}");
+}
+
+/// A 5 J battery the hog's feed drains in about 73 s: the jump stops at
+/// the battery's coverage, which with decay off is its feed's coverage
+/// alone, and the full loop takes the last tick or two. Once the hog's
+/// reserve is spent a frozen jump takes the rest.
+#[test]
+fn duty_jumps_stop_at_the_battery_coverage() {
+    for decay in [true, false] {
+        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, 100, |c| {
+                c.battery = Energy::from_joules(5);
+                if !decay {
+                    c.graph.decay = None;
+                }
+            });
+            k.run_until(SimTime::from_secs(300));
+            let battery = k.battery();
+            assert_eq!(k.reserve_level(battery), Energy::ZERO);
+            (fingerprint(&mut k), k.run_profile())
+        });
+        assert!(fast.frozen_jumps > 0, "{fast:?}");
+        assert!(fast.full_quanta <= 20, "{fast:?}");
+    }
+}
+
+/// Two constant feeds from different sources (`trickle_kernel`'s, the
+/// second made decay-exempt: a decaying source is ticked), with jittered
+/// rates whose carries are nonzero at every jump edge; the trickle thread
+/// is killed and a hog spawned on its reserve.
+#[test]
+fn duty_jumps_carry_two_feeds() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, r, taps) =
+                trickle_kernel(idle_skip, fast_forward, quantum_ms, &[40_013, 29_347]);
+            let source = k.graph().tap(taps[1]).unwrap().source();
+            k.graph_mut()
+                .set_decay_exempt(&Actor::kernel(), source, true)
+                .unwrap();
+            let trickle = k.thread_by_name("trickle").unwrap();
+            k.kill(trickle);
+            k.spawn_unprivileged("hog", Box::new(Spinner::new()), r);
+            k.run_until(SimTime::from_secs(300));
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
+}
+
+/// Decay off: the hog's reserve is still a charged lane.
+#[test]
+fn duty_jumps_without_decay() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |c| {
+                c.graph.decay = None;
+            });
+            k.run_until(SimTime::from_secs(300));
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
+}
+
+/// A hog that computes in 1 s chunks and sleeps 2 s between them: its
+/// queued compute caps each jump, and the landing's debit of it decides
+/// when the thread next sleeps.
+#[test]
+fn duty_jumps_stop_at_the_queued_compute() {
+    let fast = duty_three_ways(95, |idle_skip, fast_forward| {
+        let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 10, |_| {});
+        let hog = k.thread_by_name("hog").unwrap();
+        k.kill(hog);
+        let mut computing = false;
+        k.spawn_unprivileged(
+            "chunks",
+            Box::new(FnProgram(move |ctx: &mut Ctx<'_>| {
+                computing = !computing;
+                if computing {
+                    Step::compute(SimDuration::from_secs(1))
+                } else {
+                    Step::SleepUntil(ctx.now() + SimDuration::from_secs(2))
+                }
+            })),
+            r,
+        );
+        k.run_until(SimTime::from_secs(300));
+        (fingerprint(&mut k), k.run_profile())
+    });
+    assert!(fast.duty_jumps > 50, "{fast:?}");
+}
+
+/// Controls the certificate must refuse, matching all the same: a hog
+/// whose reserve a backward proportional tap drains (Fig 6b's plugin),
+/// and a kernel whose meter samples a trace.
+#[test]
+fn duty_jumps_refuse_a_drained_reserve_and_a_sampling_meter() {
+    let backward = |k: &mut Kernel, r: ReserveId| {
+        let battery = k.battery();
+        k.graph_mut()
+            .create_tap(
+                &Actor::kernel(),
+                "backward",
+                r,
+                battery,
+                RateSpec::Proportional { ppm_per_s: 100_000 },
+                Label::default_label(),
+            )
+            .unwrap();
+    };
+    for traced in [false, true] {
+        let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 10, |c| {
+                c.meter_trace = traced;
+            });
+            if !traced {
+                backward(&mut k, r);
+            }
+            k.run_until(SimTime::from_secs(120));
+            (fingerprint(&mut k), k.run_profile())
+        });
+        assert_eq!(fast.duty_jumps, 0, "{fast:?}");
+        assert_eq!(fast.full_quanta, fast.quanta(), "{fast:?}");
+    }
 }

@@ -130,6 +130,20 @@ impl PowerMeter {
         self.now = t;
     }
 
+    /// The state [`PowerMeter::set_power`] calls alternating between the
+    /// current power and `other` leave, in one exact update: `other` was
+    /// drawn for `dt` in all up to `t`, where the power last changed, to
+    /// `power`. Panics if the meter samples: its trace needs each change.
+    pub fn settle_alternating(&mut self, t: SimTime, other: Power, dt: SimDuration, power: Power) {
+        assert!(self.sampler.is_none(), "sampling needs each change");
+        if other != self.current {
+            self.accum_uw_us += (other.as_microwatts() as u128) * (dt.as_micros() as u128);
+            self.now += dt;
+            self.advance(t);
+            self.current = power;
+        }
+    }
+
     /// Adds an instantaneous energy event (e.g. the per-byte cost of a
     /// packet burst too short to resolve as a power step).
     ///
@@ -281,6 +295,36 @@ mod tests {
             deduped.trace().unwrap().points(),
             reference.trace().unwrap().points()
         );
+    }
+
+    /// One exact update leaves the state per-quantum `set_power` calls
+    /// alternating between two levels leave: accumulator, time and power.
+    #[test]
+    fn alternating_settle_matches_each_change() {
+        let (high, low) = (Power::from_milliwatts(836), Power::from_milliwatts(699));
+        let quantum = SimDuration::from_millis(10);
+        let start = SimTime::from_millis(100);
+        let runs = [true, false, false, true, true, false, true, false, false];
+        let mut stepped = PowerMeter::new(low);
+        stepped.set_power(SimTime::from_millis(30), high);
+        let mut settled = PowerMeter::new(low);
+        settled.set_power(SimTime::from_millis(30), high);
+        let (mut edge, mut before, mut lows) = (0, 0, 0);
+        for (i, &run) in runs.iter().enumerate() {
+            let t = start + quantum * i as u64;
+            stepped.set_power(t, if run { high } else { low });
+            if run != (i == 0 || runs[i - 1]) {
+                (edge, before) = (i as u64, lows);
+            }
+            lows += u64::from(!run);
+        }
+        settled.settle_alternating(start + quantum * edge, low, quantum * before, low);
+        assert_eq!(settled.checkpoint(), stepped.checkpoint());
+        assert_eq!(settled.current_power(), stepped.current_power());
+        let end = SimTime::from_millis(400);
+        stepped.advance(end);
+        settled.advance(end);
+        assert_eq!(settled.checkpoint(), stepped.checkpoint());
     }
 
     #[test]
