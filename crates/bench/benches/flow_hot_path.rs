@@ -22,6 +22,13 @@
 //! pollers' graph (a battery feeding two decaying reserves) with the
 //! default decay, flowed in 100-tick spans for an hour — the decay lanes
 //! against the reference's ticks.
+//!
+//! `plan_vs_tick` is the evidence behind the planner's break-even
+//! (`MIN_PARTITIONED_SPAN`, 16 ticks): an hour flowed in spans of 4 to 64
+//! ticks, each span through the run planner alone and through the
+//! compiled tick alone (`ResourceGraph::flow_ticks`), on a battery
+//! feeding one decaying reserve and on Fig 6b's graph. It reports ns per
+//! span on each side and asserts the two sides end bit-identical.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -274,6 +281,85 @@ fn idle_lane_spans(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
     (ms, state)
 }
 
+/// The span lengths `plan_vs_tick` times, in ticks.
+const PLAN_SPANS: [u64; 5] = [4, 8, 16, 32, 64];
+
+/// A battery feeding one decaying reserve 37.5 mW, with the default decay:
+/// the graph of a stalled gallery's idle jumps.
+fn decay_lane_graph() -> ResourceGraph {
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    let r = g
+        .create_reserve(&k, "lane", Label::default_label())
+        .unwrap();
+    g.create_tap(
+        &k,
+        "feed",
+        battery,
+        r,
+        RateSpec::constant(Power::from_microwatts(37_500)),
+        Label::default_label(),
+    )
+    .unwrap();
+    g
+}
+
+/// Flows `g` an hour in `span`-tick calls, each through the run planner
+/// alone (`planned`) or the compiled tick alone. Returns the wall time in
+/// ns per span and the end state.
+fn plan_or_tick(
+    mut g: ResourceGraph,
+    span: u64,
+    planned: bool,
+) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let spans = BROWSER_TICKS / span;
+    let start = Instant::now();
+    for _ in 0..spans {
+        g.flow_ticks(black_box(span), planned);
+    }
+    let ns_per_span = start.elapsed().as_secs_f64() * 1e9 / spans as f64;
+    let state = g
+        .reserves()
+        .map(|(_, r)| (r.balance(), r.stats()))
+        .collect();
+    (ns_per_span, state)
+}
+
+/// `plan_vs_tick` on one graph: for each of [`PLAN_SPANS`], the median ns
+/// per span of seven alternating hours per side, as JSON lists of the
+/// planned side and the ticked side.
+fn plan_vs_tick(build: fn() -> ResourceGraph, graph: &str) -> [String; 2] {
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (medians_planned, medians_ticked): (Vec<String>, Vec<String>) = PLAN_SPANS
+        .iter()
+        .map(|&span| {
+            let (mut planned, mut ticked) = (Vec::new(), Vec::new());
+            for pair in 0..7 {
+                let mut sides = [None, None];
+                for plan in [pair % 2 == 0, pair % 2 == 1] {
+                    sides[usize::from(plan)] = Some(plan_or_tick(build(), span, plan));
+                }
+                let [Some((tick_ns, tick_end)), Some((plan_ns, plan_end))] = sides else {
+                    unreachable!("both sides ran");
+                };
+                assert_eq!(
+                    plan_end, tick_end,
+                    "planned and ticked {span}-tick spans diverged on {graph}"
+                );
+                planned.push(plan_ns);
+                ticked.push(tick_ns);
+            }
+            let ns = |v: &mut Vec<f64>| format!("{:.0}", median(v));
+            (ns(&mut planned), ns(&mut ticked))
+        })
+        .unzip();
+    [medians_planned, medians_ticked].map(|ns| format!("[{}]", ns.join(", ")))
+}
+
 fn bench_flow_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_hot_path_1h_100r_200t");
     group.bench_function("engine", |b| {
@@ -428,12 +514,17 @@ fn speedup_report(_c: &mut Criterion) {
     let (lanes_ms, reference_lanes_ms) = (median(&mut lane_runs), median(&mut reference_lane_runs));
     let lanes_speedup = reference_lanes_ms / lanes_ms;
 
+    // The planner's break-even, on both graphs.
+    let [lane_planned, lane_ticked] = plan_vs_tick(decay_lane_graph, "the decay lane");
+    let [fig6b_planned, fig6b_ticked] = plan_vs_tick(|| browser_graph().0, "Fig 6b");
+
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
     println!("flow_hot_path speedup (prop island):         {island_speedup:.1}x  (reference {reference_island_ms:.2} ms -> engine {engine_island_ms:.2} ms)");
     println!("flow_hot_path speedup (multi-kind, ff):      {multi_kind_speedup:.1}x  (reference {reference_mk_ms:.2} ms -> engine {engine_mk_ms:.4} ms)");
     println!("flow_hot_path single tick (Fig 6b browser):  {tick_ns:.1} ns/tick (reference {reference_tick_ns:.1} ns/tick)");
     println!("flow_hot_path idle decay lanes:              {lanes_speedup:.1}x  (reference {reference_lanes_ms:.3} ms -> engine {lanes_ms:.3} ms)");
+    println!("flow_hot_path plan vs tick, ns per span of {PLAN_SPANS:?} ticks: decay lane planned {lane_planned} ticked {lane_ticked}; Fig 6b planned {fig6b_planned} ticked {fig6b_ticked}");
     assert!(
         speedup >= 5.0,
         "acceptance criterion: >=5x on the const scenario, got {speedup:.1}x"
@@ -448,7 +539,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

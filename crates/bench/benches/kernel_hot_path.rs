@@ -32,9 +32,13 @@
 //!   the stepped run pays quantum by quantum — bit-identical on the same
 //!   observables plus every thread's throttled time.
 //! * **browser-quantum** — Fig 6b's browser, plugin and extension on the
-//!   fleet's 100 ms quantum for one hour: no quantum jumps, so this is the
-//!   full loop's per-quantum cost (flow tick over three constant and two
-//!   proportional taps with decay, a multi-Ready pick, a charge).
+//!   fleet's 100 ms quantum for one hour, with `fast_forward` off and on
+//!   (`idle_skip` on in both): off, every quantum runs the full loop (flow
+//!   tick over three constant and two proportional taps with decay, a
+//!   multi-Ready pick, a charge); on, duty jumps cross the plugin's
+//!   sole-Ready windows between page loads, ticking the graph between its
+//!   quanta — bit-identical on the same observables. Reported in ns per
+//!   simulated quantum.
 //!
 //! Each speedup is the ratio of the best wall times of the two sides, run
 //! in alternating pairs so that drift on a shared host hits both alike.
@@ -197,11 +201,11 @@ fn netd_pooling_kernel(
 }
 
 /// Fig 6b's browser on a fleet-shaped kernel (100 ms quanta, `idle_skip`
-/// and `fast_forward` on).
-fn browser_kernel() -> Kernel {
+/// on) with the given `fast_forward`.
+fn browser_kernel(fast_forward: bool) -> Kernel {
     let mut k = Kernel::new(KernelConfig {
         idle_skip: true,
-        fast_forward: true,
+        fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(100),
             ..SchedulerConfig::default()
@@ -256,11 +260,15 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
     group.bench_function("retrying_pollers_fast_forward", |b| {
         b.iter_with_setup(|| netd_pooling_kernel(true, heavy_retry()), run_pooling)
     });
-    group.bench_function("browser_quantum", |b| {
-        b.iter_with_setup(browser_kernel, |mut k| {
-            k.run_until(SimTime::from_secs(POOLING_SECS));
-            k
-        })
+    let run_hour = |mut k: Kernel| {
+        k.run_until(SimTime::from_secs(POOLING_SECS));
+        k
+    };
+    group.bench_function("browser_quantum_ff_off", |b| {
+        b.iter_with_setup(|| browser_kernel(false), run_hour)
+    });
+    group.bench_function("browser_quantum_fast_forward", |b| {
+        b.iter_with_setup(|| browser_kernel(true), run_hour)
     });
     group.finish();
 }
@@ -418,15 +426,23 @@ fn hot_path_report(_c: &mut Criterion) {
     let gated_share = retry_profile.gated_quanta as f64 / retry_profile.quanta() as f64;
     let retry_speedup = retry_ms / retry_ff_ms;
 
-    // The browser's full loop: best of five hours, in ns per quantum.
-    let mut browser_ns = f64::INFINITY;
-    let mut browser_full_quanta = 0;
-    for _ in 0..5 {
-        let mut k = browser_kernel();
-        let wall_ns = timed(&mut k, POOLING_SECS) * 1e6;
-        browser_full_quanta = k.run_profile().full_quanta;
-        browser_ns = browser_ns.min(wall_ns / browser_full_quanta as f64);
-    }
+    // Fig 6b's browser: duty jumps against the ff-off loop, which steps
+    // every quantum; both in ns per simulated quantum.
+    let [(browser_ms, browser_observed), (browser_ff_ms, (browser_ff_observed, browser_profile))] =
+        alternate(|fast_forward| {
+            let mut k = browser_kernel(fast_forward);
+            let wall_ms = timed(&mut k, POOLING_SECS);
+            (wall_ms, (observe(&mut k), k.run_profile()))
+        });
+    assert_eq!(
+        browser_observed.0, browser_ff_observed,
+        "the browser's duty jumps must be bit-identical to stepping"
+    );
+    let browser_quanta = browser_profile.quanta();
+    let browser_share = browser_profile.duty_quanta as f64 / browser_quanta as f64;
+    let browser_ns = browser_ms * 1e6 / browser_quanta as f64;
+    let browser_ff_ns = browser_ff_ms * 1e6 / browser_quanta as f64;
+    let browser_speedup = browser_ms / browser_ff_ms;
 
     let quanta = SIM_SECS * 100; // default 10 ms quantum
     let skip_speedup = idle_ms / skip_ms;
@@ -439,13 +455,16 @@ fn hot_path_report(_c: &mut Criterion) {
          1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
          quanta in {} pooled jumps), retrying pollers 1 h {retry_ms:.2} ms vs fast_forward \
          {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated), browser \
-         {browser_ns:.1} ns/quantum over {browser_full_quanta} full-loop quanta",
+         {browser_ns:.1} ns/quantum vs fast_forward {browser_ff_ns:.1} ns/quantum \
+         ({browser_speedup:.1}x, {:.0}% of quanta in {} duty jumps)",
         busy_ms * 1e6 / quanta as f64,
         duty_share * 100.0,
         duty_profile.duty_jumps,
         pooled_share * 100.0,
         pool_profile.pooled_jumps,
         gated_share * 100.0,
+        browser_share * 100.0,
+        browser_profile.duty_jumps,
     );
 
     let json = format!(
@@ -468,11 +487,16 @@ fn hot_path_report(_c: &mut Criterion) {
          \"fast_forward_wall_ms\": {retry_ff_ms:.4}, \"skip_speedup\": {retry_speedup:.1}, \
          \"gated_quanta_share\": {gated_share:.3}, \"observables_bit_identical\": true }},\n  \
          \"browser_quantum\": {{ \"sim_seconds\": {POOLING_SECS}, \"quantum_ms\": 100, \
-         \"ns_per_quantum\": {browser_ns:.1}, \"full_quanta\": {browser_full_quanta} }}\n}}\n",
+         \"quanta\": {browser_quanta}, \"ff_off_ns_per_quantum\": {browser_ns:.1}, \
+         \"fast_forward_ns_per_quantum\": {browser_ff_ns:.1}, \"skip_speedup\": \
+         {browser_speedup:.2}, \"duty_jumps\": {}, \"duty_quanta_share\": {browser_share:.3}, \
+         \"full_quanta\": {}, \"observables_bit_identical\": true }}\n}}\n",
         busy_ms * 1e6 / quanta as f64,
         duty_profile.duty_jumps,
         backlit_drain.as_microjoules() as f64 / 1e6,
-        pool_profile.pooled_jumps
+        pool_profile.pooled_jumps,
+        browser_profile.duty_jumps,
+        browser_profile.full_quanta,
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -55,9 +55,16 @@
 //!   battery too: decay only credits it) take the coverage test. While the
 //!   battery is not dynamic, a decaying reserve no tap drains and only
 //!   constant taps from covered or starved sources feed is a *lane*, run
-//!   alone in a scalar loop; other fed decaying reserves are dynamic. A
-//!   [`Duty`] run adds one *charged* lane, decaying or not: a sole Ready
-//!   thread's reserve, whose loop also runs each quantum's charge.
+//!   alone in a scalar loop; other fed decaying reserves are dynamic.
+//! * **Duty runs** — a sole Ready thread's quanta, each charged while its
+//!   reserve is positive. A lane-shaped reserve over a span no shorter
+//!   than the break-even is a *charged* lane, decaying or not, whose loop
+//!   also runs each quantum's charge; any other duty run is ticked, its
+//!   quanta stepped between compiled ticks.
+//! * **Break-even** — spans shorter than `MIN_PARTITIONED_SPAN` (16 ticks,
+//!   measured by the `flow_hot_path` bench's `plan_vs_tick`) skip the
+//!   planner on any graph with a proportional tap or decay: its O(R + T)
+//!   plan costs more than the ticks it would save.
 //!
 //! The partition is sound because a covered source can never clamp (its
 //! balance bounds the run length, counting every out-tap in either
@@ -109,15 +116,18 @@ pub(crate) enum SourceRun {
 /// A sole Ready thread's quanta across a duty run
 /// ([`crate::ResourceGraph::settle_duty`]): each charges `cost` to its
 /// reserve while the level is positive and throttles it otherwise, as the
-/// scheduler would. The reserve is a charged decay lane: `head` quanta
-/// before the first tick, then `per_tick` after each tick's feeds and leak.
+/// scheduler would. `head` quanta come before the first tick, then
+/// `per_tick` after each tick. A lane-shaped reserve over a span no
+/// shorter than the planner's break-even is a charged decay lane, whose
+/// quanta follow each tick's feeds and leak; any other run is ticked, its
+/// quanta following each compiled flow tick.
 #[derive(Debug, Clone)]
 pub struct Duty {
-    reserve: RawId,
+    pub(crate) reserve: RawId,
     /// What each run charges.
     pub cost: Energy,
-    head: u64,
-    per_tick: u64,
+    pub(crate) head: u64,
+    pub(crate) per_tick: u64,
     /// Quanta that ran.
     pub runs: u64,
     /// Quanta throttled.
@@ -179,6 +189,17 @@ impl Duty {
                 self.throttles += 1;
             }
         }
+    }
+
+    /// Steps `n` quanta against the reserve's balance, debiting the runs as
+    /// consumption: a ticked duty run's quanta between compiled ticks.
+    pub(crate) fn charge(&mut self, reserves: &mut Arena<Reserve>, n: u64) {
+        let r = reserves
+            .get_mut(self.reserve)
+            .expect("the duty reserve is live");
+        let (mut level, runs) = (r.balance().as_microjoules(), self.runs);
+        self.step(&mut level, n);
+        r.debit_consumed(self.cost * (self.runs - runs) as i64);
     }
 }
 
@@ -449,8 +470,6 @@ pub(crate) struct FlowEngine {
     decay_eligible: Vec<RawId>,
     /// The decay lanes of the run being settled.
     pub(crate) lanes: Lanes,
-    /// Bumped by every tap hook: create, remove, re-rate.
-    pub(crate) tap_epoch: u64,
 }
 
 fn is_live_prop(rate: RateSpec) -> bool {
@@ -478,7 +497,6 @@ impl FlowEngine {
             decay_acc: Vec::new(),
             decay_eligible: Vec::new(),
             lanes: Lanes::default(),
-            tap_epoch: 0,
         }
     }
 
@@ -546,7 +564,6 @@ impl FlowEngine {
             self.live_prop += 1;
         }
         self.plan.dt = None;
-        self.tap_epoch += 1;
     }
 
     /// Unregisters a tap about to be (or just) removed.
@@ -565,7 +582,6 @@ impl FlowEngine {
             }
         }
         self.plan.dt = None;
-        self.tap_epoch += 1;
         let feeds = &mut self.inbound[sink.index() as usize];
         feeds.taps -= 1;
         feeds.count(source, rate, false);
@@ -605,7 +621,6 @@ impl FlowEngine {
         feeds.count(source, old, false);
         feeds.count(source, new, true);
         self.plan.dt = None;
-        self.tap_epoch += 1;
         let (was, is) = (is_live_prop(old), is_live_prop(new));
         if was == is {
             return;
@@ -767,16 +782,16 @@ impl FlowEngine {
 
     // ----- partitioned closed-form fast-forward ---------------------------
 
-    /// Whether [`FlowEngine::run_span`] declines a span of `ticks` outright:
-    /// with a live proportional tap or decay, planning and the SoA build
-    /// cost more than ticking a span shorter than `MIN_PARTITIONED_SPAN`.
+    /// Whether a span of `ticks` is better ticked than planned: with a live
+    /// proportional tap or decay, planning and the SoA build cost more than
+    /// ticking a span shorter than `MIN_PARTITIONED_SPAN`.
     pub(crate) fn declines_span(&self, ticks: u64, decaying: bool) -> bool {
         (self.live_prop > 0 || decaying) && ticks < MIN_PARTITIONED_SPAN
     }
 
-    /// Attempts to advance up to `max_ticks` ticks as one planned *run*,
-    /// returning how many were applied (0 means: run one tick the slow
-    /// way).
+    /// Advances up to `max_ticks` ticks as one planned *run*, returning how
+    /// many were applied (at least one). The caller ticks spans below the
+    /// break-even instead ([`FlowEngine::declines_span`]).
     ///
     /// Sources are classified per run:
     ///
@@ -818,9 +833,6 @@ impl FlowEngine {
         if self.order.is_empty() && !decaying && duty.is_none() {
             // No taps at all: nothing moves, whole span is one event.
             return max_ticks;
-        }
-        if self.declines_span(max_ticks, decaying) {
-            return 0;
         }
         let dt_us = dt.as_micros() as u128;
 
@@ -1180,9 +1192,15 @@ impl FlowEngine {
     }
 }
 
-/// Below this span length a mixed graph is ticked directly: run planning
-/// and SoA assembly cost more than a few indexed ticks.
-pub(crate) const MIN_PARTITIONED_SPAN: u64 = 4;
+/// The planner's break-even: below this span length a proportional or
+/// decaying graph is ticked, because run planning and SoA assembly cost
+/// more than the compiled ticks. Measured by `flow_hot_path`'s
+/// `plan_vs_tick` on a battery feeding one decaying reserve (a shared
+/// 2-vCPU x86-64 VM): 4 ticks cost 227 ns planned and 86 ns ticked, 16
+/// ticks 303 and 329, 64 ticks 611 and 1,222. On Fig 6b's graph, whose
+/// proportional island is ticked either way, planning costs more at every
+/// span measured, up to 64 ticks.
+pub(crate) const MIN_PARTITIONED_SPAN: u64 = 16;
 
 /// Dense-slot assignment for the ticked partition (free function so the
 /// borrow checker sees disjoint field borrows).
@@ -2106,6 +2124,82 @@ mod differential {
             g.inject(&Actor::kernel(), lane, huge).unwrap();
             feed(g, battery, lane, 37_513);
         });
+    }
+
+    /// Fig 6b's browser graph: the battery feeds the browser 694 mW, which
+    /// feeds the plugin 70 mW and the extension 20 mW, and the browser and
+    /// the plugin leak 10%/s back to the battery.
+    fn fig6b(g: &mut ResourceGraph) {
+        let k = Actor::kernel();
+        let battery = g.battery();
+        let browser = reserve(g, "browser");
+        let plugin = reserve(g, "plugin");
+        let extension = reserve(g, "extension");
+        feed(g, battery, browser, 694_000);
+        feed(g, browser, plugin, 70_000);
+        feed(g, browser, extension, 20_000);
+        for source in [browser, plugin] {
+            g.create_tap(
+                &k,
+                "back",
+                source,
+                battery,
+                RateSpec::proportional(0.1),
+                Label::default_label(),
+            )
+            .unwrap();
+        }
+    }
+
+    /// Spans on both sides of the planner's break-even — 1, 15, 16 and 17
+    /// ticks at today's `MIN_PARTITIONED_SPAN` of 16 — after a minute's
+    /// warm-up: `flow_until`, the planner alone and the compiled tick
+    /// alone ([`ResourceGraph::flow_ticks`]) must each end every span
+    /// where the reference does.
+    fn break_even_spans_match_reference(build: impl Fn(&mut ResourceGraph)) {
+        let config = GraphConfig::default();
+        let initial = Energy::from_joules(15_000);
+        let mut graphs: [ResourceGraph; 4] =
+            std::array::from_fn(|_| ResourceGraph::with_config(initial, config));
+        for g in &mut graphs {
+            build(g);
+        }
+        let [until, planned, ticked, reference] = &mut graphs;
+        let b = super::MIN_PARTITIONED_SPAN;
+        for ticks in [600, 1, b - 1, b, b + 1, b + 1, b, b - 1, 1] {
+            let now = reference.now() + config.flow_tick * ticks;
+            until.flow_until(now);
+            planned.flow_ticks(ticks, true);
+            ticked.flow_ticks(ticks, false);
+            reference.flow_until_reference(now);
+            let expected = dump(reference);
+            for (side, g) in [
+                ("flow_until", &*until),
+                ("planned", &*planned),
+                ("ticked", &*ticked),
+            ] {
+                assert_eq!(dump(g), expected, "{side}, {ticks} ticks");
+            }
+        }
+        assert!(reference.totals().conserved());
+    }
+
+    /// The break-even on a battery feeding one decaying lane through a
+    /// jittered constant tap.
+    #[test]
+    fn break_even_spans_on_a_decay_lane_match_reference() {
+        break_even_spans_match_reference(|g| {
+            let battery = g.battery();
+            let lane = reserve(g, "lane");
+            feed(g, battery, lane, 37_513);
+        });
+    }
+
+    /// The break-even on Fig 6b's graph, whose proportional island is
+    /// ticked on either side of it.
+    #[test]
+    fn break_even_spans_on_fig6b_match_reference() {
+        break_even_spans_match_reference(fig6b);
     }
 
     /// Re-rating taps between spans re-plans the partition: a tap flipped

@@ -1028,28 +1028,23 @@ impl ResourceGraph {
         };
         let battery = self.battery.0;
         // Once a run comes back too short (a source hovering within a few
-        // ticks of its clamp boundary, or a span too short to plan) we
-        // settle the rest of this call tick by tick: re-planning is
-        // O(R + T), so a plan that only buys a tick or two costs more than
-        // it saves.
+        // ticks of its clamp boundary) we settle the rest of this call
+        // tick by tick: re-planning is O(R + T), so a plan that only buys
+        // a tick or two costs more than it saves.
         const MIN_PROFITABLE_RUN: u64 = 4;
-        // A span the planner would decline outright (the kernel's
-        // one-tick quantum over a proportional or decaying graph) goes
-        // straight to the compiled tick.
-        let mut try_span = !self
-            .flow
-            .declines_span(remaining, self.decay_ppm_per_tick > 0);
+        // A span below the planner's break-even (the kernel's one-tick
+        // quantum, or a short idle jump, over a proportional or decaying
+        // graph) goes straight to the compiled tick.
+        let decaying = self.decay_ppm_per_tick > 0;
+        let mut try_span = !self.flow.declines_span(remaining, decaying);
         while remaining > 0 {
             if try_span {
                 let advanced = self.run_span(remaining, None);
-                if advanced < MIN_PROFITABLE_RUN {
-                    try_span = false;
-                }
-                if advanced > 0 {
-                    self.now += tick * advanced;
-                    remaining -= advanced;
-                    continue;
-                }
+                self.now += tick * advanced;
+                remaining -= advanced;
+                try_span =
+                    advanced >= MIN_PROFITABLE_RUN && !self.flow.declines_span(remaining, decaying);
+                continue;
             }
             self.flow.tick(
                 &mut self.reserves,
@@ -1215,26 +1210,27 @@ impl ResourceGraph {
 
     /// Certifies a *duty run* for `reserve`, a sole Ready thread's, whose
     /// quanta each run if funded and throttle if not: how many of the next
-    /// flow ticks, at most `max_ticks` and at least the planner's shortest
-    /// span, [`ResourceGraph::settle_duty`] may settle with it as a charged
-    /// lane. It must be lane-shaped: no tap drains it, only constant taps
-    /// feed it, and with decay on it decays. Each feed's source must stay
-    /// Covered or Starved in the run plan, which caps the run at its
-    /// coverage rather than let the planner demote it. With decay on, so
-    /// must the battery, which takes the lanes' leaks at the run's end.
-    /// `None` means not lane-shaped, until the tap set changes
-    /// ([`ResourceGraph::tap_epoch`]); `Some(0)`, no room for now.
+    /// flow ticks, at most `max_ticks`, [`ResourceGraph::settle_duty`] may
+    /// settle. `None` for the battery and non-energy reserves.
+    ///
+    /// Ticked runs are exact for any graph, so a reserve that is not
+    /// lane-shaped (a tap drains it, a live proportional tap feeds it, or
+    /// decay is on and it is exempt), or a span below the planner's
+    /// break-even, gets all `max_ticks`. A lane-shaped reserve over a
+    /// longer span is a charged lane: only constant taps may feed it, and
+    /// each feed's source must stay Covered or Starved in the run plan,
+    /// which caps the run at its coverage rather than let the planner
+    /// demote it. With decay on, so must the battery, which takes the
+    /// lanes' leaks at the run's end. `Some(0)` means no room for now.
     pub fn duty_run(&self, reserve: ReserveId, max_ticks: u64) -> Option<u64> {
-        let decaying = self.decay_ppm_per_tick > 0;
         let r = self.reserves.get(reserve.0)?;
-        if reserve == self.battery
-            || r.kind() != ResourceKind::Energy
-            || decaying && r.is_decay_exempt()
-            || self.flow.inbound(reserve.0).live_prop > 0
-            || self.flow.outbound(reserve.0).next().is_some()
-        {
+        if reserve == self.battery || r.kind() != ResourceKind::Energy {
             return None;
         }
+        if max_ticks < MIN_PARTITIONED_SPAN || !self.is_duty_lane(reserve) {
+            return Some(max_ticks);
+        }
+        let decaying = self.decay_ppm_per_tick > 0;
         let tick = self.config.flow_tick;
         let plan = |source: ReserveId| {
             self.flow
@@ -1252,23 +1248,50 @@ impl ResourceGraph {
             match (tap.rate(), plan(tap.source())) {
                 (RateSpec::Const(_), Some((SourceRun::Covered, n))) => ticks = ticks.min(n),
                 (RateSpec::Const(_), Some((SourceRun::Starved, _))) => {}
-                (RateSpec::Const(_), Some((SourceRun::Dynamic, _))) => return Some(0),
-                _ => return None,
+                // A zero-rate feed the planner leaves out, or a dynamic
+                // source, would end the lane mid-run.
+                _ => return Some(0),
             }
         }
-        Some(if ticks < MIN_PARTITIONED_SPAN {
-            0
-        } else {
-            ticks
-        })
+        // Capped below the break-even, the run is ticked.
+        Some(ticks)
     }
 
-    /// Applies a run [`ResourceGraph::duty_run`] certified: the flow
-    /// engine's partition over at most `ticks` ticks (another source's
-    /// coverage may end it sooner), with `duty`'s reserve a charged lane
-    /// whose charges are consumed. Returns the ticks settled.
+    /// Whether a duty run may charge `reserve` as a decay lane: no tap
+    /// drains it, no live proportional tap feeds it, and with decay on it
+    /// decays.
+    fn is_duty_lane(&self, reserve: ReserveId) -> bool {
+        let exempt = self
+            .reserves
+            .get(reserve.0)
+            .is_some_and(|r| r.is_decay_exempt());
+        !(self.decay_ppm_per_tick > 0 && exempt)
+            && self.flow.inbound(reserve.0).live_prop == 0
+            && self.flow.outbound(reserve.0).next().is_none()
+    }
+
+    /// Applies a run [`ResourceGraph::duty_run`] certified, with `duty`'s
+    /// charges consumed. A lane-shaped reserve over a span no shorter than
+    /// the planner's break-even is a charged lane in the flow engine's
+    /// partition, which another source's coverage may end sooner. Any other
+    /// run is ticked, exact for any graph: the `head` quanta, then per
+    /// tick the full loop's own compiled tick and that tick's quanta.
+    /// Returns the ticks settled.
     pub fn settle_duty(&mut self, duty: &mut Duty, ticks: u64) -> u64 {
-        let settled = self.run_span(ticks, Some(duty));
+        let lane = ticks >= MIN_PARTITIONED_SPAN && self.is_duty_lane(ReserveId(duty.reserve));
+        let settled = if lane {
+            self.run_span(ticks, Some(duty))
+        } else {
+            let (tick, ppm, battery) =
+                (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
+            duty.charge(&mut self.reserves, duty.head);
+            for _ in 0..ticks {
+                self.flow
+                    .tick(&mut self.reserves, &mut self.taps, battery.0, ppm, tick);
+                duty.charge(&mut self.reserves, duty.per_tick);
+            }
+            ticks
+        };
         self.now += self.config.flow_tick * settled;
         self.total_consumed[ResourceKind::Energy.index()] += duty.charged();
         settled
@@ -1279,11 +1302,6 @@ impl ResourceGraph {
         let (tick, ppm, battery) = (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
         let (flow, reserves, taps) = (&mut self.flow, &mut self.reserves, &mut self.taps);
         flow.run_span(reserves, taps, tick, ticks, ppm, battery.0, duty)
-    }
-
-    /// Counts tap creations, deletions and re-rates.
-    pub fn tap_epoch(&self) -> u64 {
-        self.flow.tap_epoch
     }
 
     /// Classifies the live taps for [`ResourceGraph::pooled_run`].
@@ -1418,6 +1436,28 @@ impl ResourceGraph {
         while self.now + tick <= now {
             self.flow_one_tick_reference(tick);
             self.now += tick;
+        }
+    }
+
+    /// Advances `ticks` whole flow ticks through the run planner alone
+    /// (`planned`) or the compiled tick alone, whatever the span's length:
+    /// the two sides of [`ResourceGraph::flow_until`]'s break-even, which
+    /// the `flow_hot_path` bench times against each other.
+    #[cfg(any(test, feature = "reference-flow"))]
+    pub fn flow_ticks(&mut self, ticks: u64, planned: bool) {
+        let (tick, battery) = (self.config.flow_tick, self.battery.0);
+        let mut remaining = ticks;
+        while remaining > 0 {
+            let advanced = if planned {
+                self.run_span(remaining, None)
+            } else {
+                let ppm = self.decay_ppm_per_tick;
+                self.flow
+                    .tick(&mut self.reserves, &mut self.taps, battery, ppm, tick);
+                1
+            };
+            self.now += tick * advanced;
+            remaining -= advanced;
         }
     }
 

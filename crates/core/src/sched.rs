@@ -416,7 +416,10 @@ impl ResourceScheduler {
         task.throttled_quanta += duty.throttles;
         let mut kept = 0;
         if let Some((last, ran)) = duty.last_run {
-            for k in (0..Duty::HISTORY).rev().filter(|&k| quantum * k < window) {
+            // Quantum `last − k` is within the window iff `k·quantum <
+            // window`: only the ⌈window / quantum⌉ youngest bits.
+            let within = window.as_micros().div_ceil(quantum.as_micros().max(1));
+            for k in (0..within.min(Duty::HISTORY)).rev() {
                 if ran >> k & 1 == 1 {
                     task.estimator
                         .record(start + quantum * (last - k), duty.cost);

@@ -14,7 +14,6 @@
 //!    quantum at the accounting power (137 mW);
 //! 6. the meter records total platform power for the quantum.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use cinder_core::{
@@ -99,8 +98,9 @@ pub struct KernelConfig {
     ///
     /// * *duty* — one Ready thread on queued compute, which each quantum
     ///   runs if its reserve is funded and throttles if not: the reserve is
-    ///   a charged decay lane ([`cinder_core::ResourceGraph::settle_duty`]),
-    ///   and the scheduler, estimator and meter replay the quanta in bulk.
+    ///   a charged decay lane, or the graph is ticked between its quanta
+    ///   ([`cinder_core::ResourceGraph::settle_duty`]), and the scheduler,
+    ///   estimator and meter replay the quanta in bulk.
     ///
     /// It also lets idle and pooled jumps cross Ready threads that are
     /// *reserve-gated* — every crossed `pick_next` provably throttles
@@ -315,7 +315,7 @@ enum JumpKind {
         waiters: Vec<ReserveId>,
         ticks: u64,
     },
-    /// `n` flow ticks settle with `duty`'s charged lane for `task`.
+    /// `n` flow ticks settle with `duty`'s quanta for `task`.
     Duty { task: TaskId, duty: Duty, n: u64 },
 }
 
@@ -449,9 +449,6 @@ pub struct Kernel {
     faults: FaultCounters,
     /// Run-loop path counters.
     profile: RunProfile,
-    /// The last reserve the duty certificate found not lane-shaped, at the
-    /// graph's tap epoch then.
-    duty_refused: Cell<Option<(ReserveId, u64)>>,
 }
 
 impl Kernel {
@@ -516,7 +513,6 @@ impl Kernel {
             link_down: false,
             faults: FaultCounters::default(),
             profile: RunProfile::default(),
-            duty_refused: Cell::new(None),
             now: SimTime::ZERO,
             config,
         }
@@ -1819,10 +1815,11 @@ impl Kernel {
     /// ran on queued compute, so that each next one runs it if its reserve
     /// is positive and throttles it if not. Cheapest check first:
     /// `fast_forward`, no sampling meter, held send or lit peripheral, a
-    /// flow tick of whole quanta, a quiet stack, one known Ready thread,
-    /// and its reserve not refused since the tap set changed. The span,
-    /// which ends before a flow tick, is the least of the wake bound, the
-    /// queued compute, and the graph's half ([`ResourceGraph::duty_run`]).
+    /// flow tick of whole quanta, one known Ready thread, and a quiet
+    /// stack. The span, which ends before a flow tick, is the least of the
+    /// wake bound, the queued compute, and the graph's half
+    /// ([`ResourceGraph::duty_run`]), which refuses only the battery and
+    /// non-energy reserves.
     fn certify_duty(&self, end: SimTime) -> Option<Jump> {
         let quantum = self.sched.quantum();
         if !self.config.fast_forward
@@ -1835,13 +1832,9 @@ impl Kernel {
         }
         let task = self.sched.sole_ready()?;
         let reserve = self.sched.active_reserve(task)?;
-        let epoch = self.graph.tap_epoch();
         let quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
         // The landing replays the estimator's window off the run history.
-        if self.duty_refused.get() == Some((reserve, epoch))
-            || !quiet
-            || self.config.sched.estimate_window > quantum * Duty::HISTORY
-        {
+        if !quiet || self.config.sched.estimate_window > quantum * Duty::HISTORY {
             return None;
         }
         let tick = self.config.graph.flow_tick;
@@ -1851,17 +1844,11 @@ impl Kernel {
         let pending = self.thread(self.thread_for_task(task)?)?.pending_compute;
         let wake = self.quanta_to_wake(end).ok()?;
         let max_ticks = wake.min(pending.div_duration(quantum)).checked_sub(head)? / per_tick;
-        match self.graph.duty_run(reserve, max_ticks) {
-            None => self.duty_refused.set(Some((reserve, epoch))),
-            Some(0) => {}
-            Some(n) => {
-                let cost = self.platform.cpu.accounting_power().energy_over(quantum);
-                let duty = Duty::new(reserve, cost, head, per_tick);
-                let (quanta, kind) = (head + n * per_tick, JumpKind::Duty { task, duty, n });
-                return Some(Jump { quanta, kind });
-            }
-        }
-        None
+        let n = self.graph.duty_run(reserve, max_ticks).filter(|&n| n > 0)?;
+        let cost = self.platform.cpu.accounting_power().energy_over(quantum);
+        let duty = Duty::new(reserve, cost, head, per_tick);
+        let (quanta, kind) = (head + n * per_tick, JumpKind::Duty { task, duty, n });
+        Some(Jump { quanta, kind })
     }
 
     /// Lands a certified jump.
@@ -1884,8 +1871,9 @@ impl Kernel {
     /// graph as the last crossed boundary saw it, leaving the round-robin
     /// queue bit-identically unchanged.
     ///
-    /// Duty jumps: the graph settles the ticks with the charged lane (fewer
-    /// if another source's coverage ends first), and its quanta land in
+    /// Duty jumps: the graph settles the ticks with the duty's quanta, as a
+    /// charged lane (fewer ticks if another source's coverage ends first)
+    /// or between compiled ticks, and its quanta land in
     /// O(window): [`ResourceScheduler::settle_duty`], one exact meter
     /// update up to the last run↔throttle edge, queued compute, CPU state.
     fn land(&mut self, jump: Jump) {

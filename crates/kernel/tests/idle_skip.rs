@@ -1047,15 +1047,19 @@ fn duty_jumps_stop_at_the_queued_compute() {
     assert!(fast.duty_jumps > 50, "{fast:?}");
 }
 
-/// Controls the certificate must refuse, matching all the same: a hog
-/// whose reserve a backward proportional tap drains (Fig 6b's plugin),
-/// and a kernel whose meter samples a trace.
+/// Fig 6b's plugin: a hog whose reserve, starting at 20 J, a 100,000
+/// ppm/s backward proportional tap drains to the battery. Not lane-shaped,
+/// so each duty jump ticks the whole graph between its quanta.
 #[test]
-fn duty_jumps_refuse_a_drained_reserve_and_a_sampling_meter() {
-    let backward = |k: &mut Kernel, r: ReserveId| {
-        let battery = k.battery();
-        k.graph_mut()
-            .create_tap(
+fn duty_jumps_cross_a_drained_reserve() {
+    for quantum_ms in [100, 10] {
+        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            let battery = k.battery();
+            let g = k.graph_mut();
+            g.transfer(&Actor::kernel(), battery, r, Energy::from_joules(20))
+                .unwrap();
+            g.create_tap(
                 &Actor::kernel(),
                 "backward",
                 r,
@@ -1064,19 +1068,106 @@ fn duty_jumps_refuse_a_drained_reserve_and_a_sampling_meter() {
                 Label::default_label(),
             )
             .unwrap();
-    };
-    for traced in [false, true] {
-        let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 10, |c| {
-                c.meter_trace = traced;
-            });
-            if !traced {
-                backward(&mut k, r);
-            }
             k.run_until(SimTime::from_secs(120));
+            let outflow = k.graph().reserve(r).unwrap().stats().outflow;
+            assert!(outflow > Energy::from_joules(1), "{outflow}");
             (fingerprint(&mut k), k.run_profile())
         });
-        assert_eq!(fast.duty_jumps, 0, "{fast:?}");
-        assert_eq!(fast.full_quanta, fast.quanta(), "{fast:?}");
+        assert!(fast.duty_jumps <= 2, "{fast:?}");
     }
+}
+
+/// A hog fed by a live proportional tap from a funded, decaying source
+/// beside its constant feed: the level the tap moves depends on its
+/// source's every tick, so the run is ticked.
+#[test]
+fn duty_jumps_cross_a_proportionally_fed_reserve() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            let root = Actor::kernel();
+            let battery = k.battery();
+            let g = k.graph_mut();
+            let source = g
+                .create_reserve(&root, "source", Label::default_label())
+                .unwrap();
+            g.transfer(&root, battery, source, Energy::from_joules(50))
+                .unwrap();
+            g.create_tap(
+                &root,
+                "prop",
+                source,
+                r,
+                RateSpec::Proportional { ppm_per_s: 1_013 },
+                Label::default_label(),
+            )
+            .unwrap();
+            k.run_until(SimTime::from_secs(300));
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
+}
+
+/// A decay-exempt hog reserve with decay on: it never leaks, so it cannot
+/// be a decay lane, and the run is ticked.
+#[test]
+fn duty_jumps_cross_a_decay_exempt_reserve() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(99, |idle_skip, fast_forward| {
+            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            let battery = k.battery();
+            let g = k.graph_mut();
+            g.set_decay_exempt(&Actor::kernel(), r, true).unwrap();
+            g.transfer(&Actor::kernel(), battery, r, Energy::from_joules(20))
+                .unwrap();
+            k.run_until(SimTime::from_secs(600));
+            let decayed = k.graph().reserve(r).unwrap().stats().decayed;
+            assert_eq!(decayed, Energy::ZERO);
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
+}
+
+/// A lane-shaped hog whose queued compute, 1.5 s chunks between 0.5 s
+/// sleeps on 100 ms quanta, caps every span below the planner's 16-tick
+/// break-even: each run is ticked rather than planned.
+#[test]
+fn duty_jumps_tick_spans_below_the_break_even() {
+    let fast = duty_three_ways(65, |idle_skip, fast_forward| {
+        let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 100, |_| {});
+        let hog = k.thread_by_name("hog").unwrap();
+        k.kill(hog);
+        let mut computing = false;
+        k.spawn_unprivileged(
+            "chunks",
+            Box::new(FnProgram(move |ctx: &mut Ctx<'_>| {
+                computing = !computing;
+                if computing {
+                    Step::compute(SimDuration::from_millis(1_500))
+                } else {
+                    Step::SleepUntil(ctx.now() + SimDuration::from_millis(500))
+                }
+            })),
+            r,
+        );
+        k.run_until(SimTime::from_secs(300));
+        (fingerprint(&mut k), k.run_profile())
+    });
+    assert!(fast.duty_jumps > 100, "{fast:?}");
+    assert!(fast.duty_quanta < fast.duty_jumps * 16, "{fast:?}");
+}
+
+/// A kernel whose meter samples a trace needs each power change, so the
+/// certificate refuses, matching all the same.
+#[test]
+fn duty_jumps_refuse_a_sampling_meter() {
+    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+        let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, 10, |c| {
+            c.meter_trace = true;
+        });
+        k.run_until(SimTime::from_secs(120));
+        (fingerprint(&mut k), k.run_profile())
+    });
+    assert_eq!(fast.duty_jumps, 0, "{fast:?}");
+    assert_eq!(fast.full_quanta, fast.quanta(), "{fast:?}");
 }
