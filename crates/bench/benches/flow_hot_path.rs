@@ -29,6 +29,16 @@
 //! compiled tick alone (`ResourceGraph::flow_ticks`), on a battery
 //! feeding one decaying reserve and on Fig 6b's graph. It reports ns per
 //! span on each side and asserts the two sides end bit-identical.
+//!
+//! `lane_closed_forms` times the lanes' counted paths. Its hog is a
+//! `steady` spinner's charged lane: a decaying reserve fed 68.5 mW, whose
+//! 137 mW quanta run about every other tick, settled as one 30,000-tick
+//! `ResourceGraph::settle_duty` against the same quanta charged between
+//! the reference's ticks. Its bands are the evidence behind the lanes'
+//! band threshold (`MIN_BAND_JUMP`): a fed lane whose leak bands last 1 to
+//! 64 ticks, flowed through the planner with every band jumped and with
+//! every tick stepped (`ResourceGraph::flow_lane_ticks`). It asserts every
+//! pair of sides ends bit-identical, with equal run and throttle counts.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,7 +46,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cinder_core::{
-    Actor, GraphConfig, Quantity, RateSpec, ReserveId, ReserveStats, ResourceGraph, ResourceKind,
+    Actor, Duty, GraphConfig, Quantity, RateSpec, ReserveId, ReserveStats, ResourceGraph,
+    ResourceKind,
 };
 use cinder_label::Label;
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
@@ -330,10 +341,6 @@ fn plan_or_tick(
 /// per span of seven alternating hours per side, as JSON lists of the
 /// planned side and the ticked side.
 fn plan_vs_tick(build: fn() -> ResourceGraph, graph: &str) -> [String; 2] {
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     let (medians_planned, medians_ticked): (Vec<String>, Vec<String>) = PLAN_SPANS
         .iter()
         .map(|&span| {
@@ -358,6 +365,164 @@ fn plan_vs_tick(build: fn() -> ResourceGraph, graph: &str) -> [String; 2] {
         })
         .unzip();
     [medians_planned, medians_ticked].map(|ns| format!("[{}]", ns.join(", ")))
+}
+
+/// Every reserve's balance and stats: the state two sides must agree on.
+fn end_state(g: &ResourceGraph) -> Vec<(Energy, ReserveStats)> {
+    g.reserves()
+        .map(|(_, r)| (r.balance(), r.stats()))
+        .collect()
+}
+
+/// The median of `v`.
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Ticks of `lane_closed_forms`' duty run.
+const HOG_TICKS: u64 = 30_000;
+
+/// The hog's 137 mW over a 100 ms quantum, in µJ.
+const HOG_COST_UJ: i64 = 13_700;
+
+/// Settles the hog's `HOG_TICKS` ticks as one duty run (`engine`), or ticks
+/// the reference and charges each quantum while the reserve is positive.
+/// Returns the wall time in µs, the end state, and the runs and throttles.
+fn hog_duty(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>, (u64, u64)) {
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    let hog = g.create_reserve(&k, "hog", Label::default_label()).unwrap();
+    g.create_tap(
+        &k,
+        "feed",
+        battery,
+        hog,
+        RateSpec::constant(Power::from_microwatts(68_500)),
+        Label::default_label(),
+    )
+    .unwrap();
+    let cost = Energy::from_microjoules(HOG_COST_UJ);
+    let start = Instant::now();
+    let counts = if engine {
+        let mut duty = Duty::new(hog, cost, 0, 1, 10);
+        let ticks = g.duty_run(hog, black_box(HOG_TICKS)).unwrap();
+        assert_eq!(g.settle_duty(&mut duty, ticks), HOG_TICKS);
+        (duty.runs, duty.throttles)
+    } else {
+        let (mut runs, mut throttles) = (0, 0);
+        for tick in 1..=HOG_TICKS {
+            g.flow_until_reference(black_box(SimTime::from_millis(100 * tick)));
+            if g.reserve(hog).unwrap().is_nonempty() {
+                g.consume_with_debt(&k, hog, cost).unwrap();
+                runs += 1;
+            } else {
+                throttles += 1;
+            }
+        }
+        (runs, throttles)
+    };
+    (start.elapsed().as_secs_f64() * 1e6, end_state(&g), counts)
+}
+
+/// The band lengths `lane_closed_forms` times, in ticks.
+const BAND_TICKS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+/// Leak bands per timed span.
+const SPAN_BANDS: u64 = 16;
+
+/// A lane the battery feeds 100 mW (10¹⁰ µJ·10⁻⁶ a tick), started below
+/// its equilibrium x* = 10¹⁰/ppm µJ by 10¹²/(ppm²·`band`): there it rises
+/// 10⁶/(ppm·`band`) µJ a tick, so it crosses each leak band, 10⁶/ppm µJ
+/// wide, in about `band` ticks.
+fn band_graph(band: u64) -> ResourceGraph {
+    let config = GraphConfig::default();
+    let ppm = i64::try_from(config.decay.unwrap().leak_ppm_per_tick(config.flow_tick)).unwrap();
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    let lane = g
+        .create_reserve(&k, "lane", Label::default_label())
+        .unwrap();
+    let below = 1_000_000_000_000 / (ppm * ppm * band as i64);
+    let start = Energy::from_microjoules(10_000_000_000 / ppm - below);
+    g.transfer(&k, battery, lane, start).unwrap();
+    g.create_tap(
+        &k,
+        "feed",
+        battery,
+        lane,
+        RateSpec::constant(Power::from_milliwatts(100)),
+        Label::default_label(),
+    )
+    .unwrap();
+    g
+}
+
+/// Flows fresh `band_graph`s `SPAN_BANDS` bands' worth of ticks each, an
+/// hour of ticks in all, jumping every band or stepping every tick.
+/// Returns the wall time in ns per band and the end state.
+fn band_spans(band: u64, jumps: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let span = SPAN_BANDS * band;
+    let mut graphs: Vec<_> = (0..BROWSER_TICKS / span)
+        .map(|_| band_graph(band))
+        .collect();
+    let start = Instant::now();
+    for g in &mut graphs {
+        g.flow_lane_ticks(black_box(span), jumps);
+    }
+    let ns_per_band =
+        start.elapsed().as_secs_f64() * 1e9 / (graphs.len() as u64 * SPAN_BANDS) as f64;
+    (ns_per_band, end_state(&graphs[0]))
+}
+
+/// `lane_closed_forms`, as a JSON object: seven alternating runs per side,
+/// their medians, and every pair of sides asserted bit-identical.
+fn lane_closed_forms() -> String {
+    let (mut settle_us, mut reference_us) = (Vec::new(), Vec::new());
+    let mut counts = (0, 0);
+    for pair in 0..7 {
+        let mut sides = [None, None];
+        for engine in [pair % 2 == 0, pair % 2 == 1] {
+            sides[usize::from(engine)] = Some(hog_duty(engine));
+        }
+        let [Some((reference, reference_end, stepped)), Some((settled, end, duty))] = sides else {
+            unreachable!("both sides ran");
+        };
+        assert_eq!(end, reference_end, "the hog's duty run diverged");
+        assert_eq!(duty, stepped, "the hog's duty counts diverged");
+        counts = duty;
+        settle_us.push(settled);
+        reference_us.push(reference);
+    }
+    let (settle_us, reference_us) = (median(&mut settle_us), median(&mut reference_us));
+    let (jump_ns, step_ns): (Vec<String>, Vec<String>) = BAND_TICKS
+        .iter()
+        .map(|&band| {
+            let (mut jumped, mut stepped) = (Vec::new(), Vec::new());
+            for pair in 0..7 {
+                let mut sides = [None, None];
+                for jumps in [pair % 2 == 0, pair % 2 == 1] {
+                    sides[usize::from(jumps)] = Some(band_spans(band, jumps));
+                }
+                let [Some((step, step_end)), Some((jump, jump_end))] = sides else {
+                    unreachable!("both sides ran");
+                };
+                assert_eq!(jump_end, step_end, "{band}-tick bands diverged");
+                jumped.push(jump);
+                stepped.push(step);
+            }
+            let ns = |v: &mut Vec<f64>| format!("{:.0}", median(v));
+            (ns(&mut jumped), ns(&mut stepped))
+        })
+        .unzip();
+    let [jump_ns, step_ns] = [jump_ns, step_ns].map(|ns| format!("[{}]", ns.join(", ")));
+    println!("flow_hot_path lane closed forms: hog duty run of {HOG_TICKS} ticks {settle_us:.1} us (reference {reference_us:.0} us), {} runs {} throttles; ns per band of {BAND_TICKS:?} ticks jumped {jump_ns} stepped {step_ns}", counts.0, counts.1);
+    format!(
+        "{{ \"hog_ticks\": {HOG_TICKS}, \"hog_settle_us\": {settle_us:.2}, \"hog_reference_us\": {reference_us:.0}, \"hog_runs\": {}, \"hog_throttles\": {}, \"band_ticks\": {BAND_TICKS:?}, \"band_jumped_ns\": {jump_ns}, \"band_stepped_ns\": {step_ns}, \"bit_identical\": true }}",
+        counts.0, counts.1
+    )
 }
 
 fn bench_flow_hot_path(c: &mut Criterion) {
@@ -493,10 +658,6 @@ fn speedup_report(_c: &mut Criterion) {
         engine_ns.push(engine_tick_ns);
         reference_ns.push(reference_tick_ns);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     let (tick_ns, reference_tick_ns) = (median(&mut engine_ns), median(&mut reference_ns));
 
     // A sleeping device's idle jumps: median of seven alternating hours.
@@ -517,6 +678,7 @@ fn speedup_report(_c: &mut Criterion) {
     // The planner's break-even, on both graphs.
     let [lane_planned, lane_ticked] = plan_vs_tick(decay_lane_graph, "the decay lane");
     let [fig6b_planned, fig6b_ticked] = plan_vs_tick(|| browser_graph().0, "Fig 6b");
+    let closed_forms = lane_closed_forms();
 
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
@@ -539,7 +701,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }},\n  \"lane_closed_forms\": {closed_forms}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

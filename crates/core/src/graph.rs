@@ -1027,11 +1027,6 @@ impl ResourceGraph {
             span.div_duration(tick)
         };
         let battery = self.battery.0;
-        // Once a run comes back too short (a source hovering within a few
-        // ticks of its clamp boundary) we settle the rest of this call
-        // tick by tick: re-planning is O(R + T), so a plan that only buys
-        // a tick or two costs more than it saves.
-        const MIN_PROFITABLE_RUN: u64 = 4;
         // A span below the planner's break-even (the kernel's one-tick
         // quantum, or a short idle jump, over a proportional or decaying
         // graph) goes straight to the compiled tick.
@@ -1040,10 +1035,12 @@ impl ResourceGraph {
         while remaining > 0 {
             if try_span {
                 let advanced = self.run_span(remaining, None);
+                // A run ends the span or covers at least the demotion
+                // floor, so replanning always buys the break-even.
+                debug_assert!(advanced == remaining || advanced >= MIN_PARTITIONED_SPAN);
                 self.now += tick * advanced;
                 remaining -= advanced;
-                try_span =
-                    advanced >= MIN_PROFITABLE_RUN && !self.flow.declines_span(remaining, decaying);
+                try_span = !self.flow.declines_span(remaining, decaying);
                 continue;
             }
             self.flow.tick(
@@ -1297,6 +1294,13 @@ impl ResourceGraph {
         settled
     }
 
+    /// Decay-lane ticks settled so far, one per lane per tick, and how many
+    /// of them the lanes stepped rather than counted or jumped in closed
+    /// form. Plain counters: they never reach a report.
+    pub fn lane_ticks(&self) -> (u64, u64) {
+        self.flow.lanes.ticks
+    }
+
     /// One planned run of at most `ticks` ticks ([`FlowEngine::run_span`]).
     fn run_span(&mut self, ticks: u64, duty: Option<&mut Duty>) -> u64 {
         let (tick, ppm, battery) = (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
@@ -1459,6 +1463,19 @@ impl ResourceGraph {
             self.now += tick * advanced;
             remaining -= advanced;
         }
+    }
+
+    /// Advances `ticks` whole flow ticks through the run planner alone,
+    /// with every decay lane jumping each leak band predicted at least a
+    /// tick long (`band_jumps`) or stepping every tick: the two sides of
+    /// the lanes' band threshold, which the `flow_hot_path` bench times
+    /// against each other.
+    #[cfg(any(test, feature = "reference-flow"))]
+    pub fn flow_lane_ticks(&mut self, ticks: u64, band_jumps: bool) {
+        let min_band = if band_jumps { 1 } else { u64::MAX };
+        let kept = std::mem::replace(&mut self.flow.lanes.min_band, min_band);
+        self.flow_ticks(ticks, true);
+        self.flow.lanes.min_band = kept;
     }
 
     #[cfg(any(test, feature = "reference-flow"))]

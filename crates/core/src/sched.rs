@@ -402,13 +402,22 @@ impl ResourceScheduler {
         }
     }
 
+    /// The run history a duty run's landing reads: quantum `last − k` is
+    /// within the estimator's window of quantum `last` iff `k·quantum <
+    /// window`, so only the ⌈window / quantum⌉ youngest quanta.
+    pub fn duty_window(&self) -> u64 {
+        let (quantum, window) = (self.config.quantum, self.config.estimate_window);
+        window.as_micros().div_ceil(quantum.as_micros().max(1))
+    }
+
     /// Replays the picks and charges of a duty run that
     /// [`crate::ResourceGraph::settle_duty`] settled from `start` on, for
     /// `id`, the sole Ready task. The estimator records, oldest first, only
     /// the runs within a window of the last one; each earlier run would
     /// have expired by then, so only its lifetime total counts it.
     pub fn settle_duty(&mut self, id: TaskId, start: SimTime, duty: &Duty) {
-        let (quantum, window) = (self.config.quantum, self.config.estimate_window);
+        let quantum = self.config.quantum;
+        debug_assert!(duty.window >= self.duty_window().min(Duty::HISTORY));
         let Some(task) = self.tasks.get_mut(id.0) else {
             return;
         };
@@ -416,10 +425,7 @@ impl ResourceScheduler {
         task.throttled_quanta += duty.throttles;
         let mut kept = 0;
         if let Some((last, ran)) = duty.last_run {
-            // Quantum `last − k` is within the window iff `k·quantum <
-            // window`: only the ⌈window / quantum⌉ youngest bits.
-            let within = window.as_micros().div_ceil(quantum.as_micros().max(1));
-            for k in (0..within.min(Duty::HISTORY)).rev() {
+            for k in (0..duty.window).rev() {
                 if ran >> k & 1 == 1 {
                     task.estimator
                         .record(start + quantum * (last - k), duty.cost);

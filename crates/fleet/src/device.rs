@@ -764,6 +764,44 @@ mod tests {
     }
 
     #[test]
+    fn lanes_count_rather_than_step() {
+        // The fleetbench mixtures at seed 2011: a spinner's charged lane
+        // settles by its run count (it steps none of its lane-ticks), and
+        // an adaptive gallery's idle decay lane jumps its long leak bands
+        // (it steps 1.2-1.3%). Counts are deterministic.
+        let name = "lane-counts";
+        let pins = [
+            (Scenario::steady_heavy(name, 2011, 24), Workload::Spinner, 1),
+            (Scenario::mixed(name, 2011, 40), Workload::Spinner, 1),
+            (
+                Scenario::mixed(name, 2011, 40),
+                Workload::Gallery { adaptive: true },
+                2,
+            ),
+        ];
+        for (scenario, workload, pct) in pins {
+            let mut devices = 0;
+            for spec in scenario
+                .specs()
+                .into_iter()
+                .filter(|s| s.workload == workload)
+            {
+                devices += 1;
+                let mut scratch = DeviceScratch::default();
+                simulate_device_with(&spec, &mut scratch);
+                let p = scratch.profile;
+                assert!(
+                    p.lane_ticks > 0 && p.lane_ticks_stepped * 100 <= p.lane_ticks * pct,
+                    "{} device {}: {p:?}",
+                    workload.tag(),
+                    spec.id
+                );
+            }
+            assert!(devices >= 4, "{devices} {} devices", workload.tag());
+        }
+    }
+
+    #[test]
     fn every_mixed_workload_simulates() {
         for spec in Scenario::all_workloads("all", 9, 10).specs() {
             let mut quick = spec.clone();

@@ -216,6 +216,12 @@ pub struct RunProfile {
     /// Certificate refusals after a quantum that ran nothing (so no duty
     /// jump's), indexed by `Obstacle as usize` ([`RunProfile::refused`]).
     pub refusals: [u64; Obstacle::ALL.len()],
+    /// Decay-lane ticks the flow engine settled, one per lane per tick
+    /// ([`ResourceGraph::lane_ticks`]).
+    pub lane_ticks: u64,
+    /// Those of `lane_ticks` stepped through the lanes' scalar loop rather
+    /// than counted or jumped in closed form.
+    pub lane_ticks_stepped: u64,
 }
 
 impl RunProfile {
@@ -651,7 +657,12 @@ impl Kernel {
 
     /// How the run loop has advanced so far, per path.
     pub fn run_profile(&self) -> RunProfile {
-        self.profile
+        let (lane_ticks, lane_ticks_stepped) = self.graph.lane_ticks();
+        RunProfile {
+            lane_ticks,
+            lane_ticks_stepped,
+            ..self.profile
+        }
     }
 
     /// Takes the radio link down until `until` (exclusive), applying
@@ -1834,7 +1845,7 @@ impl Kernel {
         let reserve = self.sched.active_reserve(task)?;
         let quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
         // The landing replays the estimator's window off the run history.
-        if !quiet || self.config.sched.estimate_window > quantum * Duty::HISTORY {
+        if !quiet || self.sched.duty_window() > Duty::HISTORY {
             return None;
         }
         let tick = self.config.graph.flow_tick;
@@ -1846,7 +1857,7 @@ impl Kernel {
         let max_ticks = wake.min(pending.div_duration(quantum)).checked_sub(head)? / per_tick;
         let n = self.graph.duty_run(reserve, max_ticks).filter(|&n| n > 0)?;
         let cost = self.platform.cpu.accounting_power().energy_over(quantum);
-        let duty = Duty::new(reserve, cost, head, per_tick);
+        let duty = Duty::new(reserve, cost, head, per_tick, self.sched.duty_window());
         let (quanta, kind) = (head + n * per_tick, JumpKind::Duty { task, duty, n });
         Some(Jump { quanta, kind })
     }

@@ -1171,3 +1171,103 @@ fn duty_jumps_refuse_a_sampling_meter() {
     assert_eq!(fast.duty_jumps, 0, "{fast:?}");
     assert_eq!(fast.full_quanta, fast.quanta(), "{fast:?}");
 }
+
+/// The hog for the count's edge cases: `hog_kernel` on `quantum_ms`
+/// quanta, decay on or off, its feed re-rated to `feed_uw` and, before it
+/// runs ten minutes, `setup` applied. Checks the run three ways and
+/// returns the fast run's profile.
+fn counted_hog(
+    quantum_ms: u64,
+    decay: bool,
+    feed_uw: u64,
+    setup: impl Fn(&mut Kernel, ReserveId, TapId),
+) -> RunProfile {
+    duty_three_ways(95, |idle_skip, fast_forward| {
+        let (mut k, r, feed) = hog_kernel(idle_skip, fast_forward, quantum_ms, |c| {
+            if !decay {
+                c.graph.decay = None;
+            }
+        });
+        k.rerate_tap(feed, Power::from_microwatts(feed_uw)).unwrap();
+        setup(&mut k, r, feed);
+        k.run_until(SimTime::from_secs(600));
+        (fingerprint(&mut k), k.run_profile())
+    })
+}
+
+/// Whether the fast run's lanes counted: at most 1% of their ticks
+/// stepped.
+fn counted(p: &RunProfile) -> bool {
+    p.lane_ticks > 0 && p.lane_ticks_stepped * 100 <= p.lane_ticks
+}
+
+/// A feed of exactly one tick's quanta, 13,700 µJ a tick with decay off:
+/// the hog runs every quantum, its level back at the same point after
+/// each tick, and the count runs them all.
+#[test]
+fn duty_counts_a_feed_of_exactly_a_ticks_quanta() {
+    for quantum_ms in [100, 10] {
+        let fast = counted_hog(quantum_ms, false, 137_000, |_, _, _| {});
+        assert!(counted(&fast), "{fast:?}");
+    }
+}
+
+/// A feed of 8,620 µJ a tick, the most a level can hold without leaking
+/// at the default decay, is counted; one of 8,621 µJ could leak, so its
+/// lane steps every tick, and both match stepping.
+#[test]
+fn duty_counts_up_to_the_leak_threshold() {
+    for quantum_ms in [100, 10] {
+        let fast = counted_hog(quantum_ms, true, 86_200, |_, _, _| {});
+        assert!(counted(&fast), "{fast:?}");
+        let fast = counted_hog(quantum_ms, true, 86_210, |_, _, _| {});
+        assert_eq!(fast.lane_ticks_stepped, fast.lane_ticks, "{fast:?}");
+    }
+}
+
+/// A reserve that starts the run 50 mJ up: the lane steps until a tick
+/// ends at or below zero, then counts.
+#[test]
+fn duty_counts_after_a_funded_start() {
+    for quantum_ms in [100, 10] {
+        let fast = counted_hog(quantum_ms, true, 68_500, |k, r, _| {
+            let battery = k.battery();
+            k.graph_mut()
+                .transfer(&Actor::kernel(), battery, r, Energy::from_millijoules(50))
+                .unwrap();
+        });
+        assert!(counted(&fast), "{fast:?}");
+    }
+}
+
+/// No feed at all and 50 mJ to spend, beside a decay lane the battery
+/// feeds (so the graph never freezes): the hog runs its reserve down and
+/// the count throttles it for the rest of the run.
+#[test]
+fn duty_counts_an_unfed_hog() {
+    for quantum_ms in [100, 10] {
+        let fast = counted_hog(quantum_ms, true, 68_500, |k, r, feed| {
+            let root = Actor::kernel();
+            tapped(k, "bystander", 41_017);
+            let battery = k.battery();
+            let g = k.graph_mut();
+            g.delete_tap(&root, feed).unwrap();
+            g.transfer(&root, battery, r, Energy::from_millijoules(50))
+                .unwrap();
+        });
+        assert!(fast.duty_jumps > 0, "{fast:?}");
+    }
+}
+
+/// The hog respawned mid-tick on 10 ms quanta, so its jumps start with
+/// head quanta before their first tick.
+#[test]
+fn duty_counts_after_head_quanta() {
+    let fast = counted_hog(10, true, 68_500, |k, r, _| {
+        let hog = k.thread_by_name("hog").unwrap();
+        k.kill(hog);
+        k.run_span(SimTime::from_millis(530));
+        k.spawn_unprivileged("late", Box::new(Spinner::new()), r);
+    });
+    assert!(counted(&fast), "{fast:?}");
+}
