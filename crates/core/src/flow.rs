@@ -55,12 +55,15 @@
 //!   battery too: decay only credits it) take the coverage test. While the
 //!   battery is not dynamic, a decaying reserve no tap drains and only
 //!   constant taps from covered or starved sources feed is a *lane*, run
-//!   alone in a scalar loop; other fed decaying reserves are dynamic.
+//!   alone; other fed decaying reserves are dynamic. A lane jumps each
+//!   leak band it crosses in closed form when the band is predicted long
+//!   enough to pay, and steps otherwise.
 //! * **Duty runs** — a sole Ready thread's quanta, each charged while its
 //!   reserve is positive. A lane-shaped reserve over a span no shorter
 //!   than the break-even is a *charged* lane, decaying or not, whose loop
-//!   also runs each quantum's charge; any other duty run is ticked, its
-//!   quanta stepped between compiled ticks.
+//!   also runs each quantum's charge, and which settles by its run count
+//!   once its level sits on the throttled orbit; any other duty run is
+//!   ticked, its quanta stepped between compiled ticks.
 //! * **Break-even** — spans shorter than `MIN_PARTITIONED_SPAN` (16 ticks,
 //!   measured by the `flow_hot_path` bench's `plan_vs_tick`) skip the
 //!   planner on any graph with a proportional tap or decay: its O(R + T)
@@ -119,11 +122,11 @@ pub(crate) enum SourceRun {
 /// scheduler would. `head` quanta come before the first tick, then
 /// `per_tick` after each tick. A lane-shaped reserve over a span no
 /// shorter than the planner's break-even is a charged decay lane, whose
-/// quanta follow each tick's feeds and leak, and which [`Lanes`] settles
-/// by its run count once the level sits on the throttled orbit; any other
-/// run is ticked, its quanta following each compiled flow tick. Of the run
-/// history only the `window` youngest quanta are kept: the landing reads
-/// no more.
+/// quanta follow each tick's feeds and leak, and which the flow engine
+/// settles by its run count once the level sits on the throttled orbit;
+/// any other run is ticked, its quanta following each compiled flow tick.
+/// Of the run history only the `window` youngest quanta are kept: the
+/// landing reads no more.
 #[derive(Debug, Clone)]
 pub struct Duty {
     pub(crate) reserve: RawId,
@@ -187,6 +190,7 @@ impl Duty {
     }
 
     /// Steps `n` quanta against the lane's `level`.
+    #[inline]
     fn step(&mut self, level: &mut i64, n: u64) {
         let kept = self.kept();
         for _ in 0..n {
@@ -213,8 +217,9 @@ impl Duty {
     /// tick ends at most zero, above −`cost` once any quantum has run, and
     /// the runs over `t` ticks are R(t) = max(0, ⌈(level + fed(t))/cost⌉).
     /// Each tick's runs come first. The last edge and the last run come
-    /// from R by galloping back from the end; their history from the run
-    /// counts of the `window` youngest quanta.
+    /// from R by galloping back from the end, and the last run's history
+    /// from the run counts of the ticks it spans. It settles the lane's
+    /// last ticks: its own history is left behind.
     fn count(&mut self, level: i64, ticks: u64, fed: impl Fn(u64) -> i64) {
         let (cost, p) = (self.cost.as_microjoules() as u64, self.per_tick);
         let runs = |t: u64| u64::try_from(level + fed(t)).map_or(0, |x| x.div_ceil(cost));
@@ -230,18 +235,27 @@ impl Duty {
         // counts of their ticks (each tick's runs first) and, before the
         // count, the kept history.
         let bits_to = |last: u64| {
-            let (mut bits, mut tick) = (0u128, None);
+            // The tick last read: its index, the runs before it, its runs.
+            let (mut bits, mut seen) = (0u128, None);
             for k in 0..keep.min(last + 1) {
                 let q = last - k;
                 let ran = if q < base {
                     old >> (base - 1 - q) & 1 == 1
                 } else {
                     let t = (q - base) / p;
-                    let r = match tick {
-                        Some((at, r)) if at == t => r,
-                        _ => runs(t + 1) - runs(t),
+                    let (before, r) = match seen {
+                        Some((at, before, r)) if at == t => (before, r),
+                        _ => {
+                            // The tick after this one starts where it ends.
+                            let after = match seen {
+                                Some((at, after, _)) if at == t + 1 => after,
+                                _ => runs(t + 1),
+                            };
+                            let before = runs(t);
+                            (before, after - before)
+                        }
                     };
-                    tick = Some((t, r));
+                    seen = Some((t, before, r));
                     (q - base) % p < r
                 };
                 bits |= u128::from(ran) << k;
@@ -252,9 +266,12 @@ impl Duty {
         let last = total - runs(ticks - 1);
         let ran = last == p;
         // The last tick that ran a quantum, and its runs.
-        let ran_tick = (total > 0).then(|| {
-            let t = if last > 0 { ticks } else { first_at(&runs) };
-            (t, runs(t) - runs(t - 1))
+        let ran_tick = (total > 0).then(|| match last {
+            0 => {
+                let t = first_at(&runs);
+                (t, runs(t) - runs(t - 1))
+            }
+            r => (ticks, r),
         });
         if ran {
             // The last quantum ran: the edge follows the last throttle,
@@ -276,7 +293,7 @@ impl Duty {
             let at = base + (t - 1) * p + r - 1;
             self.last_run = Some((at, bits_to(at)));
         }
-        self.history = bits_to(base + ticks * p - 1);
+        // Nothing steps after a count, so the history is not rebuilt.
         (self.ran, self.runs, self.throttles) =
             (ran, self.runs + total, self.throttles + throttles);
     }
@@ -327,12 +344,14 @@ struct Feed {
 }
 
 /// What `feeds` deliver over `t` ticks from their carries.
+#[inline]
 fn delivered(feeds: &[Feed], t: u64) -> i64 {
     let total = |f: &Feed| f.carry + f.step * u128::from(t);
     feeds.iter().map(|f| split::<1_000_000>(total(f)).0).sum()
 }
 
 /// Advances `feeds` `t` ticks; returns what they deliver.
+#[inline]
 fn deliver(feeds: &mut [Feed], t: u64) -> i64 {
     let mut moved = 0;
     for f in feeds {
@@ -429,6 +448,12 @@ impl Lanes {
         mut duty: Option<&mut Duty>,
     ) {
         self.feeds.sort_unstable_by_key(|f| f.lane);
+        // A band of leak q is ~10⁶/ppm wide and a lane fed `rate` µJ·10⁶ a
+        // tick drifts |rate/10⁶ − q| a tick, so the band lasts at least
+        // `min_band` ticks iff |rate − q·10⁶| ≤ 10¹²/(ppm·min_band).
+        let reach = ppm
+            .checked_mul(self.min_band)
+            .and_then(|d| 1_000_000_000_000u64.checked_div(d));
         let mut reclaimed = 0;
         let mut rest = &mut self.feeds[..];
         for (lane, &(reserve, level)) in self.lanes.iter().enumerate() {
@@ -444,7 +469,7 @@ impl Lanes {
                     }
                     settled
                 }
-                None => settle_decay(feeds, level, ppm, self.min_band, ticks),
+                None => settle_decay(feeds, level, ppm, reach, ticks),
             };
             self.ticks = (self.ticks.0 + ticks, self.ticks.1 + stepped);
             if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
@@ -464,63 +489,59 @@ impl Lanes {
 }
 
 /// Settles an uncharged lane `ticks` ticks from `level`, jumping each leak
-/// band predicted at least `min_band` ticks long. Returns what it leaked
-/// and the ticks it stepped.
+/// band whose leak q has |rate − q·10⁶| at most `reach`, the feeds' summed
+/// `rate`. Returns what it leaked and the ticks it stepped.
 fn settle_decay(
     feeds: &mut [Feed],
     mut level: i64,
     ppm: u64,
-    min_band: u64,
+    reach: Option<u64>,
     ticks: u64,
 ) -> (i64, u64) {
     let rate: u128 = feeds.iter().map(|f| f.step).sum();
-    if ppm == 0 {
-        return (0, 0);
-    }
-    // A band of leak q is ~10⁶/ppm wide and the lane drifts |rate/10⁶ − q|
-    // a tick, so it lasts at least `min_band` ticks iff q is within `reach`
-    // of rate/10⁶: leaks in [lo, hi] are jumped.
-    let (lo, hi) = match 1_000_000_000_000u128.checked_div(u128::from(ppm) * u128::from(min_band)) {
-        Some(reach) if min_band < u64::MAX => (
-            rate.saturating_sub(reach).div_ceil(1_000_000),
-            (rate + reach) / 1_000_000,
-        ),
-        _ => (1, 0),
-    };
-    let (lo, hi) = (
-        i64::try_from(lo).unwrap_or(i64::MAX),
-        i64::try_from(hi).unwrap_or(i64::MAX),
-    );
-    let (mut leaked, mut t, mut stepped) = (0, 0, 0);
+    // Leaks within `reach` of rate/10⁶ are jumped. The bounds only decide
+    // what is worth jumping: a jump is exact wherever it starts.
+    let (lo, hi) = reach.map_or((1, 0), |reach| {
+        let reach = u128::from(reach);
+        let lo = split::<1_000_000>(rate.saturating_sub(reach) + 999_999).0;
+        (lo, split::<1_000_000>(rate + reach).0)
+    });
+    let (mut leaked, mut t, mut jumped) = (0, 0, 0);
     while t < ticks {
         let x = level + deliver(feeds, 1);
         let q = if x > 0 { decay_leak(x, ppm) } else { 0 };
         if q == 0 && rate == 0 {
             break; // unfed, the level only falls: the leak stays zero
         }
-        (level, leaked, t, stepped) = (x - q, leaked + q, t + 1, stepped + 1);
-        if (lo..=hi).contains(&q) && t < ticks {
-            let n = band_ticks(level, q, feeds, ppm, ticks - t);
-            if n > 0 {
-                let leak = n as i64 * q;
-                (level, leaked, t) = (level + deliver(feeds, n) - leak, leaked + leak, t + n);
-            }
+        (level, leaked, t) = (x - q, leaked + q, t + 1);
+        if q < lo || q > hi || t == ticks {
+            continue;
+        }
+        let n = band_ticks(level, q, feeds, ppm, ticks - t);
+        if n > 0 {
+            let leak = n as i64 * q;
+            (level, leaked) = (level + deliver(feeds, n) - leak, leaked + leak);
+            (t, jumped) = (t + n, jumped + n);
         }
     }
-    (leaked, stepped)
+    (leaked, t - jumped)
 }
 
 /// How many more ticks, at most `max`, a lane at `level` that just leaked
-/// `q` goes on leaking `q`. Its post-feed level j ticks on is x_j = level
-/// + q + Σ⌊(carry + j·step)/10⁶⌋ − j·q, which must stay in q's band,
-/// unbounded below for q = 0. With one feed x_j = level + q +
-/// ⌊(carry + j·(step − q·10⁶))/10⁶⌋ moves one way, so the band's last
-/// tick is one division; with several, x_j is monotone unless q falls
-/// strictly between the feeds' summed floor and ceiling steps (then
-/// zero), and a gallop finds it.
+/// `q` goes on leaking `q`. Its post-feed level j ticks on,
+/// x_j = level + q + Σ⌊(carry + j·step)/10⁶⌋ − j·q, must stay in q's band,
+/// unbounded below for q = 0. With one feed,
+/// x_j = level + q + ⌊(carry + j·(step − q·10⁶))/10⁶⌋ moves one way, so
+/// the band's last tick is one division; with several, x_j is monotone
+/// unless q falls strictly between the feeds' summed floor and ceiling
+/// steps (then zero), and a gallop finds it.
 fn band_ticks(level: i64, q: i64, feeds: &[Feed], ppm: u64, max: u64) -> u64 {
     const M: i128 = 1_000_000;
-    let (q, ppm, at) = (i128::from(q), i128::from(ppm), i128::from(level) + i128::from(q));
+    let (q, ppm, at) = (
+        i128::from(q),
+        i128::from(ppm),
+        i128::from(level) + i128::from(q),
+    );
     // The foot of leak q's band, ⌈q·10⁶/ppm⌉: only the bound the level
     // moves toward is computed.
     let foot = |q: i128| div_floor(q * M + ppm - 1, ppm);

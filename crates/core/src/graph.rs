@@ -60,7 +60,7 @@ use cinder_sim::{Energy, Power, SimDuration, SimTime};
 use crate::arena::{Arena, RawId};
 use crate::decay::DecayConfig;
 use crate::errors::GraphError;
-use crate::flow::{Duty, FlowEngine, SourceRun, MIN_PARTITIONED_SPAN};
+use crate::flow::{gallop, Duty, FlowEngine, SourceRun, MIN_PARTITIONED_SPAN};
 use crate::kind::{Quantity, Rate, ResourceKind};
 use crate::reserve::Reserve;
 use crate::tap::{RateSpec, Tap};
@@ -1133,26 +1133,11 @@ impl ResourceGraph {
         shortfall: Energy,
     ) -> Result<u64, PoolRefusal> {
         let plan = self.pool_plan(waiters, gated, pool)?;
-        let fits = |ticks: u64| plan.fits(ticks, shortfall);
-        if max_ticks == 0 || !fits(1) {
-            return Err(PoolRefusal::NoRoom);
-        }
         // Both bounds are monotone in the run length: gallop, then bisect.
-        let (mut lo, mut hi) = (1, 2);
-        while hi <= max_ticks && fits(hi) {
-            lo = hi;
-            hi = hi.saturating_mul(2);
+        match gallop(max_ticks, |ticks| plan.fits(ticks, shortfall)) {
+            0 => Err(PoolRefusal::NoRoom),
+            ticks => Ok(ticks),
         }
-        let mut hi = hi.min(max_ticks + 1);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
     }
 
     /// Applies a run [`ResourceGraph::pooled_run`] certified: every live

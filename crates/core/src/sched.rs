@@ -416,8 +416,7 @@ impl ResourceScheduler {
     /// the runs within a window of the last one; each earlier run would
     /// have expired by then, so only its lifetime total counts it.
     pub fn settle_duty(&mut self, id: TaskId, start: SimTime, duty: &Duty) {
-        let quantum = self.config.quantum;
-        debug_assert!(duty.window >= self.duty_window().min(Duty::HISTORY));
+        let (quantum, within) = (self.config.quantum, self.duty_window());
         let Some(task) = self.tasks.get_mut(id.0) else {
             return;
         };
@@ -425,7 +424,7 @@ impl ResourceScheduler {
         task.throttled_quanta += duty.throttles;
         let mut kept = 0;
         if let Some((last, ran)) = duty.last_run {
-            for k in (0..duty.window).rev() {
+            for k in (0..within.min(Duty::HISTORY)).rev() {
                 if ran >> k & 1 == 1 {
                     task.estimator
                         .record(start + quantum * (last - k), duty.cost);

@@ -1845,7 +1845,7 @@ impl Kernel {
         let reserve = self.sched.active_reserve(task)?;
         let quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
         // The landing replays the estimator's window off the run history.
-        if !quiet || self.sched.duty_window() > Duty::HISTORY {
+        if !quiet || self.config.sched.estimate_window > quantum * Duty::HISTORY {
             return None;
         }
         let tick = self.config.graph.flow_tick;
