@@ -273,21 +273,17 @@ impl Duty {
             }
             r => (ticks, r),
         });
-        if ran {
-            // The last quantum ran: the edge follows the last throttle,
-            // the last quantum of its tick.
-            self.edge = match (throttles > 0).then(|| first_at(&throttled)) {
-                Some(t) => Some((base + t * p, self.throttles + throttles)),
-                None if !self.ran => Some((base, self.throttles)),
-                None => self.edge,
-            };
+        // The last edge follows the last throttle (the last quantum of its
+        // tick) if the last quantum ran, and the last run if not. Without
+        // one, every counted quantum went as the last did.
+        let edge = if ran {
+            let t = (throttles > 0).then(|| first_at(&throttled));
+            t.map(|t| (base + t * p, self.throttles + throttles))
         } else {
-            // The last quantum throttled: the edge follows the last run.
-            self.edge = match ran_tick {
-                Some((t, r)) => Some((base + (t - 1) * p + r, self.throttles + throttled(t - 1))),
-                None if self.ran => Some((base, self.throttles)),
-                None => self.edge,
-            };
+            ran_tick.map(|(t, r)| (base + (t - 1) * p + r, self.throttles + throttled(t - 1)))
+        };
+        if let Some(edge) = edge.or((self.ran != ran).then_some((base, self.throttles))) {
+            self.edge = Some(edge);
         }
         if let Some((t, r)) = ran_tick {
             let at = base + (t - 1) * p + r - 1;
@@ -595,6 +591,7 @@ fn settle_charged(
     // The most a tick can deliver.
     let most: u128 = feeds.iter().map(|f| f.step.div_ceil(1_000_000)).sum();
     let countable = cost > 0
+        && duty.per_tick > 0
         && most <= u128::from(duty.per_tick) * cost as u128
         && most * u128::from(ppm) < 1_000_000;
     let (mut leaked, mut t) = (0, 0);
