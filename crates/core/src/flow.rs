@@ -134,8 +134,8 @@ pub struct Duty {
     pub cost: Energy,
     pub(crate) head: u64,
     pub(crate) per_tick: u64,
-    /// Quanta of run history kept, at most [`Duty::HISTORY`].
-    pub(crate) window: u64,
+    /// The bits of run history kept: the `window` youngest quanta.
+    kept: u128,
     /// Quanta that ran.
     pub runs: u64,
     /// Quanta throttled.
@@ -164,7 +164,9 @@ impl Duty {
             cost,
             head,
             per_tick,
-            window: window.min(Duty::HISTORY),
+            kept: u128::MAX
+                .checked_shr(128 - window.min(Duty::HISTORY) as u32)
+                .unwrap_or(0),
             runs: 0,
             throttles: 0,
             ran: true,
@@ -184,21 +186,15 @@ impl Duty {
         self.cost * self.runs as i64
     }
 
-    /// The bits of run history `window` keeps.
-    fn kept(&self) -> u128 {
-        u128::MAX.checked_shr(128 - self.window as u32).unwrap_or(0)
-    }
-
     /// Steps `n` quanta against the lane's `level`.
     #[inline]
     fn step(&mut self, level: &mut i64, n: u64) {
-        let kept = self.kept();
         for _ in 0..n {
             let ran = *level > 0;
             if ran != self.ran {
                 (self.edge, self.ran) = (Some((self.quanta(), self.throttles)), ran);
             }
-            self.history = (self.history << 1 | u128::from(ran)) & kept;
+            self.history = (self.history << 1 | u128::from(ran)) & self.kept;
             if ran {
                 *level -= self.cost.as_microjoules();
                 self.last_run = Some((self.quanta(), self.history));
@@ -220,6 +216,7 @@ impl Duty {
     /// from R by galloping back from the end, and the last run's history
     /// from the run counts of the ticks it spans. It settles the lane's
     /// last ticks: its own history is left behind.
+    #[inline(never)] // once a settle: kept out of the stepping loop's body
     fn count(&mut self, level: i64, ticks: u64, fed: impl Fn(u64) -> i64) {
         let (cost, p) = (self.cost.as_microjoules() as u64, self.per_tick);
         let runs = |t: u64| u64::try_from(level + fed(t)).map_or(0, |x| x.div_ceil(cost));
@@ -230,7 +227,11 @@ impl Duty {
             let end = f(ticks);
             ticks - gallop(ticks, |back| f(ticks - back) == end)
         };
-        let (base, old, keep) = (self.quanta(), self.history, self.window);
+        let (base, old, keep) = (
+            self.quanta(),
+            self.history,
+            u64::from(self.kept.count_ones()),
+        );
         // Which of the `window` quanta up to `last` ran, from the run
         // counts of their ticks (each tick's runs first) and, before the
         // count, the kept history.
@@ -346,8 +347,19 @@ fn delivered(feeds: &[Feed], t: u64) -> i64 {
     feeds.iter().map(|f| split::<1_000_000>(total(f)).0).sum()
 }
 
-/// Advances `feeds` `t` ticks; returns what they deliver.
+/// Advances `feeds` one tick; returns what they deliver. [`deliver`]'s
+/// one-tick case without its multiply, for the stepping loops.
 #[inline]
+fn deliver_tick(feeds: &mut [Feed]) -> i64 {
+    let mut moved = 0;
+    for f in feeds {
+        let (grains, carry) = split::<1_000_000>(f.step + f.carry);
+        (moved, f.carry) = (moved + grains, carry);
+    }
+    moved
+}
+
+/// Advances `feeds` `t` ticks; returns what they deliver.
 fn deliver(feeds: &mut [Feed], t: u64) -> i64 {
     let mut moved = 0;
     for f in feeds {
@@ -369,6 +381,16 @@ fn div_floor(n: i128, d: i128) -> i128 {
 /// shorter ones are stepped. Measured by the `flow_hot_path` bench's
 /// `lane_closed_forms`.
 pub(crate) const MIN_BAND_JUMP: u64 = 8;
+
+/// How far, in µJ·10⁻⁶ a tick, a lane's feed rate may be from q·10⁶ for
+/// leak q's band to last `min_band` ticks: the band is ~10⁶/ppm µJ wide
+/// and the lane drifts |rate/10⁶ − q| µJ a tick, so it lasts at least
+/// `min_band` ticks iff |rate − q·10⁶| ≤ 10¹²/(ppm·min_band). `None`
+/// without decay.
+pub(crate) fn band_reach(ppm: u64, min_band: u64) -> Option<u64> {
+    ppm.checked_mul(min_band)
+        .and_then(|d| 1_000_000_000_000u64.checked_div(d))
+}
 
 /// Decaying reserves no tap drains and only constant taps from sources
 /// that cannot clamp feed, so nothing else reads their levels. Each tick a
@@ -394,24 +416,24 @@ pub(crate) struct Lanes {
     lanes: Vec<(RawId, i64)>,
     /// The lanes' constant feeds.
     feeds: Vec<Feed>,
-    /// Bands predicted shorter than this many ticks are stepped.
-    pub(crate) min_band: u64,
+    /// Bands are jumped within this [`band_reach`] of the feed rate.
+    pub(crate) reach: Option<u64>,
     /// Lane-ticks settled, and those stepped through the scalar loop.
     pub(crate) ticks: (u64, u64),
 }
 
-impl Default for Lanes {
-    fn default() -> Self {
+impl Lanes {
+    /// Lanes under a decay of `ppm` a tick, jumping bands predicted at
+    /// least [`MIN_BAND_JUMP`] ticks long.
+    fn new(ppm: u64) -> Self {
         Lanes {
             lanes: Vec::new(),
             feeds: Vec::new(),
-            min_band: MIN_BAND_JUMP,
+            reach: band_reach(ppm, MIN_BAND_JUMP),
             ticks: (0, 0),
         }
     }
-}
 
-impl Lanes {
     /// Opens a lane; only its [`Lanes::feed`]s may credit it until settled.
     pub(crate) fn open(&mut self, reserves: &Arena<Reserve>, reserve: RawId) {
         let level = reserves.get(reserve).map(|r| r.balance().as_microjoules());
@@ -444,12 +466,6 @@ impl Lanes {
         mut duty: Option<&mut Duty>,
     ) {
         self.feeds.sort_unstable_by_key(|f| f.lane);
-        // A band of leak q is ~10⁶/ppm wide and a lane fed `rate` µJ·10⁶ a
-        // tick drifts |rate/10⁶ − q| a tick, so the band lasts at least
-        // `min_band` ticks iff |rate − q·10⁶| ≤ 10¹²/(ppm·min_band).
-        let reach = ppm
-            .checked_mul(self.min_band)
-            .and_then(|d| 1_000_000_000_000u64.checked_div(d));
         let mut reclaimed = 0;
         let mut rest = &mut self.feeds[..];
         for (lane, &(reserve, level)) in self.lanes.iter().enumerate() {
@@ -465,7 +481,7 @@ impl Lanes {
                     }
                     settled
                 }
-                None => settle_decay(feeds, level, ppm, reach, ticks),
+                None => settle_decay(feeds, level, ppm, self.reach, ticks),
             };
             self.ticks = (self.ticks.0 + ticks, self.ticks.1 + stepped);
             if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
@@ -497,20 +513,25 @@ fn settle_decay(
     let rate: u128 = feeds.iter().map(|f| f.step).sum();
     // Leaks within `reach` of rate/10⁶ are jumped. The bounds only decide
     // what is worth jumping: a jump is exact wherever it starts.
-    let (lo, hi) = reach.map_or((1, 0), |reach| {
-        let reach = u128::from(reach);
-        let lo = split::<1_000_000>(rate.saturating_sub(reach) + 999_999).0;
-        (lo, split::<1_000_000>(rate + reach).0)
-    });
+    // One compare a tick: q is in [lo, hi] iff q − lo, unsigned, is at
+    // most hi − lo; with no such leak, lo = −1 and the width 0 admit none.
+    let (lo, width) = reach
+        .map(|reach| {
+            let reach = u128::from(reach);
+            let lo = split::<1_000_000>(rate.saturating_sub(reach) + 999_999).0;
+            (lo, split::<1_000_000>(rate + reach).0 - lo)
+        })
+        .filter(|&(_, width)| width >= 0)
+        .map_or((-1, 0), |(lo, width)| (lo, width as u64));
     let (mut leaked, mut t, mut jumped) = (0, 0, 0);
     while t < ticks {
-        let x = level + deliver(feeds, 1);
+        let x = level + deliver_tick(feeds);
         let q = if x > 0 { decay_leak(x, ppm) } else { 0 };
         if q == 0 && rate == 0 {
             break; // unfed, the level only falls: the leak stays zero
         }
         (level, leaked, t) = (x - q, leaked + q, t + 1);
-        if q < lo || q > hi || t == ticks {
+        if q.wrapping_sub(lo) as u64 > width || t == ticks {
             continue;
         }
         let n = band_ticks(level, q, feeds, ppm, ticks - t);
@@ -531,6 +552,7 @@ fn settle_decay(
 /// the band's last tick is one division; with several, x_j is monotone
 /// unless q falls strictly between the feeds' summed floor and ceiling
 /// steps (then zero), and a gallop finds it.
+#[inline(never)] // once a band: kept out of the stepping loop's body
 fn band_ticks(level: i64, q: i64, feeds: &[Feed], ppm: u64, max: u64) -> u64 {
     const M: i128 = 1_000_000;
     let (q, ppm, at) = (
@@ -600,7 +622,7 @@ fn settle_charged(
             duty.count(level, ticks - t, |k| delivered(feeds, k));
             break;
         }
-        level += deliver(feeds, 1);
+        level += deliver_tick(feeds);
         let leak = if level > 0 { decay_leak(level, ppm) } else { 0 };
         (level, leaked, t) = (level - leak, leaked + leak, t + 1);
         duty.step(&mut level, duty.per_tick);
@@ -793,7 +815,8 @@ fn is_live_prop(rate: RateSpec) -> bool {
 }
 
 impl FlowEngine {
-    pub(crate) fn new() -> Self {
+    /// An engine for a graph decaying `decay_ppm_per_tick` a tick.
+    pub(crate) fn new(decay_ppm_per_tick: u64) -> Self {
         FlowEngine {
             order: Vec::new(),
             by_source: HashMap::new(),
@@ -812,7 +835,7 @@ impl FlowEngine {
             decay_slots: Vec::new(),
             decay_acc: Vec::new(),
             decay_eligible: Vec::new(),
-            lanes: Lanes::default(),
+            lanes: Lanes::new(decay_ppm_per_tick),
         }
     }
 

@@ -342,7 +342,7 @@ impl ResourceGraph {
             now: SimTime::ZERO,
             total_injected,
             total_consumed: [Energy::ZERO; ResourceKind::COUNT],
-            flow: FlowEngine::new(),
+            flow: FlowEngine::new(decay_ppm_per_tick),
             next_tap_seq: 0,
         }
     }
@@ -1457,10 +1457,12 @@ impl ResourceGraph {
     /// against each other.
     #[cfg(any(test, feature = "reference-flow"))]
     pub fn flow_lane_ticks(&mut self, ticks: u64, band_jumps: bool) {
-        let min_band = if band_jumps { 1 } else { u64::MAX };
-        let kept = std::mem::replace(&mut self.flow.lanes.min_band, min_band);
+        let reach = band_jumps
+            .then(|| crate::flow::band_reach(self.decay_ppm_per_tick, 1))
+            .flatten();
+        let kept = std::mem::replace(&mut self.flow.lanes.reach, reach);
         self.flow_ticks(ticks, true);
-        self.flow.lanes.min_band = kept;
+        self.flow.lanes.reach = kept;
     }
 
     #[cfg(any(test, feature = "reference-flow"))]
