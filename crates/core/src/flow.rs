@@ -382,8 +382,8 @@ fn div_floor(n: i128, d: i128) -> i128 {
 /// `lane_closed_forms`.
 pub(crate) const MIN_BAND_JUMP: u64 = 8;
 
-/// How far, in µJ·10⁻⁶ a tick, a lane's feed rate may be from q·10⁶ for
-/// leak q's band to last `min_band` ticks: the band is ~10⁶/ppm µJ wide
+/// How far a lane's feed rate (µW·µs a tick, 10⁻⁶ µJ) may be from q·10⁶
+/// for leak q's band to last `min_band` ticks: the band is ~10⁶/ppm µJ wide
 /// and the lane drifts |rate/10⁶ − q| µJ a tick, so it lasts at least
 /// `min_band` ticks iff |rate − q·10⁶| ≤ 10¹²/(ppm·min_band). `None`
 /// without decay.
@@ -511,10 +511,10 @@ fn settle_decay(
     ticks: u64,
 ) -> (i64, u64) {
     let rate: u128 = feeds.iter().map(|f| f.step).sum();
-    // Leaks within `reach` of rate/10⁶ are jumped. The bounds only decide
-    // what is worth jumping: a jump is exact wherever it starts.
-    // One compare a tick: q is in [lo, hi] iff q − lo, unsigned, is at
-    // most hi − lo; with no such leak, lo = −1 and the width 0 admit none.
+    // Leaks in [lo, hi], within `reach` of rate/10⁶, are worth jumping (a
+    // jump is exact wherever it starts). One compare a tick: q is in range
+    // iff q − lo, unsigned, is at most hi − lo; lo = −1 and width 0 admit
+    // no leak.
     let (lo, width) = reach
         .map(|reach| {
             let reach = u128::from(reach);
