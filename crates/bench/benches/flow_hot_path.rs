@@ -37,8 +37,11 @@
 //! the reference's ticks. Its bands are the evidence behind the lanes'
 //! band threshold (`MIN_BAND_JUMP`): a fed lane whose leak bands last 1 to
 //! 64 ticks, flowed through the planner with every band jumped and with
-//! every tick stepped (`ResourceGraph::flow_lane_ticks`). It asserts every
-//! pair of sides ends bit-identical, with equal run and throttle counts.
+//! every tick stepped (`ResourceGraph::flow_lane_ticks`). Its hovering
+//! lane, fed half a µJ a tick over a leak, crosses a band boundary every
+//! tick, in 100-tick spans both ways: the cost of the lanes' back-off
+//! after short bands. It asserts every pair of sides ends bit-identical,
+//! with equal run and throttle counts.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -460,67 +463,102 @@ fn band_graph(band: u64) -> ResourceGraph {
     g
 }
 
-/// Flows fresh `band_graph`s `SPAN_BANDS` bands' worth of ticks each, an
-/// hour of ticks in all, jumping every band or stepping every tick.
-/// Returns the wall time in ns per band and the end state.
-fn band_spans(band: u64, jumps: bool) -> (f64, Vec<(Energy, ReserveStats)>) {
-    let span = SPAN_BANDS * band;
-    let mut graphs: Vec<_> = (0..BROWSER_TICKS / span)
-        .map(|_| band_graph(band))
-        .collect();
+/// A lane the battery feeds 37.505 mW, half a µJ a tick over leak q =
+/// 3,750, started at the top of q's band: it hovers at the boundary with
+/// q + 1's band, on one side of it one tick and on the other the next.
+fn hover_graph() -> ResourceGraph {
+    let config = GraphConfig::default();
+    let ppm = config.decay.unwrap().leak_ppm_per_tick(config.flow_tick);
+    let q: u64 = 3_750;
+    let top = ((q + 1) * 1_000_000).div_ceil(ppm) - 1;
+    let mut g = ResourceGraph::new(Energy::from_joules(15_000));
+    let k = Actor::kernel();
+    let battery = g.battery();
+    let lane = g
+        .create_reserve(&k, "lane", Label::default_label())
+        .unwrap();
+    let start = Energy::from_microjoules(i64::try_from(top - q).unwrap());
+    g.transfer(&k, battery, lane, start).unwrap();
+    g.create_tap(
+        &k,
+        "feed",
+        battery,
+        lane,
+        RateSpec::constant(Power::from_microwatts(q * 10 + 5)),
+        Label::default_label(),
+    )
+    .unwrap();
+    g
+}
+
+/// Flows fresh `build()` graphs `span` ticks each, an hour of ticks in
+/// all, jumping bands (`jumps`) or stepping every tick. Returns the wall
+/// time in ns per span and the end state.
+fn lane_spans(
+    build: impl Fn() -> ResourceGraph,
+    span: u64,
+    jumps: bool,
+) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let mut graphs: Vec<_> = (0..BROWSER_TICKS / span).map(|_| build()).collect();
     let start = Instant::now();
     for g in &mut graphs {
         g.flow_lane_ticks(black_box(span), jumps);
     }
-    let ns_per_band =
-        start.elapsed().as_secs_f64() * 1e9 / (graphs.len() as u64 * SPAN_BANDS) as f64;
-    (ns_per_band, end_state(&graphs[0]))
+    let ns_per_span = start.elapsed().as_secs_f64() * 1e9 / graphs.len() as f64;
+    (ns_per_span, end_state(&graphs[0]))
+}
+
+/// Seven runs of each side of `what`, alternating which goes first; the
+/// sides' outcomes must agree run by run. Returns the median times of
+/// `side(false)` and `side(true)`.
+fn paired<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    mut side: impl FnMut(bool) -> (f64, T),
+) -> (f64, f64) {
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for pair in 0..7 {
+        let mut sides = [None, None];
+        for flag in [pair % 2 == 0, pair % 2 == 1] {
+            sides[usize::from(flag)] = Some(side(flag));
+        }
+        let [Some((off_time, off_end)), Some((on_time, on_end))] = sides else {
+            unreachable!("both sides ran");
+        };
+        assert_eq!(on_end, off_end, "{what} diverged");
+        off.push(off_time);
+        on.push(on_time);
+    }
+    (median(&mut off), median(&mut on))
 }
 
 /// `lane_closed_forms`, as a JSON object: seven alternating runs per side,
 /// their medians, and every pair of sides asserted bit-identical.
 fn lane_closed_forms() -> String {
-    let (mut settle_us, mut reference_us) = (Vec::new(), Vec::new());
     let mut counts = (0, 0);
-    for pair in 0..7 {
-        let mut sides = [None, None];
-        for engine in [pair % 2 == 0, pair % 2 == 1] {
-            sides[usize::from(engine)] = Some(hog_duty(engine));
-        }
-        let [Some((reference, reference_end, stepped)), Some((settled, end, duty))] = sides else {
-            unreachable!("both sides ran");
-        };
-        assert_eq!(end, reference_end, "the hog's duty run diverged");
-        assert_eq!(duty, stepped, "the hog's duty counts diverged");
+    let (reference_us, settle_us) = paired("the hog's duty run", |engine| {
+        let (us, end, duty) = hog_duty(engine);
         counts = duty;
-        settle_us.push(settled);
-        reference_us.push(reference);
-    }
-    let (settle_us, reference_us) = (median(&mut settle_us), median(&mut reference_us));
-    let (jump_ns, step_ns): (Vec<String>, Vec<String>) = BAND_TICKS
+        (us, (end, duty))
+    });
+    let (step_ns, jump_ns): (Vec<String>, Vec<String>) = BAND_TICKS
         .iter()
         .map(|&band| {
-            let (mut jumped, mut stepped) = (Vec::new(), Vec::new());
-            for pair in 0..7 {
-                let mut sides = [None, None];
-                for jumps in [pair % 2 == 0, pair % 2 == 1] {
-                    sides[usize::from(jumps)] = Some(band_spans(band, jumps));
-                }
-                let [Some((step, step_end)), Some((jump, jump_end))] = sides else {
-                    unreachable!("both sides ran");
-                };
-                assert_eq!(jump_end, step_end, "{band}-tick bands diverged");
-                jumped.push(jump);
-                stepped.push(step);
-            }
-            let ns = |v: &mut Vec<f64>| format!("{:.0}", median(v));
-            (ns(&mut jumped), ns(&mut stepped))
+            let span = SPAN_BANDS * band;
+            let (step, jump) = paired(&format!("{band}-tick bands"), |jumps| {
+                lane_spans(|| band_graph(band), span, jumps)
+            });
+            let per_band = |ns: f64| format!("{:.0}", ns / SPAN_BANDS as f64);
+            (per_band(step), per_band(jump))
         })
         .unzip();
     let [jump_ns, step_ns] = [jump_ns, step_ns].map(|ns| format!("[{}]", ns.join(", ")));
-    println!("flow_hot_path lane closed forms: hog duty run of {HOG_TICKS} ticks {settle_us:.1} us (reference {reference_us:.0} us), {} runs {} throttles; ns per band of {BAND_TICKS:?} ticks jumped {jump_ns} stepped {step_ns}", counts.0, counts.1);
+    let (hover_step, hover_jump) = paired("the hovering lane", |jumps| {
+        lane_spans(hover_graph, LANE_SPAN_TICKS, jumps)
+    });
+    let [hover_step, hover_jump] = [hover_step, hover_jump].map(|ns| ns / LANE_SPAN_TICKS as f64);
+    println!("flow_hot_path lane closed forms: hog duty run of {HOG_TICKS} ticks {settle_us:.1} us (reference {reference_us:.0} us), {} runs {} throttles; ns per band of {BAND_TICKS:?} ticks jumped {jump_ns} stepped {step_ns}; hovering lane {hover_jump:.1} ns per tick with band jumps, {hover_step:.1} stepped", counts.0, counts.1);
     format!(
-        "{{ \"hog_ticks\": {HOG_TICKS}, \"hog_settle_us\": {settle_us:.2}, \"hog_reference_us\": {reference_us:.0}, \"hog_runs\": {}, \"hog_throttles\": {}, \"band_ticks\": {BAND_TICKS:?}, \"band_jumped_ns\": {jump_ns}, \"band_stepped_ns\": {step_ns}, \"bit_identical\": true }}",
+        "{{ \"hog_ticks\": {HOG_TICKS}, \"hog_settle_us\": {settle_us:.2}, \"hog_reference_us\": {reference_us:.0}, \"hog_runs\": {}, \"hog_throttles\": {}, \"band_ticks\": {BAND_TICKS:?}, \"band_jumped_ns\": {jump_ns}, \"band_stepped_ns\": {step_ns}, \"hover_ticks_per_span\": {LANE_SPAN_TICKS}, \"hover_jumped_ns_per_tick\": {hover_jump:.1}, \"hover_stepped_ns_per_tick\": {hover_step:.1}, \"bit_identical\": true }}",
         counts.0, counts.1
     )
 }

@@ -423,7 +423,7 @@ impl ResourceScheduler {
         task.consumed += duty.charged();
         task.throttled_quanta += duty.throttles;
         let mut kept = 0;
-        if let Some((last, ran)) = duty.last_run {
+        if let Some((last, ran)) = duty.last_run() {
             for k in (0..within.min(Duty::HISTORY)).rev() {
                 if ran >> k & 1 == 1 {
                     task.estimator
