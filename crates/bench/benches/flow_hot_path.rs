@@ -42,6 +42,13 @@
 //! tick, in 100-tick spans both ways: the cost of the lanes' back-off
 //! after short bands. It asserts every pair of sides ends bit-identical,
 //! with equal run and throttle counts.
+//!
+//! `ticked_runs` is the browser plugin's sole-Ready window: Fig 6b's graph
+//! flowed an hour in 20-tick windows, each settled as one duty run of the
+//! plugin in the flow kernel against 20 compiled ticks with the plugin
+//! charged after each while its reserve is positive. It reports ns per
+//! tick on each side and asserts both end bit-identical with equal run and
+//! throttle counts.
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -429,6 +436,59 @@ fn hog_duty(engine: bool) -> (f64, Vec<(Energy, ReserveStats)>, (u64, u64)) {
     (start.elapsed().as_secs_f64() * 1e6, end_state(&g), counts)
 }
 
+/// Ticks per `ticked_runs` window: about a plugin's sole-Ready window
+/// between page loads.
+const TICKED_WINDOW: u64 = 20;
+
+/// Flows Fig 6b's graph an hour in `TICKED_WINDOW`-tick windows, each one
+/// duty run of the plugin in the flow kernel (`kernel`), or the compiled
+/// tick alone with the plugin charged after each tick while its reserve is
+/// positive. Returns the wall time in ns per tick, the end state, and the
+/// runs and throttles.
+fn ticked_runs(kernel: bool) -> (f64, Vec<(Energy, ReserveStats)>, (u64, u64)) {
+    let (mut g, plugin) = browser_graph();
+    let k = Actor::kernel();
+    let cost = Energy::from_microjoules(HOG_COST_UJ);
+    let (mut runs, mut throttles) = (0, 0);
+    let start = Instant::now();
+    for _ in 0..BROWSER_TICKS / TICKED_WINDOW {
+        if kernel {
+            let mut duty = Duty::new(plugin, cost, 0, 1, 10);
+            let ticks = g.duty_run(plugin, black_box(TICKED_WINDOW)).unwrap();
+            assert_eq!(g.settle_duty(&mut duty, ticks), TICKED_WINDOW);
+            (runs, throttles) = (runs + duty.runs, throttles + duty.throttles);
+        } else {
+            for _ in 0..TICKED_WINDOW {
+                g.flow_ticks(black_box(1), false);
+                if g.reserve(plugin).unwrap().is_nonempty() {
+                    g.consume_with_debt(&k, plugin, cost).unwrap();
+                    runs += 1;
+                } else {
+                    throttles += 1;
+                }
+            }
+        }
+    }
+    let ns_per_tick = start.elapsed().as_secs_f64() * 1e9 / BROWSER_TICKS as f64;
+    (ns_per_tick, end_state(&g), (runs, throttles))
+}
+
+/// `ticked_runs`, as a JSON object: seven alternating hours per side, their
+/// medians, and every pair of sides asserted bit-identical.
+fn ticked_runs_report() -> String {
+    let mut counts = (0, 0);
+    let (compiled_ns, kernel_ns) = paired("the plugin's ticked duty runs", |kernel| {
+        let (ns, end, duty) = ticked_runs(kernel);
+        counts = duty;
+        (ns, (end, duty))
+    });
+    println!("flow_hot_path ticked runs (Fig 6b, {TICKED_WINDOW}-tick duty windows): kernel {kernel_ns:.1} ns/tick, compiled ticks {compiled_ns:.1} ns/tick, {} runs {} throttles", counts.0, counts.1);
+    format!(
+        "{{ \"ticks\": {BROWSER_TICKS}, \"window_ticks\": {TICKED_WINDOW}, \"kernel_ns_per_tick\": {kernel_ns:.1}, \"compiled_ns_per_tick\": {compiled_ns:.1}, \"runs\": {}, \"throttles\": {}, \"bit_identical\": true }}",
+        counts.0, counts.1
+    )
+}
+
 /// The band lengths `lane_closed_forms` times, in ticks.
 const BAND_TICKS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
@@ -717,6 +777,7 @@ fn speedup_report(_c: &mut Criterion) {
     let [lane_planned, lane_ticked] = plan_vs_tick(decay_lane_graph, "the decay lane");
     let [fig6b_planned, fig6b_ticked] = plan_vs_tick(|| browser_graph().0, "Fig 6b");
     let closed_forms = lane_closed_forms();
+    let ticked = ticked_runs_report();
 
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
@@ -739,7 +800,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }},\n  \"lane_closed_forms\": {closed_forms}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }},\n  \"lane_closed_forms\": {closed_forms},\n  \"ticked_runs\": {ticked}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

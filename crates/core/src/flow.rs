@@ -12,8 +12,9 @@
 //! model, `ResourceGraph::flow_until_reference`, built for tests and under
 //! the `reference-flow` feature):
 //!
-//! * **Per-source adjacency index** — tap lists keyed by source reserve, in
-//!   tap-creation order, maintained incrementally by
+//! * **Per-source adjacency index** — tap lists indexed by source reserve
+//!   slot ([`crate::RawId::index`]; a reserve's taps are revoked before its
+//!   slot is reused), in tap-creation order, maintained incrementally by
 //!   [`crate::ResourceGraph::create_tap`] / `delete_tap` / `set_tap_rate` /
 //!   `delete_reserve`. A global creation-order list drives application, so
 //!   the documented oversubscription rule (earlier-created taps win) is
@@ -25,9 +26,17 @@
 //!   start-of-tick level). Zero-rate taps are left out — a tick moves
 //!   nothing through them and keeps their carry, and a re-rate resets the
 //!   carry — so the plan is exact. The tap hooks (create, remove, re-rate;
-//!   reserve GC removes taps) mark it stale, and it also recompiles for a
-//!   different tick. Start-of-tick levels are read only for the sources of
-//!   proportional taps: zero steady-state allocation.
+//!   reserve GC removes taps) and the reserve lifecycle mark it stale, and
+//!   it also recompiles for a different tick. Start-of-tick levels are read
+//!   only for the sources of proportional taps: zero steady-state
+//!   allocation. The plan also holds the same tick over dense slots (tap
+//!   endpoints, decay-eligible reserves and the battery) for the *flow
+//!   kernel*, `tick_slots`: one free function over separate slices of
+//!   levels, per-slot flows and carries (so the compiler may assume they
+//!   do not alias), which ticks every ticked duty run and the planned
+//!   run's dynamic partition. The full loop's one tick a call stays
+//!   arena-direct: loading and writing back the slots costs more than a
+//!   single tick saves.
 //! * **Division-free carry splits** — a carry total is split by 10⁶
 //!   (constant) or 10¹² (proportional) in u64, where division by a constant
 //!   is a multiply and shift, falling back to the exact u128 division when
@@ -45,12 +54,13 @@
 //!   their clamp boundary, and empty sources that taps may refill) and a
 //!   **linear** partition (provably covered for the whole run, or provably
 //!   starved with no inflow). Every tap adjacent to a dynamic reserve is
-//!   executed tick by tick over a flat structure-of-arrays loop (dense
-//!   slots, no map or arena lookups); every other tap is applied in closed
-//!   form over the whole run. An all-constant decay-free graph degenerates
-//!   to the pure closed form (the whole span is one event); a mixed graph
-//!   pays per-tick cost only for its proportional *island*, not the whole
-//!   graph.
+//!   executed tick by tick in the flow kernel (dense slots, no map or
+//!   arena lookups); every other tap is applied in closed form over the
+//!   whole run. The planner's per-run tables are vectors indexed by
+//!   reserve slot, reset through the slots they touched. An all-constant
+//!   decay-free graph degenerates to the pure closed form (the whole span
+//!   is one event); a mixed graph pays per-tick cost only for its
+//!   proportional *island*, not the whole graph.
 //! * **Decay lanes** — decaying sources are dynamic; exempt ones (the
 //!   battery too: decay only credits it) take the coverage test. While the
 //!   battery is not dynamic, a decaying reserve no tap drains and only
@@ -64,7 +74,7 @@
 //!   than the break-even is a *charged* lane, decaying or not, whose loop
 //!   also runs each quantum's charge, and which settles by its run count
 //!   once its level sits on the throttled orbit; any other duty run is
-//!   ticked, its quanta stepped between compiled ticks.
+//!   ticked in the flow kernel, its quanta charged between ticks.
 //! * **Break-even** — spans shorter than `MIN_PARTITIONED_SPAN` (16 ticks,
 //!   measured by the `flow_hot_path` bench's `plan_vs_tick`) skip the
 //!   planner on any graph with a proportional tap or decay: its O(R + T)
@@ -81,7 +91,7 @@
 //! The engine lives inside [`crate::ResourceGraph`]; it has no public
 //! surface of its own.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cinder_sim::{Energy, SimDuration};
 
@@ -91,8 +101,10 @@ use crate::reserve::Reserve;
 use crate::tap::{RateSpec, Tap};
 
 /// Per-source slice of the adjacency index.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SourceTaps {
+    /// The source reserve.
+    source: RawId,
     /// This source's outgoing taps, keyed by creation sequence — iteration
     /// is creation order, removal is O(log n) (reserve GC can revoke many
     /// taps at once, e.g. a browser page's container being unlinked).
@@ -117,6 +129,44 @@ pub(crate) enum SourceRun {
     Dynamic,
 }
 
+/// The run planner's verdicts, indexed by reserve slot ([`RawId::index`]):
+/// every reserve a run plans is live, so its slot names it. Cleared
+/// through the slots it set.
+#[derive(Debug, Default)]
+struct RunPlan {
+    of: Vec<Option<SourceRun>>,
+    set: Vec<u32>,
+}
+
+impl RunPlan {
+    fn get(&self, reserve: RawId) -> Option<SourceRun> {
+        self.of.get(reserve.index() as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, reserve: RawId, run: SourceRun) {
+        let i = reserve.index() as usize;
+        if i >= self.of.len() {
+            self.of.resize(i + 1, None);
+        }
+        if self.of[i].replace(run).is_none() {
+            self.set.push(i as u32);
+        }
+    }
+
+    fn clear(&mut self) {
+        for i in self.set.drain(..) {
+            self.of[i as usize] = None;
+        }
+    }
+
+    /// Whether any planned reserve is not starved.
+    fn any_live(&self) -> bool {
+        self.set
+            .iter()
+            .any(|&i| self.of[i as usize] != Some(SourceRun::Starved))
+    }
+}
+
 /// A sole Ready thread's quanta across a duty run
 /// ([`crate::ResourceGraph::settle_duty`]): each charges `cost` to its
 /// reserve while the level is positive and throttles it otherwise, as the
@@ -125,12 +175,14 @@ pub(crate) enum SourceRun {
 /// shorter than the planner's break-even is a charged decay lane, whose
 /// quanta follow each tick's feeds and leak, and which the flow engine
 /// settles by its run count once the level sits on the throttled orbit;
-/// any other run is ticked, its quanta following each compiled flow tick.
-/// Its last run reports only the `window` youngest quanta of run history:
-/// the landing reads no more.
+/// any other run is ticked in the flow kernel, its quanta charged after
+/// each tick. Its last run reports only the `window` youngest quanta of
+/// run history: the landing reads no more.
 #[derive(Debug, Clone)]
 pub struct Duty {
     pub(crate) reserve: RawId,
+    /// The reserve's slot in the levels the quanta read.
+    slot: u32,
     /// What each run charges.
     pub cost: Energy,
     pub(crate) head: u64,
@@ -161,6 +213,7 @@ impl Duty {
     pub fn new(reserve: ReserveId, cost: Energy, head: u64, per_tick: u64, window: u64) -> Self {
         Duty {
             reserve: reserve.0,
+            slot: 0,
             cost,
             head,
             per_tick,
@@ -192,8 +245,9 @@ impl Duty {
             .map(|(last, ran)| (last, ran & kept.unwrap_or(0)))
     }
 
-    /// Steps `n` quanta against the lane's `level`.
-    fn step(&mut self, level: &mut i64, n: u64) {
+    /// Steps `n` quanta against the reserve's level, `levels[slot]`.
+    fn step(&mut self, levels: &mut [i64], n: u64) {
+        let level = &mut levels[self.slot as usize];
         for _ in 0..n {
             let ran = *level > 0;
             if ran != self.ran {
@@ -294,17 +348,6 @@ impl Duty {
         // Nothing steps after a count, so the history is not rebuilt.
         (self.ran, self.runs, self.throttles) =
             (ran, self.runs + total, self.throttles + throttles);
-    }
-
-    /// Steps `n` quanta against the reserve's balance, debiting the runs as
-    /// consumption: a ticked duty run's quanta between compiled ticks.
-    pub(crate) fn charge(&mut self, reserves: &mut Arena<Reserve>, n: u64) {
-        let r = reserves
-            .get_mut(self.reserve)
-            .expect("the duty reserve is live");
-        let (mut level, runs) = (r.balance().as_microjoules(), self.runs);
-        self.step(&mut level, n);
-        r.debit_consumed(self.cost * (self.runs - runs) as i64);
     }
 }
 
@@ -595,7 +638,10 @@ fn settle_charged(
     ppm: u64,
     ticks: u64,
 ) -> (i64, u64) {
-    duty.step(&mut level, duty.head);
+    // The lane's level is the duty's only slot.
+    duty.slot = 0;
+    let levels = std::slice::from_mut(&mut level);
+    duty.step(levels, duty.head);
     let cost = duty.cost.as_microjoules();
     // The most a tick can deliver.
     let most: u128 = feeds.iter().map(|f| f.step.div_ceil(1_000_000)).sum();
@@ -605,21 +651,26 @@ fn settle_charged(
         && most * u128::from(ppm) < 1_000_000;
     let (mut leaked, mut t) = (0, 0);
     while t < ticks {
-        if countable && level <= 0 {
-            duty.count(level, ticks - t, |k| delivered(feeds, k));
+        let level = &mut levels[0];
+        if countable && *level <= 0 {
+            duty.count(*level, ticks - t, |k| delivered(feeds, k));
             break;
         }
-        level += deliver_tick(feeds);
-        let leak = if level > 0 { decay_leak(level, ppm) } else { 0 };
-        (level, leaked, t) = (level - leak, leaked + leak, t + 1);
-        duty.step(&mut level, duty.per_tick);
+        *level += deliver_tick(feeds);
+        let leak = if *level > 0 {
+            decay_leak(*level, ppm)
+        } else {
+            0
+        };
+        (*level, leaked, t) = (*level - leak, leaked + leak, t + 1);
+        duty.step(levels, duty.per_tick);
     }
     (leaked, t)
 }
 
 /// How a ticked tap computes its per-tick desired transfer (the image of
 /// [`RateSpec`] with the tick span pre-multiplied in), in the compiled
-/// single tick and the run's SoA loop alike.
+/// single tick and the flow kernel alike.
 #[derive(Debug, Clone, Copy)]
 enum TickRate {
     /// `step = rate_µW × dt_µs`; per tick `carry' = (carry + step) mod 1e6`
@@ -631,14 +682,174 @@ enum TickRate {
     Prop { ppm_dt: u128, snap_idx: u32 },
 }
 
-/// One tap of the ticked (dynamic) partition, resolved to dense slots.
+/// One tap of the flow kernel, resolved to dense slots.
 #[derive(Debug, Clone, Copy)]
-struct TickedTap {
-    raw: RawId,
+struct SlotTap {
     src: u32,
     dst: u32,
     rate: TickRate,
-    carry: u128,
+}
+
+/// What the flow kernel moved through one slot, applied to the reserve's
+/// stats once at writeback (sums — identical to per-tick application).
+#[derive(Debug, Clone, Copy, Default)]
+struct Flow {
+    inflow: i64,
+    outflow: i64,
+    decayed: i64,
+}
+
+/// A flow tick over dense slots: what [`tick_slots`] runs.
+#[derive(Debug, Default)]
+struct Circuit {
+    /// The taps, in creation (clamp-priority) order.
+    taps: Vec<SlotTap>,
+    /// The slots whose start-of-tick levels the proportional taps read
+    /// (their `snap_idx` indexes this).
+    snap: Vec<u32>,
+    /// The slots the global decay leaks from, `ppm` a tick.
+    decay: Vec<u32>,
+    ppm: u64,
+    /// The battery's slot, which takes the leaks.
+    battery: u32,
+}
+
+impl Circuit {
+    fn clear(&mut self) {
+        self.taps.clear();
+        self.snap.clear();
+        self.decay.clear();
+    }
+}
+
+/// Dense slots for reserves, found by reserve slot ([`RawId::index`]).
+#[derive(Debug, Default)]
+struct Slots {
+    /// Each slot's reserve.
+    raw: Vec<RawId>,
+    /// Each reserve's slot by its index, `u32::MAX` for none.
+    of: Vec<u32>,
+}
+
+impl Slots {
+    /// `reserve`'s slot, assigned on first sight. Slots name live
+    /// reserves, so an index has at most one.
+    fn slot(&mut self, reserve: RawId) -> u32 {
+        let i = reserve.index() as usize;
+        if i >= self.of.len() {
+            self.of.resize(i + 1, u32::MAX);
+        }
+        if self.of[i] == u32::MAX {
+            self.of[i] = self.raw.len() as u32;
+            self.raw.push(reserve);
+        }
+        debug_assert_eq!(self.raw[self.of[i] as usize], reserve);
+        self.of[i]
+    }
+
+    /// Drops the slots from `len` on.
+    fn truncate(&mut self, len: usize) {
+        for raw in self.raw.drain(len..) {
+            self.of[raw.index() as usize] = u32::MAX;
+        }
+    }
+}
+
+/// The flow kernel: `ticks` ticks of `c` over dense slots, each its taps in
+/// creation order against start-of-tick source levels and then the global
+/// decay, exactly as [`FlowEngine::tick`] over the arena, and then
+/// `after_tick` (a duty run's quanta), accumulating each slot's flows.
+/// Levels, flows, carries and the snapshot are separate slices, so the
+/// compiler may assume they do not alias.
+fn tick_slots(
+    c: &Circuit,
+    levels: &mut [i64],
+    flows: &mut [Flow],
+    carries: &mut [u128],
+    snap: &mut [i64],
+    ticks: u64,
+    mut after_tick: impl FnMut(&mut [i64]),
+) {
+    for _ in 0..ticks {
+        // Start-of-tick snapshot of proportional source levels.
+        for (level, &slot) in snap.iter_mut().zip(&c.snap) {
+            *level = levels[slot as usize];
+        }
+        for (tap, carry) in c.taps.iter().zip(carries.iter_mut()) {
+            let desired = match tap.rate {
+                TickRate::Const { step } => {
+                    let (grains, rest) = split::<1_000_000>(step + *carry);
+                    *carry = rest;
+                    grains
+                }
+                TickRate::Prop { ppm_dt, snap_idx } => {
+                    let level = snap[snap_idx as usize];
+                    if level <= 0 {
+                        // Quiescent source: zero transfer, carry untouched
+                        // (see FlowEngine::tick).
+                        continue;
+                    }
+                    let total = level as u128 * ppm_dt + *carry;
+                    let (grains, rest) = split::<1_000_000_000_000>(total);
+                    *carry = rest;
+                    grains
+                }
+            };
+            let (src, dst) = (tap.src as usize, tap.dst as usize);
+            let amount = desired.min(levels[src].max(0));
+            if amount > 0 {
+                levels[src] -= amount;
+                flows[src].outflow += amount;
+                levels[dst] += amount;
+                flows[dst].inflow += amount;
+            }
+        }
+        // The global decay, exactly as `decay_tick`: each positive slot
+        // leaks ⌊level·ppm/1e6⌋ back to the battery.
+        let mut leaked = 0;
+        for &slot in &c.decay {
+            let level = &mut levels[slot as usize];
+            if *level > 0 {
+                let leak = decay_leak(*level, c.ppm);
+                *level -= leak;
+                flows[slot as usize].decayed += leak;
+                leaked += leak;
+            }
+        }
+        if leaked > 0 {
+            levels[c.battery as usize] += leaked;
+            flows[c.battery as usize].inflow += leaked;
+        }
+        after_tick(levels);
+    }
+}
+
+/// Loads each slot's reserve level.
+fn load(levels: &mut Vec<i64>, slots: &[RawId], reserves: &Arena<Reserve>) {
+    levels.clear();
+    levels.extend(
+        slots
+            .iter()
+            .map(|&r| reserves.get(r).map_or(0, |r| r.balance().as_microjoules())),
+    );
+}
+
+/// Applies each slot's flows to its reserve.
+fn write_back(reserves: &mut Arena<Reserve>, slots: &[RawId], flows: &[Flow]) {
+    for (&raw, flow) in slots.iter().zip(flows) {
+        let Some(r) = reserves.get_mut(raw) else {
+            continue; // dead endpoint: nothing ever moved through it
+        };
+        if flow.inflow > 0 {
+            r.credit(Energy::from_microjoules(flow.inflow));
+        }
+        if flow.outflow > 0 {
+            r.debit_outflow(Energy::from_microjoules(flow.outflow));
+        }
+        if flow.decayed > 0 {
+            r.debit_decay(Energy::from_microjoules(flow.decayed));
+        }
+    }
 }
 
 /// The taps sinking into one reserve, summarised by rate class.
@@ -701,7 +912,8 @@ struct PlanTap {
 
 /// [`FlowEngine::tick`] compiled from the creation-order list: every
 /// nonzero-rate tap with its rate pre-multiplied by the tick, and the
-/// sources whose start-of-tick levels the proportional taps read.
+/// sources whose start-of-tick levels the proportional taps read; and the
+/// same tick over dense slots, for the flow kernel.
 ///
 /// A zero-rate tap is left out: a tick moves nothing through it and keeps
 /// its carry, and a re-rate (which resets the carry) recompiles the plan.
@@ -715,6 +927,10 @@ struct TickPlan {
     /// levels (parallel arrays; the levels are per-tick scratch).
     sources: Vec<RawId>,
     levels: Vec<i64>,
+    /// `taps` over `slots`, with the decay-eligible reserves and the
+    /// battery.
+    circuit: Circuit,
+    slots: Slots,
 }
 
 /// Splits a carry total into the whole grains it moves and the carry it
@@ -750,8 +966,10 @@ pub(crate) struct FlowEngine {
     /// vector beats a tree here because the per-tick loop walks it once per
     /// tick, while mutation is comparatively rare.
     order: Vec<(u64, TapId)>,
-    /// Tap lists keyed by source reserve.
-    by_source: HashMap<RawId, SourceTaps>,
+    /// Tap lists of each source, indexed by reserve slot
+    /// ([`RawId::index`]). A reserve's taps are revoked before its slot can
+    /// be reused, so a slot holds at most one source's list.
+    by_source: Vec<Option<SourceTaps>>,
     /// What feeds each reserve, indexed by reserve slot
     /// ([`RawId::index`]): O(1) "can a tap refill this reserve?" for run
     /// planning and the kernel's held-send guard, and the constant-feed
@@ -762,32 +980,27 @@ pub(crate) struct FlowEngine {
     /// Total live proportional (nonzero-rate) taps; the pure closed form
     /// (empty ticked partition) requires zero.
     live_prop: usize,
-    /// The single tick, compiled from `order`; every tap hook marks it
-    /// stale (reserve GC reaches it through tap removal).
+    /// The single tick, compiled from `order`; every tap hook and the
+    /// reserve lifecycle mark it stale (reserve GC reaches it through tap
+    /// removal).
     plan: TickPlan,
     /// Scratch for run planning, reused across calls.
-    run_plan: HashMap<RawId, SourceRun>,
-    // ----- ticked-partition scratch (reused across runs) -----------------
-    /// The ticked taps, in creation (seq) order — the clamp-priority order.
-    ticked: Vec<TickedTap>,
-    /// Dense slot assignment for every reserve a ticked tap touches.
-    slot_of: HashMap<RawId, u32>,
-    /// Reverse map: slot → reserve, for writeback.
-    slot_raw: Vec<RawId>,
+    run_plan: RunPlan,
+    // ----- the flow kernel's scratch (reused across runs) ----------------
+    /// The ticked (dynamic) partition of the run being planned.
+    ticked: Circuit,
+    /// Its taps' ids, for writeback.
+    ticked_taps: Vec<RawId>,
+    /// Dense slots for every reserve the ticked partition touches.
+    slots: Slots,
     /// Working balances (µJ grains) per slot.
     levels: Vec<i64>,
-    /// Accumulated tap inflow / outflow per slot, applied to the reserve
-    /// stats once at writeback (sums — identical to per-tick application).
-    in_acc: Vec<i64>,
-    out_acc: Vec<i64>,
-    /// Slots needing a start-of-tick snapshot (proportional sources), and
-    /// the snapshot values themselves (parallel arrays).
-    prop_slots: Vec<u32>,
+    /// Accumulated flows per slot.
+    flows: Vec<Flow>,
+    /// Working carries per kernel tap.
+    carries: Vec<u128>,
+    /// Start-of-tick levels of the proportional sources.
     snap: Vec<i64>,
-    /// Slots subject to the global decay this run (Energy, non-exempt,
-    /// not a lane), and the per-slot decayed totals.
-    decay_slots: Vec<u32>,
-    decay_acc: Vec<i64>,
     /// Decay-eligible reserves (Energy kind, not exempt), maintained by the
     /// graph's reserve lifecycle so neither the per-tick decay nor run
     /// planning walks the whole arena. Order is immaterial: per-reserve
@@ -806,21 +1019,18 @@ impl FlowEngine {
     pub(crate) fn new(decay_ppm_per_tick: u64) -> Self {
         FlowEngine {
             order: Vec::new(),
-            by_source: HashMap::new(),
+            by_source: Vec::new(),
             inbound: Vec::new(),
             live_prop: 0,
             plan: TickPlan::default(),
-            run_plan: HashMap::new(),
-            ticked: Vec::new(),
-            slot_of: HashMap::new(),
-            slot_raw: Vec::new(),
+            run_plan: RunPlan::default(),
+            ticked: Circuit::default(),
+            ticked_taps: Vec::new(),
+            slots: Slots::default(),
             levels: Vec::new(),
-            in_acc: Vec::new(),
-            out_acc: Vec::new(),
-            prop_slots: Vec::new(),
+            flows: Vec::new(),
+            carries: Vec::new(),
             snap: Vec::new(),
-            decay_slots: Vec::new(),
-            decay_acc: Vec::new(),
             decay_eligible: Vec::new(),
             lanes: Lanes::new(decay_ppm_per_tick),
         }
@@ -828,7 +1038,8 @@ impl FlowEngine {
 
     /// Reserve-lifecycle hooks: track decay eligibility (Energy kind and
     /// not exempt). Called by every graph path that creates, deletes, or
-    /// re-flags a reserve.
+    /// re-flags a reserve. The compiled plan slots the decay-eligible
+    /// reserves, so it goes stale.
     pub(crate) fn on_reserve_eligibility(&mut self, reserve: RawId, eligible: bool) {
         let present = self.decay_eligible.iter().position(|&r| r == reserve);
         match (eligible, present) {
@@ -838,6 +1049,7 @@ impl FlowEngine {
             }
             _ => {}
         }
+        self.plan.dt = None;
     }
 
     /// True when the global decay cannot move a microjoule this tick (and
@@ -865,6 +1077,14 @@ impl FlowEngine {
 
     // ----- index maintenance (called by ResourceGraph mutators) ----------
 
+    /// The tap list of `source`, if any live tap drains it.
+    fn source_taps(&self, source: RawId) -> Option<&SourceTaps> {
+        self.by_source
+            .get(source.index() as usize)
+            .and_then(Option::as_ref)
+            .filter(|entry| entry.source == source)
+    }
+
     /// Registers a newly created tap.
     pub(crate) fn on_tap_created(
         &mut self,
@@ -876,7 +1096,16 @@ impl FlowEngine {
     ) {
         debug_assert!(self.order.last().is_none_or(|&(s, _)| s < seq));
         self.order.push((seq, id));
-        let entry = self.by_source.entry(source).or_default();
+        let i = source.index() as usize;
+        if i >= self.by_source.len() {
+            self.by_source.resize_with(i + 1, || None);
+        }
+        let entry = self.by_source[i].get_or_insert_with(|| SourceTaps {
+            source,
+            taps: BTreeMap::new(),
+            live_prop: 0,
+        });
+        debug_assert_eq!(entry.source, source, "a reused slot kept its taps");
         entry.taps.insert(seq, id);
         let slot = sink.index() as usize;
         if slot >= self.inbound.len() {
@@ -897,14 +1126,17 @@ impl FlowEngine {
         if let Ok(i) = self.order.binary_search_by_key(&seq, |&(s, _)| s) {
             self.order.remove(i);
         }
-        if let Some(entry) = self.by_source.get_mut(&source) {
-            entry.taps.remove(&seq);
-            if is_live_prop(rate) {
-                entry.live_prop -= 1;
-                self.live_prop -= 1;
-            }
-            if entry.taps.is_empty() {
-                self.by_source.remove(&source);
+        let slot = self.by_source.get_mut(source.index() as usize);
+        if let Some(entry_slot) = slot {
+            if let Some(entry) = entry_slot.as_mut().filter(|e| e.source == source) {
+                entry.taps.remove(&seq);
+                if is_live_prop(rate) {
+                    entry.live_prop -= 1;
+                    self.live_prop -= 1;
+                }
+                if entry.taps.is_empty() {
+                    *entry_slot = None;
+                }
             }
         }
         self.plan.dt = None;
@@ -929,8 +1161,7 @@ impl FlowEngine {
     /// The live taps draining `reserve`, in creation order — O(outbound
     /// taps of that reserve), off the per-source adjacency index.
     pub(crate) fn outbound(&self, reserve: RawId) -> impl Iterator<Item = TapId> + '_ {
-        self.by_source
-            .get(&reserve)
+        self.source_taps(reserve)
             .into_iter()
             .flat_map(|entry| entry.taps.values().copied())
     }
@@ -951,9 +1182,9 @@ impl FlowEngine {
         if was == is {
             return;
         }
-        let entry = self
-            .by_source
-            .get_mut(&source)
+        let entry = self.by_source[source.index() as usize]
+            .as_mut()
+            .filter(|e| e.source == source)
             .expect("rate change on unindexed tap");
         if is {
             entry.live_prop += 1;
@@ -974,21 +1205,24 @@ impl FlowEngine {
 
     #[cfg(test)]
     pub(crate) fn index_len(&self) -> (usize, usize) {
-        (self.order.len(), self.by_source.len())
+        (self.order.len(), self.by_source.iter().flatten().count())
     }
 
     // ----- per-tick execution ---------------------------------------------
 
     /// Compiles [`FlowEngine::tick`]'s plan for ticks of `dt` from the
-    /// creation-order list.
-    fn compile(&mut self, taps: &Arena<Tap>, dt: SimDuration) {
+    /// creation-order list, and the same tick over dense slots for the
+    /// flow kernel, decaying `ppm` a tick into `battery`.
+    fn compile(&mut self, taps: &Arena<Tap>, dt: SimDuration, battery: RawId, ppm: u64) {
         let dt_us = u128::from(dt.as_micros());
         let plan = &mut self.plan;
         plan.taps.clear();
         plan.sources.clear();
+        plan.circuit.clear();
+        plan.slots.truncate(0);
         for &(_, tid) in &self.order {
             let tap = taps.get(tid.0).expect("flow index out of sync");
-            let source = tap.source().0;
+            let (source, sink) = (tap.source().0, tap.sink().0);
             let rate = match tap.rate() {
                 RateSpec::Const(p) if p.as_microwatts() > 0 => TickRate::Const {
                     step: u128::from(p.as_microwatts()) * dt_us,
@@ -998,6 +1232,7 @@ impl FlowEngine {
                         Some(i) => i,
                         None => {
                             plan.sources.push(source);
+                            plan.circuit.snap.push(plan.slots.slot(source));
                             plan.sources.len() - 1
                         }
                     };
@@ -1012,10 +1247,19 @@ impl FlowEngine {
             plan.taps.push(PlanTap {
                 tap: tid.0,
                 source,
-                sink: tap.sink().0,
+                sink,
                 rate,
             });
+            let (src, dst) = (plan.slots.slot(source), plan.slots.slot(sink));
+            plan.circuit.taps.push(SlotTap { src, dst, rate });
         }
+        if ppm > 0 {
+            for &rid in &self.decay_eligible {
+                plan.circuit.decay.push(plan.slots.slot(rid));
+            }
+        }
+        plan.circuit.ppm = ppm;
+        plan.circuit.battery = plan.slots.slot(battery);
         plan.levels.clear();
         plan.levels.resize(plan.sources.len(), 0);
         plan.dt = Some(dt);
@@ -1035,7 +1279,7 @@ impl FlowEngine {
         dt: SimDuration,
     ) {
         if self.plan.dt != Some(dt) {
-            self.compile(taps, dt);
+            self.compile(taps, dt, battery, decay_ppm_per_tick);
         }
         let plan = &mut self.plan;
         for (level, &source) in plan.levels.iter_mut().zip(&plan.sources) {
@@ -1106,11 +1350,68 @@ impl FlowEngine {
         }
     }
 
+    /// Ticks `ticks` ticks of `duty` in the flow kernel over the compiled
+    /// plan's slots, plus a slot for its reserve if no tap touches it: the
+    /// head quanta, then per tick the compiled tick and that tick's quanta,
+    /// each charged in the loop. Exact for any graph.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn tick_duty(
+        &mut self,
+        reserves: &mut Arena<Reserve>,
+        taps: &mut Arena<Tap>,
+        battery: RawId,
+        decay_ppm_per_tick: u64,
+        dt: SimDuration,
+        duty: &mut Duty,
+        ticks: u64,
+    ) {
+        if self.plan.dt != Some(dt) {
+            self.compile(taps, dt, battery, decay_ppm_per_tick);
+        }
+        let plan = &mut self.plan;
+        let compiled = plan.slots.raw.len();
+        duty.slot = plan.slots.slot(duty.reserve);
+        load(&mut self.levels, &plan.slots.raw, reserves);
+        self.flows.clear();
+        self.flows.resize(plan.slots.raw.len(), Flow::default());
+        self.carries.clear();
+        self.carries.extend(plan.taps.iter().map(|t| {
+            let tap = taps.get(t.tap).expect("the plan holds live taps");
+            tap.remainder()
+        }));
+        self.snap.clear();
+        self.snap.resize(plan.circuit.snap.len(), 0);
+        let (head, per_tick) = (duty.head, duty.per_tick);
+        duty.step(&mut self.levels, head);
+        tick_slots(
+            &plan.circuit,
+            &mut self.levels,
+            &mut self.flows,
+            &mut self.carries,
+            &mut self.snap,
+            ticks,
+            |levels| duty.step(levels, per_tick),
+        );
+        write_back(reserves, &plan.slots.raw, &self.flows);
+        for (t, &carry) in plan.taps.iter().zip(&self.carries) {
+            taps.get_mut(t.tap)
+                .expect("the plan holds live taps")
+                .set_remainder(carry);
+        }
+        if duty.runs > 0 {
+            reserves
+                .get_mut(duty.reserve)
+                .expect("a duty run charges a live reserve")
+                .debit_consumed(duty.charged());
+        }
+        plan.slots.truncate(compiled);
+    }
+
     // ----- partitioned closed-form fast-forward ---------------------------
 
     /// Whether a span of `ticks` is better ticked than planned: with a live
-    /// proportional tap or decay, planning and the SoA build cost more than
-    /// ticking a span shorter than `MIN_PARTITIONED_SPAN`.
+    /// proportional tap or decay, planning and building the kernel's slots
+    /// cost more than ticking a span shorter than `MIN_PARTITIONED_SPAN`.
     pub(crate) fn declines_span(&self, ticks: u64, decaying: bool) -> bool {
         (self.live_prop > 0 || decaying) && ticks < MIN_PARTITIONED_SPAN
     }
@@ -1125,9 +1426,9 @@ impl FlowEngine {
     ///   or decay re-shapes it every tick, or it could clamp mid-run
     ///   (balance covers less than the demotion threshold of the span), or
     ///   it is empty but a tap may refill it. Every tap touching a dynamic
-    ///   reserve (either endpoint) joins the ticked partition and is
-    ///   executed tick by tick over dense SoA arrays — bit-identical to
-    ///   [`FlowEngine::tick`], minus the map and arena lookups.
+    ///   reserve (either endpoint) joins the ticked partition, which the
+    ///   flow kernel ([`tick_slots`]) runs tick by tick over dense slots —
+    ///   bit-identical to [`FlowEngine::tick`], minus the arena lookups.
     /// * **Covered** — balance ≥ n × an upper bound of its per-tick outflow
     ///   (each const tap moves at most ⌊(p·dt + 999_999)/1e6⌋ µJ per tick,
     ///   counting taps of *both* partitions), so no clamp can engage within
@@ -1171,7 +1472,7 @@ impl FlowEngine {
         self.run_plan.clear();
         let mut n = max_ticks;
         let mut any_dynamic = false;
-        for &source in self.by_source.keys() {
+        for source in self.by_source.iter().flatten().map(|e| e.source) {
             let Some((mut run, n_src)) = self.plan_source(reserves, taps, source, dt, decaying)
             else {
                 continue;
@@ -1190,8 +1491,8 @@ impl FlowEngine {
         // A drained battery is not starved while decay may credit it: a
         // leak, or a flow into a decaying reserve, revives its taps.
         if decaying
-            && self.run_plan.get(&battery) == Some(&SourceRun::Starved)
-            && (self.run_plan.values().any(|&run| run != SourceRun::Starved)
+            && self.run_plan.get(battery) == Some(SourceRun::Starved)
+            && (self.run_plan.any_live()
                 || !self.decay_is_inert(reserves, decay_ppm_per_tick, |_| false))
         {
             self.run_plan.insert(battery, SourceRun::Dynamic);
@@ -1204,7 +1505,7 @@ impl FlowEngine {
         // makes its sink dynamic: its inflow must land each tick ahead of
         // its decay.
         if decaying || duty.is_some() {
-            let lanes = !decaying || self.run_plan.get(&battery) != Some(&SourceRun::Dynamic);
+            let lanes = !decaying || self.run_plan.get(battery) != Some(SourceRun::Dynamic);
             match duty.as_deref() {
                 _ if decaying => self.open_lanes(reserves, |_| false),
                 Some(duty) => self.lanes.open(reserves, duty.reserve),
@@ -1215,7 +1516,7 @@ impl FlowEngine {
                 let Some(lane) = self.lanes.position(tap.sink().0) else {
                     continue;
                 };
-                let source = self.run_plan.get(&tap.source().0);
+                let source = self.run_plan.get(tap.source().0);
                 if !lanes
                     || !matches!(tap.rate(), RateSpec::Const(_))
                     || !matches!(source, Some(SourceRun::Covered | SourceRun::Starved))
@@ -1226,7 +1527,7 @@ impl FlowEngine {
                 }
             }
             if !lanes {
-                self.lanes.lanes.clear(); // unfed: decayed in the SoA loop
+                self.lanes.lanes.clear(); // unfed: decayed in the kernel
             }
             let charged = duty.as_deref().map(|d| self.lanes.position(d.reserve));
             debug_assert!(charged.is_none_or(|lane| lane.is_some()));
@@ -1234,10 +1535,10 @@ impl FlowEngine {
 
         // With nothing dynamic, no closed form below touches a decaying
         // balance but a lane's. If every other decaying balance is too
-        // small for its leak to round above zero, the SoA decay pass is a
-        // provable no-op: skip the SoA build and the per-tick loop. This
-        // is what lets a drained device settle a span in O(R + T) instead
-        // of O(ticks) — the fleet's dead-battery tail.
+        // small for its leak to round above zero, the kernel's decay pass
+        // is a provable no-op: skip the kernel altogether. This is what
+        // lets a drained device settle a span in O(R + T) instead of
+        // O(ticks) — the fleet's dead-battery tail.
         let decay_inert = decaying
             && !any_dynamic
             && self.decay_is_inert(reserves, decay_ppm_per_tick, |rid| {
@@ -1249,75 +1550,47 @@ impl FlowEngine {
         // linear run, but keeping it makes review trivial). Ticked taps are
         // gathered in the same order, which *is* their clamp priority.
         self.ticked.clear();
-        self.slot_of.clear();
-        self.slot_raw.clear();
-        self.levels.clear();
-        self.prop_slots.clear();
-        self.decay_slots.clear();
-        let mut battery_slot = u32::MAX;
-        if decaying && !decay_inert {
-            // Every decaying reserve but the lanes joins the ticked arrays,
-            // plus the battery to receive the leakage. Safe to slot before
-            // the closed forms below: they touch no dynamic or decaying
-            // reserve but the lanes, and writeback applies deltas.
-            for i in 0..self.decay_eligible.len() {
-                let rid = self.decay_eligible[i];
+        self.ticked_taps.clear();
+        self.carries.clear();
+        self.slots.truncate(0);
+        let decays = decaying && !decay_inert;
+        if decays {
+            // Every decaying reserve but the lanes joins the kernel's
+            // slots, plus the battery to receive the leakage. Safe to slot
+            // before the closed forms below: they touch no dynamic or
+            // decaying reserve but the lanes, and writeback applies deltas.
+            for &rid in &self.decay_eligible {
                 debug_assert!(rid != battery, "battery is always exempt");
-                if self.lanes.position(rid).is_some() {
-                    continue;
+                if self.lanes.position(rid).is_none() {
+                    self.ticked.decay.push(self.slots.slot(rid));
                 }
-                let slot = slot_for(
-                    &mut self.slot_of,
-                    &mut self.slot_raw,
-                    &mut self.levels,
-                    reserves,
-                    rid,
-                );
-                self.decay_slots.push(slot);
             }
-            battery_slot = slot_for(
-                &mut self.slot_of,
-                &mut self.slot_raw,
-                &mut self.levels,
-                reserves,
-                battery,
-            );
+            self.ticked.battery = self.slots.slot(battery);
         }
+        self.ticked.ppm = decay_ppm_per_tick;
         for oi in 0..self.order.len() {
             let tid = self.order[oi].1;
             let tap = taps.get_mut(tid.0).expect("flow index out of sync");
             let source = tap.source().0;
             let sink = tap.sink().0;
-            let src_run = self.run_plan.get(&source).copied();
+            let src_run = self.run_plan.get(source);
             let dynamic = any_dynamic
                 && (src_run == Some(SourceRun::Dynamic)
-                    || self.run_plan.get(&sink) == Some(&SourceRun::Dynamic));
+                    || self.run_plan.get(sink) == Some(SourceRun::Dynamic));
             if dynamic {
-                let src = slot_for(
-                    &mut self.slot_of,
-                    &mut self.slot_raw,
-                    &mut self.levels,
-                    reserves,
-                    source,
-                );
-                let dst = slot_for(
-                    &mut self.slot_of,
-                    &mut self.slot_raw,
-                    &mut self.levels,
-                    reserves,
-                    sink,
-                );
+                let (src, dst) = (self.slots.slot(source), self.slots.slot(sink));
                 let rate = match tap.rate() {
                     RateSpec::Const(p) => TickRate::Const {
                         step: p.as_microwatts() as u128 * dt_us,
                     },
                     RateSpec::Proportional { ppm_per_s } => {
                         // Snapshot slots are deduplicated per source.
-                        let snap_idx = match self.prop_slots.iter().position(|&s| s == src) {
+                        let snap = &mut self.ticked.snap;
+                        let snap_idx = match snap.iter().position(|&s| s == src) {
                             Some(i) => i as u32,
                             None => {
-                                self.prop_slots.push(src);
-                                (self.prop_slots.len() - 1) as u32
+                                snap.push(src);
+                                (snap.len() - 1) as u32
                             }
                         };
                         TickRate::Prop {
@@ -1326,13 +1599,9 @@ impl FlowEngine {
                         }
                     }
                 };
-                self.ticked.push(TickedTap {
-                    raw: tid.0,
-                    src,
-                    dst,
-                    rate,
-                    carry: tap.remainder(),
-                });
+                self.ticked.taps.push(SlotTap { src, dst, rate });
+                self.ticked_taps.push(tid.0);
+                self.carries.push(tap.remainder());
                 continue;
             }
             match src_run {
@@ -1358,99 +1627,30 @@ impl FlowEngine {
             }
         }
 
-        // ----- tick the dynamic partition over flat arrays ---------------
-        if !self.ticked.is_empty() || (decaying && !decay_inert) {
-            self.in_acc.clear();
-            self.in_acc.resize(self.levels.len(), 0);
-            self.out_acc.clear();
-            self.out_acc.resize(self.levels.len(), 0);
-            self.decay_acc.clear();
-            self.decay_acc.resize(self.levels.len(), 0);
+        // ----- tick the dynamic partition in the flow kernel -------------
+        if !self.ticked.taps.is_empty() || decays {
+            load(&mut self.levels, &self.slots.raw, reserves);
+            self.flows.clear();
+            self.flows.resize(self.slots.raw.len(), Flow::default());
             self.snap.clear();
-            self.snap.resize(self.prop_slots.len(), 0);
-            for _ in 0..n {
-                // Start-of-tick snapshot of proportional source levels.
-                for (snap, &slot) in self.snap.iter_mut().zip(&self.prop_slots) {
-                    *snap = self.levels[slot as usize];
-                }
-                for tap in &mut self.ticked {
-                    let desired: i64 = match tap.rate {
-                        TickRate::Const { step } => {
-                            let (moved, carry) = split::<1_000_000>(step + tap.carry);
-                            tap.carry = carry;
-                            moved
-                        }
-                        TickRate::Prop { ppm_dt, snap_idx } => {
-                            let level = self.snap[snap_idx as usize];
-                            if level <= 0 {
-                                // Quiescent source: zero transfer, carry
-                                // untouched (see FlowEngine::tick).
-                                continue;
-                            }
-                            let total = level as u128 * ppm_dt + tap.carry;
-                            let (moved, carry) = split::<1_000_000_000_000>(total);
-                            tap.carry = carry;
-                            moved
-                        }
-                    };
-                    if desired <= 0 {
-                        continue;
-                    }
-                    let amount = desired.min(self.levels[tap.src as usize].max(0));
-                    if amount <= 0 {
-                        continue;
-                    }
-                    self.levels[tap.src as usize] -= amount;
-                    self.out_acc[tap.src as usize] += amount;
-                    self.levels[tap.dst as usize] += amount;
-                    self.in_acc[tap.dst as usize] += amount;
-                }
-                if decaying {
-                    // The global decay, exactly as `decay_tick`: each
-                    // positive slot leaks ⌊level·ppm/1e6⌋ back to the
-                    // battery.
-                    let mut reclaimed: i64 = 0;
-                    for &slot in &self.decay_slots {
-                        let level = self.levels[slot as usize];
-                        if level > 0 {
-                            let leak = decay_leak(level, decay_ppm_per_tick);
-                            if leak > 0 {
-                                self.levels[slot as usize] -= leak;
-                                self.decay_acc[slot as usize] += leak;
-                                reclaimed += leak;
-                            }
-                        }
-                    }
-                    if reclaimed > 0 {
-                        self.levels[battery_slot as usize] += reclaimed;
-                        self.in_acc[battery_slot as usize] += reclaimed;
-                    }
-                }
-            }
-            // Writeback: accumulated stats and balances to the reserves,
-            // carries to the taps. Sum-at-once equals tick-at-a-time: the
-            // stats are running totals and balance updates commute.
-            for (slot, &raw) in self.slot_raw.iter().enumerate() {
-                let Some(r) = reserves.get_mut(raw) else {
-                    continue; // dead endpoint: nothing ever moved through it
-                };
-                let inflow = self.in_acc[slot];
-                if inflow > 0 {
-                    r.credit(Energy::from_microjoules(inflow));
-                }
-                let outflow = self.out_acc[slot];
-                if outflow > 0 {
-                    r.debit_outflow(Energy::from_microjoules(outflow));
-                }
-                let decayed = self.decay_acc[slot];
-                if decayed > 0 {
-                    r.debit_decay(Energy::from_microjoules(decayed));
-                }
-            }
-            for tap in &self.ticked {
-                taps.get_mut(tap.raw)
+            self.snap.resize(self.ticked.snap.len(), 0);
+            tick_slots(
+                &self.ticked,
+                &mut self.levels,
+                &mut self.flows,
+                &mut self.carries,
+                &mut self.snap,
+                n,
+                |_| {},
+            );
+            // Writeback: accumulated stats to the reserves, carries to the
+            // taps. Sum-at-once equals tick-at-a-time: the stats are
+            // running totals and balance updates commute.
+            write_back(reserves, &self.slots.raw, &self.flows);
+            for (&raw, &carry) in self.ticked_taps.iter().zip(&self.carries) {
+                taps.get_mut(raw)
                     .expect("ticked tap is live")
-                    .set_remainder(tap.carry);
+                    .set_remainder(carry);
             }
         }
         self.lanes
@@ -1469,7 +1669,7 @@ impl FlowEngine {
         dt: SimDuration,
         decaying: bool,
     ) -> Option<(SourceRun, u64)> {
-        let entry = self.by_source.get(&source)?;
+        let entry = self.source_taps(source)?;
         let reserve = reserves.get(source);
         // A dead source is unreachable (reserve GC revokes its taps).
         let balance = reserve.map_or(0, |r| r.balance().as_microjoules());
@@ -1511,7 +1711,7 @@ impl FlowEngine {
     /// and `skip` leaves out (a pooled run's swept waiters).
     pub(crate) fn open_lanes(&mut self, reserves: &Arena<Reserve>, skip: impl Fn(RawId) -> bool) {
         for &rid in &self.decay_eligible {
-            if !skip(rid) && !self.by_source.contains_key(&rid) {
+            if !skip(rid) && self.source_taps(rid).is_none() {
                 self.lanes.open(reserves, rid);
             }
         }
@@ -1519,36 +1719,18 @@ impl FlowEngine {
 }
 
 /// The planner's break-even: below this span length a proportional or
-/// decaying graph is ticked, because run planning and SoA assembly cost
+/// decaying graph is ticked, because run planning and slot assembly cost
 /// more than the compiled ticks. Measured by `flow_hot_path`'s
-/// `plan_vs_tick` on a battery feeding one decaying reserve (a shared
-/// 2-vCPU x86-64 VM): 4 ticks cost 227 ns planned and 86 ns ticked, 16
-/// ticks 303 and 329, 64 ticks 611 and 1,222. On Fig 6b's graph, whose
-/// proportional island is ticked either way, planning costs more at every
-/// span measured, up to 64 ticks.
+/// `plan_vs_tick` (a shared 2-vCPU x86-64 VM), with the planner's tables
+/// indexed by reserve slot and its dynamic partition ticked in the flow
+/// kernel. On a battery feeding one decaying reserve, 4 ticks cost 133 ns
+/// planned and 71 ticked, 8 ticks 93 and 108, 16 ticks 111 and 224; on
+/// Fig 6b's graph, whose proportional island is ticked either way, 8 ticks
+/// cost 785 and 594, 16 ticks 892 and 886, 64 ticks 3,028 and 3,315. The
+/// crossover moved to about 8 ticks on the first graph and to 16 on the
+/// second (planning lost at every span up to 64 before); at 8 the graphs
+/// disagree, so it stays at 16.
 pub(crate) const MIN_PARTITIONED_SPAN: u64 = 16;
-
-/// Dense-slot assignment for the ticked partition (free function so the
-/// borrow checker sees disjoint field borrows).
-fn slot_for(
-    slot_of: &mut HashMap<RawId, u32>,
-    slot_raw: &mut Vec<RawId>,
-    levels: &mut Vec<i64>,
-    reserves: &Arena<Reserve>,
-    reserve: RawId,
-) -> u32 {
-    *slot_of.entry(reserve).or_insert_with(|| {
-        let slot = slot_raw.len() as u32;
-        slot_raw.push(reserve);
-        levels.push(
-            reserves
-                .get(reserve)
-                .map(|r| r.balance().as_microjoules())
-                .unwrap_or(0),
-        );
-        slot
-    })
-}
 
 /// One tick of the global anti-hoarding decay: every non-exempt positive
 /// **energy** reserve (battery excluded) leaks `ppm` of its level back to
@@ -1979,8 +2161,8 @@ mod differential {
             )?;
         }
 
-        /// Decay on: every span runs the decay-aware SoA partition (or the
-        /// indexed per-tick path for short spans).
+        /// Decay on: every span runs the decay-aware partition in the flow
+        /// kernel (or the compiled per-tick path for short spans).
         #[test]
         fn engine_matches_reference_with_decay(
             ops in proptest::collection::vec(arb_op(), 1..30),
@@ -2230,7 +2412,7 @@ mod differential {
     /// A decaying balance of twice `i64::MAX / ppm` (about 160 GJ at the
     /// default 116 ppm per tick): the leak's i64 product overflows on every
     /// tick here, and the i128 path must give the same leak, in the single
-    /// tick and the run's SoA loop alike.
+    /// tick and the flow kernel alike.
     #[test]
     fn decay_beyond_the_i64_product_is_exact() {
         let config = GraphConfig::default();
@@ -2474,7 +2656,9 @@ mod differential {
     /// One duty run through [`ResourceGraph::settle_duty`] and the same
     /// quanta stepped against the reference: `head` quanta, then per tick
     /// the reference's tick and `per_tick` quanta, each charged while the
-    /// reserve is positive. Both graphs and both duties must agree.
+    /// reserve is positive. A lane-shaped reserve over a span no shorter
+    /// than the break-even settles as a charged lane, any other run in the
+    /// flow kernel. Both graphs and both duties must agree.
     fn duty_matches_reference(
         config: GraphConfig,
         build: impl Fn(&mut ResourceGraph) -> ReserveId,
@@ -2495,7 +2679,7 @@ mod differential {
         let quanta = |g: &mut ResourceGraph, d: &mut Duty, n: u64| {
             for _ in 0..n {
                 let (level, runs) = (g.reserve(reserve).unwrap().balance(), d.runs);
-                d.step(&mut level.as_microjoules(), 1);
+                d.step(&mut [level.as_microjoules()], 1);
                 if d.runs > runs {
                     g.consume_with_debt(&k, reserve, cost).unwrap();
                 }
@@ -2511,6 +2695,83 @@ mod differential {
         let outputs = |d: &Duty| (d.runs, d.throttles, d.ran, d.edge, d.last_run());
         prop_assert_eq!(outputs(&duty), outputs(&stepped));
         Ok((duty, engine_g))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Fig 6b's island, each of its three reserves the charged one in
+        /// turn, started funded, empty or in debt, over spans on both sides
+        /// of the break-even, on 100 ms and 10 ms quanta with decay on and
+        /// off: none is lane-shaped (a backward tap or an onward feed
+        /// drains it), so each run ticks in the flow kernel, its quanta
+        /// charged between ticks, and lands where the reference's do.
+        #[test]
+        fn island_duty_runs_tick_like_the_reference(
+            charged in 0usize..3,
+            starts in proptest::collection::vec(-30_000i64..40_000, 3..4),
+            fine in any::<bool>(),
+            head in 0u64..3,
+            window in 1u64..=128,
+            decay in any::<bool>(),
+            ticks in 1u64..60,
+        ) {
+            let config = GraphConfig {
+                decay: decay.then(|| GraphConfig::default().decay.unwrap()),
+                ..GraphConfig::default()
+            };
+            let (cost, per_tick) = if fine { (1_370, 10) } else { (13_700, 1) };
+            duty_matches_reference(
+                config,
+                |g| {
+                    fig6b(g);
+                    let k = Actor::kernel();
+                    let battery = g.battery();
+                    let island: Vec<ReserveId> = ["browser", "plugin", "extension"]
+                        .iter()
+                        .map(|name| g.reserves().find(|(_, r)| r.name() == *name).unwrap().0)
+                        .collect();
+                    for (&r, &start) in island.iter().zip(&starts) {
+                        let amount = Energy::from_microjoules(start.abs());
+                        if start < 0 {
+                            g.consume_with_debt(&k, r, amount).unwrap();
+                        } else {
+                            g.transfer(&k, battery, r, amount).unwrap();
+                        }
+                    }
+                    island[charged]
+                },
+                (cost, head * per_tick / 2, per_tick, window),
+                ticks,
+            )?;
+        }
+    }
+
+    /// A decay-exempt reserve no tap touches, charged beside Fig 6b's
+    /// island: the kernel gives it a slot of its own for the run.
+    #[test]
+    fn duty_run_slots_an_untapped_reserve() {
+        let (duty, g) = duty_matches_reference(
+            GraphConfig::default(),
+            |g| {
+                fig6b(g);
+                let k = Actor::kernel();
+                let battery = g.battery();
+                let loner = reserve(g, "loner");
+                g.transfer(&k, battery, loner, Energy::from_millijoules(90))
+                    .unwrap();
+                g.set_decay_exempt(&k, loner, true).unwrap();
+                loner
+            },
+            (13_700, 0, 1, 10),
+            400,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(duty.runs, 7, "{duty:?}");
+        // The run's slot is the run's alone: a single tick afterwards
+        // moves nothing through the spent reserve.
+        let loner = g.reserves().find(|(_, r)| r.name() == "loner").unwrap();
+        assert!(loner.1.balance().is_negative());
     }
 
     proptest! {

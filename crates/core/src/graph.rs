@@ -47,7 +47,7 @@
 //! linear for the run are applied in closed form, and only taps adjacent
 //! to dynamic reserves (live proportional sources, clamp boundaries,
 //! refillable empties, decaying sources, and fed decaying sinks that are
-//! not *decay lanes*, which advance alone) tick, over dense SoA arrays.
+//! not *decay lanes*, which advance alone) tick, over dense slots.
 //! Long `flow_until` spans cost work proportional to graph *events* plus
 //! the dynamic island, not tick count × graph size. The engine's results
 //! are bit-identical to the naive per-tick loop, which is retained as
@@ -1007,7 +1007,7 @@ impl ResourceGraph {
     /// reads advance in decay lanes, and only the taps adjacent to dynamic
     /// reserves (live proportional sources, clamp boundaries, refillable
     /// empties, decaying sources and decaying sinks that are not lanes)
-    /// are ticked, over dense SoA arrays. Sub-planning-threshold spans skip
+    /// are ticked in the flow kernel. Sub-planning-threshold spans skip
     /// the planner and run the compiled single tick, with no per-tick
     /// allocation. Results are bit-identical to the reference loop,
     /// `ResourceGraph::flow_until_reference`.
@@ -1256,25 +1256,20 @@ impl ResourceGraph {
     /// charges consumed. A lane-shaped reserve over a span no shorter than
     /// the planner's break-even is a charged lane in the flow engine's
     /// partition, which another source's coverage may end sooner. Any other
-    /// run is ticked, exact for any graph: the `head` quanta, then per
-    /// tick the full loop's own compiled tick and that tick's quanta.
+    /// run is ticked in the flow kernel, exact for any graph: the `head`
+    /// quanta, then per tick the compiled tick and that tick's quanta.
     /// Returns the ticks settled.
     pub fn settle_duty(&mut self, duty: &mut Duty, ticks: u64) -> u64 {
         let lane = ticks >= MIN_PARTITIONED_SPAN && self.is_duty_lane(ReserveId(duty.reserve));
+        let (tick, ppm, battery) = (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
         let settled = if lane {
             self.run_span(ticks, Some(duty))
         } else {
-            let (tick, ppm, battery) =
-                (self.config.flow_tick, self.decay_ppm_per_tick, self.battery);
-            duty.charge(&mut self.reserves, duty.head);
-            for _ in 0..ticks {
-                self.flow
-                    .tick(&mut self.reserves, &mut self.taps, battery.0, ppm, tick);
-                duty.charge(&mut self.reserves, duty.per_tick);
-            }
+            let (flow, reserves, taps) = (&mut self.flow, &mut self.reserves, &mut self.taps);
+            flow.tick_duty(reserves, taps, battery.0, ppm, tick, duty, ticks);
             ticks
         };
-        self.now += self.config.flow_tick * settled;
+        self.now += tick * settled;
         self.total_consumed[ResourceKind::Energy.index()] += duty.charged();
         settled
     }

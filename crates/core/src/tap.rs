@@ -164,7 +164,8 @@ impl Tap {
         self.remainder
     }
 
-    /// Restores a carry advanced outside the tap (SoA ticking writeback).
+    /// Restores a carry advanced outside the tap (the flow kernel's
+    /// writeback).
     pub(crate) fn set_remainder(&mut self, remainder: u128) {
         self.remainder = remainder;
     }

@@ -16,7 +16,7 @@
 //! a battery that decay refills) are differentials too. Each test checks through `Kernel::run_profile`
 //! that the path it targets ran.
 
-use cinder_apps::{PeriodicPoller, PollerLog, Spinner};
+use cinder_apps::{build_browser, BrowserConfig, PeriodicPoller, PollerLog, Spinner};
 use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig, TapId};
 use cinder_faults::{FaultConfig, FlapSemantics, RetryPolicy};
 use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, Obstacle, RunProfile, Step};
@@ -1270,4 +1270,54 @@ fn duty_counts_after_head_quanta() {
         k.spawn_unprivileged("late", Box::new(Spinner::new()), r);
     });
     assert!(counted(&fast), "{fast:?}");
+}
+
+/// Fig 6b's browser for an hour on 100 ms and 10 ms quanta: the plugin's
+/// sole-Ready windows between page loads are duty runs its reserve, which
+/// a backward proportional tap drains, ticks in the flow kernel with the
+/// rest of the island, and the page loads step the full loop.
+#[test]
+fn duty_jumps_tick_fig6b_windows_in_the_kernel() {
+    for quantum_ms in [100, 10] {
+        let fast = duty_three_ways(50, |idle_skip, fast_forward| {
+            let mut k = Kernel::new(KernelConfig {
+                fast_forward,
+                sched: SchedulerConfig {
+                    quantum: SimDuration::from_millis(quantum_ms),
+                    ..SchedulerConfig::default()
+                },
+                ..config(idle_skip)
+            });
+            let h = build_browser(&mut k, BrowserConfig::fig6b()).unwrap();
+            k.run_until(SimTime::from_secs(3_600));
+            let plugin = k.thread_throttled(h.plugin);
+            assert!(plugin > SimDuration::from_secs(600), "{plugin}");
+            (fingerprint(&mut k), k.run_profile())
+        });
+        assert!(fast.duty_jumps > 1_000, "{fast:?}");
+    }
+}
+
+/// A hog on a funded, decay-exempt reserve no tap touches, beside a decay
+/// lane the battery feeds: the flow kernel gives the run's reserve a slot
+/// of its own, and the hog spends its 20 J a quantum at a time.
+#[test]
+fn duty_jumps_slot_an_untapped_reserve() {
+    for quantum_ms in [100, 10] {
+        duty_three_ways(90, |idle_skip, fast_forward| {
+            let (mut k, r, feed) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+            let root = Actor::kernel();
+            tapped(&mut k, "bystander", 41_017);
+            let battery = k.battery();
+            let g = k.graph_mut();
+            g.delete_tap(&root, feed).unwrap();
+            g.set_decay_exempt(&root, r, true).unwrap();
+            g.transfer(&root, battery, r, Energy::from_joules(20))
+                .unwrap();
+            k.run_until(SimTime::from_secs(300));
+            let consumed = k.graph().reserve(r).unwrap().stats().consumed;
+            assert!(consumed > Energy::from_joules(19), "{consumed}");
+            (fingerprint(&mut k), k.run_profile())
+        });
+    }
 }
