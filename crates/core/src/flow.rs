@@ -181,8 +181,6 @@ impl RunPlan {
 #[derive(Debug, Clone)]
 pub struct Duty {
     pub(crate) reserve: RawId,
-    /// The reserve's slot in the levels the quanta read.
-    slot: u32,
     /// What each run charges.
     pub cost: Energy,
     pub(crate) head: u64,
@@ -213,7 +211,6 @@ impl Duty {
     pub fn new(reserve: ReserveId, cost: Energy, head: u64, per_tick: u64, window: u64) -> Self {
         Duty {
             reserve: reserve.0,
-            slot: 0,
             cost,
             head,
             per_tick,
@@ -245,9 +242,8 @@ impl Duty {
             .map(|(last, ran)| (last, ran & kept.unwrap_or(0)))
     }
 
-    /// Steps `n` quanta against the reserve's level, `levels[slot]`.
-    fn step(&mut self, levels: &mut [i64], n: u64) {
-        let level = &mut levels[self.slot as usize];
+    /// Steps `n` quanta against the reserve's `level`.
+    fn step(&mut self, level: &mut i64, n: u64) {
         for _ in 0..n {
             let ran = *level > 0;
             if ran != self.ran {
@@ -638,10 +634,7 @@ fn settle_charged(
     ppm: u64,
     ticks: u64,
 ) -> (i64, u64) {
-    // The lane's level is the duty's only slot.
-    duty.slot = 0;
-    let levels = std::slice::from_mut(&mut level);
-    duty.step(levels, duty.head);
+    duty.step(&mut level, duty.head);
     let cost = duty.cost.as_microjoules();
     // The most a tick can deliver.
     let most: u128 = feeds.iter().map(|f| f.step.div_ceil(1_000_000)).sum();
@@ -651,19 +644,14 @@ fn settle_charged(
         && most * u128::from(ppm) < 1_000_000;
     let (mut leaked, mut t) = (0, 0);
     while t < ticks {
-        let level = &mut levels[0];
-        if countable && *level <= 0 {
-            duty.count(*level, ticks - t, |k| delivered(feeds, k));
+        if countable && level <= 0 {
+            duty.count(level, ticks - t, |k| delivered(feeds, k));
             break;
         }
-        *level += deliver_tick(feeds);
-        let leak = if *level > 0 {
-            decay_leak(*level, ppm)
-        } else {
-            0
-        };
-        (*level, leaked, t) = (*level - leak, leaked + leak, t + 1);
-        duty.step(levels, duty.per_tick);
+        level += deliver_tick(feeds);
+        let leak = if level > 0 { decay_leak(level, ppm) } else { 0 };
+        (level, leaked, t) = (level - leak, leaked + leak, t + 1);
+        duty.step(&mut level, duty.per_tick);
     }
     (leaked, t)
 }
@@ -1370,7 +1358,7 @@ impl FlowEngine {
         }
         let plan = &mut self.plan;
         let compiled = plan.slots.raw.len();
-        duty.slot = plan.slots.slot(duty.reserve);
+        let slot = plan.slots.slot(duty.reserve) as usize;
         load(&mut self.levels, &plan.slots.raw, reserves);
         self.flows.clear();
         self.flows.resize(plan.slots.raw.len(), Flow::default());
@@ -1382,7 +1370,7 @@ impl FlowEngine {
         self.snap.clear();
         self.snap.resize(plan.circuit.snap.len(), 0);
         let (head, per_tick) = (duty.head, duty.per_tick);
-        duty.step(&mut self.levels, head);
+        duty.step(&mut self.levels[slot], head);
         tick_slots(
             &plan.circuit,
             &mut self.levels,
@@ -1390,7 +1378,7 @@ impl FlowEngine {
             &mut self.carries,
             &mut self.snap,
             ticks,
-            |levels| duty.step(levels, per_tick),
+            |levels| duty.step(&mut levels[slot], per_tick),
         );
         write_back(reserves, &plan.slots.raw, &self.flows);
         for (t, &carry) in plan.taps.iter().zip(&self.carries) {
@@ -2679,7 +2667,7 @@ mod differential {
         let quanta = |g: &mut ResourceGraph, d: &mut Duty, n: u64| {
             for _ in 0..n {
                 let (level, runs) = (g.reserve(reserve).unwrap().balance(), d.runs);
-                d.step(&mut [level.as_microjoules()], 1);
+                d.step(&mut level.as_microjoules(), 1);
                 if d.runs > runs {
                     g.consume_with_debt(&k, reserve, cost).unwrap();
                 }

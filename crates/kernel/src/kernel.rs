@@ -436,9 +436,6 @@ pub struct Kernel {
     /// Whether the flow tick grid is a refinement of the quantum grid
     /// (fixed at boot; hoisted out of the per-quantum poll path).
     net_poll_snappable: bool,
-    /// Quanta a flow tick where the grids nest, fixed at boot: the duty
-    /// certificate, tried after every quantum that ran, divides by it.
-    per_tick: u64,
     /// The offload backend, if one is installed (absent on the baseline
     /// devices — the subsystem is pay-for-what-you-use).
     offload: Option<Box<dyn OffloadBackend>>,
@@ -516,7 +513,6 @@ impl Kernel {
             net: None,
             last_net_poll: None,
             net_poll_snappable,
-            per_tick: config.graph.flow_tick.as_micros() / quantum_us.max(1),
             offload: None,
             offload_waiters: 0,
             offload_stats: OffloadStats::default(),
@@ -1853,26 +1849,13 @@ impl Kernel {
         if !quiet || self.config.sched.estimate_window > quantum * Duty::HISTORY {
             return None;
         }
-        // On the fleet's grids a flow tick is one quantum: no head, and no
-        // division.
-        let (head, per_tick) = match self.per_tick {
-            1 => (0, 1),
-            per_tick => {
-                let next_tick = self.graph.now() + self.config.graph.flow_tick;
-                (next_tick.since(self.now).div_duration(quantum), per_tick)
-            }
-        };
-        let wake = self.quanta_to_wake(end).ok()?;
-        // Its queued compute caps the span only when it ends sooner.
+        let tick = self.config.graph.flow_tick;
+        let next_tick = self.graph.now() + tick;
+        let head = next_tick.since(self.now).div_duration(quantum);
+        let per_tick = tick.div_duration(quantum);
         let pending = self.thread(self.thread_for_task(task)?)?.pending_compute;
-        let quanta = match pending >= quantum * wake {
-            true => wake,
-            false => pending.div_duration(quantum),
-        };
-        let max_ticks = match per_tick {
-            1 => quanta.checked_sub(head)?,
-            _ => quanta.checked_sub(head)? / per_tick,
-        };
+        let wake = self.quanta_to_wake(end).ok()?;
+        let max_ticks = wake.min(pending.div_duration(quantum)).checked_sub(head)? / per_tick;
         let n = self.graph.duty_run(reserve, max_ticks).filter(|&n| n > 0)?;
         let cost = self.platform.cpu.accounting_power().energy_over(quantum);
         let duty = Duty::new(reserve, cost, head, per_tick, self.sched.duty_window());
