@@ -167,7 +167,7 @@ mod tests {
     fn rig(feed_uw: u64, seed_uj: i64) -> (Kernel, ReserveId, Rc<RefCell<NavLog>>) {
         let mut k = Kernel::new(KernelConfig {
             seed: 3,
-            idle_skip: true,
+            fast_forward: true,
             ..KernelConfig::default()
         });
         let root = Actor::kernel();

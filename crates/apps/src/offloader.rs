@@ -337,7 +337,7 @@ mod tests {
     fn rig(profile: OffloadProfile, horizon: SimDuration) -> (Kernel, Rc<RefCell<OffloadLog>>) {
         let mut kernel = Kernel::new(KernelConfig {
             seed: 3,
-            idle_skip: true,
+            fast_forward: true,
             ..KernelConfig::default()
         });
         let netd = CoopNetd::with_defaults(kernel.graph_mut());

@@ -205,7 +205,7 @@ mod tests {
     fn rig(feed_uw: u64, seed_uj: i64) -> (Kernel, ReserveId, Rc<RefCell<BrowseLog>>) {
         let mut k = Kernel::new(KernelConfig {
             seed: 4,
-            idle_skip: true,
+            fast_forward: true,
             ..KernelConfig::default()
         });
         let root = Actor::kernel();

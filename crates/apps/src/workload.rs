@@ -646,7 +646,7 @@ mod tests {
     fn run(workload: &dyn WorkloadProgram, secs: u64) -> (Kernel, InstalledWorkload) {
         let mut config = KernelConfig {
             seed: 11,
-            idle_skip: true,
+            fast_forward: true,
             sched: cinder_core::SchedulerConfig {
                 quantum: SimDuration::from_millis(100),
                 ..cinder_core::SchedulerConfig::default()

@@ -1,41 +1,39 @@
 //! `kernel_hot_path`: the run loop's per-quantum cost, isolated from flow
 //! arithmetic — the overhead the fleet pays 36,000 times per device-hour.
 //!
-//! Three device-hour shapes:
+//! Every case but the first runs with `fast_forward` off and on: off, the
+//! literal loop steps every quantum; on, the run loop's jumps cross what
+//! their certificate allows.
 //!
 //! * **busy** — one spinner thread with an ample reserve: every quantum
 //!   schedules, charges, and meters. Measures the slab-indexed dispatch
 //!   path (`pick_next` fast path, single-probe charge, meter dedupe).
 //! * **duty-cycled** — Fig 9's hog, an endless spinner throttled by a
-//!   half-power tap, with `fast_forward` off and on (`idle_skip` on in
-//!   both): off, quanta alternate run/starve through the full loop; on,
-//!   duty jumps settle them with the hog's reserve as a charged decay lane
-//!   — bit-identical on every reserve, the meter, and every thread's
-//!   charged energy, throttled time and power estimate.
-//! * **idle-heavy** — a thread sleeping in long stretches, run both with
-//!   and without `idle_skip`, so the O(1) idle-skip guard's effect is the
-//!   ratio between the two.
+//!   half-power tap: off, quanta alternate run/starve through the full
+//!   loop; on, duty jumps settle them with the hog's reserve as a charged
+//!   decay lane — bit-identical on every reserve, the meter, and every
+//!   thread's charged energy, throttled time and power estimate.
+//! * **idle-heavy** — a thread sleeping in long stretches, so the O(1)
+//!   idle-jump guard's effect is the ratio between the two sides.
 //! * **backlit-idle** — the idle-heavy shape with a funded, lit backlight:
 //!   the reserve-gated peripheral layer's steady state must still
 //!   fast-forward (the coverage guard proves the span enforcement-free),
 //!   bit-identically on the metered energy *and* the peripheral's drained
 //!   energy.
 //! * **netd-pooling** — §6.4's cooperative pollers for one hour on the
-//!   fleet's 100 ms quantum, with `fast_forward` on vs off (`idle_skip` on
-//!   in both): the pooled jump's closed form, with the sleeping poller's
-//!   reserve as a decay lane, against the full loop stepping every
-//!   pooling quantum, bit-identical on every reserve, the meter, and the
-//!   poll log.
+//!   fleet's 100 ms quantum: the pooled jump's closed form, with the
+//!   sleeping poller's reserve as a decay lane, against the full loop
+//!   stepping every quantum, bit-identical on every reserve, the meter,
+//!   and the poll log.
 //! * **retrying-pollers** — the same rig with the fault layer's bounded
 //!   retry: a backoff wake leaves a Ready poller whose reserve netd keeps
 //!   sweeping, which `fast_forward` crosses with gated pooled jumps and
 //!   the stepped run pays quantum by quantum — bit-identical on the same
 //!   observables plus every thread's throttled time.
 //! * **browser-quantum** — Fig 6b's browser, plugin and extension on the
-//!   fleet's 100 ms quantum for one hour, with `fast_forward` off and on
-//!   (`idle_skip` on in both): off, every quantum runs the full loop (flow
-//!   tick over three constant and two proportional taps with decay, a
-//!   multi-Ready pick, a charge); on, duty jumps cross the plugin's
+//!   fleet's 100 ms quantum for one hour: off, every quantum runs the full
+//!   loop (flow tick over three constant and two proportional taps with
+//!   decay, a multi-Ready pick, a charge); on, duty jumps cross the plugin's
 //!   sole-Ready windows between page loads, ticking the graph between its
 //!   quanta — bit-identical on the same observables. Reported in ns per
 //!   simulated quantum.
@@ -59,9 +57,9 @@ use cinder_sim::{Energy, Power, SimDuration, SimTime};
 /// Simulated span per measured run.
 const SIM_SECS: u64 = 600;
 
-fn kernel(idle_skip: bool) -> Kernel {
+fn kernel(fast_forward: bool) -> Kernel {
     Kernel::new(KernelConfig {
-        idle_skip,
+        fast_forward,
         ..KernelConfig::default()
     })
 }
@@ -95,11 +93,7 @@ fn busy_kernel() -> Kernel {
 }
 
 fn duty_cycled_kernel(fast_forward: bool) -> Kernel {
-    let mut k = Kernel::new(KernelConfig {
-        idle_skip: true,
-        fast_forward,
-        ..KernelConfig::default()
-    });
+    let mut k = kernel(fast_forward);
     let battery = k.battery();
     let r = k
         .graph_mut()
@@ -119,8 +113,8 @@ fn duty_cycled_kernel(fast_forward: bool) -> Kernel {
     k
 }
 
-fn idle_heavy_kernel(idle_skip: bool) -> Kernel {
-    let mut k = kernel(idle_skip);
+fn idle_heavy_kernel(fast_forward: bool) -> Kernel {
+    let mut k = kernel(fast_forward);
     let battery = k.battery();
     let r = k
         .graph_mut()
@@ -136,8 +130,8 @@ fn idle_heavy_kernel(idle_skip: bool) -> Kernel {
 /// The idle-heavy device with a funded, lit backlight: the peripheral
 /// drain runs in the flow engine while the sleeper's long gaps invite the
 /// fast-forward — the guard must prove the lit span steady and jump it.
-fn backlit_idle_kernel(idle_skip: bool) -> Kernel {
-    let mut k = idle_heavy_kernel(idle_skip);
+fn backlit_idle_kernel(fast_forward: bool) -> Kernel {
+    let mut k = idle_heavy_kernel(fast_forward);
     let battery = k.battery();
     let screen = k
         .graph_mut()
@@ -179,7 +173,6 @@ fn netd_pooling_kernel(
     retry: Option<RetryPolicy>,
 ) -> (Kernel, cinder_apps::PollerHandles) {
     let mut k = Kernel::new(KernelConfig {
-        idle_skip: true,
         fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(100),
@@ -200,11 +193,10 @@ fn netd_pooling_kernel(
     (k, handles)
 }
 
-/// Fig 6b's browser on a fleet-shaped kernel (100 ms quanta, `idle_skip`
-/// on) with the given `fast_forward`.
+/// Fig 6b's browser on a fleet-shaped kernel (100 ms quanta) with the
+/// given `fast_forward`.
 fn browser_kernel(fast_forward: bool) -> Kernel {
     let mut k = Kernel::new(KernelConfig {
-        idle_skip: true,
         fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(100),
@@ -230,16 +222,16 @@ fn bench_kernel_hot_path(c: &mut Criterion) {
     group.bench_function("duty_cycled_spinner_fast_forward", |b| {
         b.iter_with_setup(|| duty_cycled_kernel(true), run)
     });
-    group.bench_function("idle_heavy_no_skip", |b| {
+    group.bench_function("idle_heavy_ff_off", |b| {
         b.iter_with_setup(|| idle_heavy_kernel(false), run)
     });
-    group.bench_function("idle_heavy_idle_skip", |b| {
+    group.bench_function("idle_heavy_fast_forward", |b| {
         b.iter_with_setup(|| idle_heavy_kernel(true), run)
     });
-    group.bench_function("backlit_idle_no_skip", |b| {
+    group.bench_function("backlit_idle_ff_off", |b| {
         b.iter_with_setup(|| backlit_idle_kernel(false), run)
     });
-    group.bench_function("backlit_idle_idle_skip", |b| {
+    group.bench_function("backlit_idle_fast_forward", |b| {
         b.iter_with_setup(|| backlit_idle_kernel(true), run)
     });
     group.finish();
@@ -339,18 +331,18 @@ fn hot_path_report(_c: &mut Criterion) {
     let busy_ms = (0..PAIRS)
         .map(|_| timed(&mut busy_kernel(), SIM_SECS))
         .fold(f64::INFINITY, f64::min);
-    let [(idle_ms, idle_energy), (skip_ms, skip_energy)] = alternate(|idle_skip| {
-        let mut k = idle_heavy_kernel(idle_skip);
+    let [(idle_ms, idle_energy), (idle_ff_ms, idle_ff_energy)] = alternate(|fast_forward| {
+        let mut k = idle_heavy_kernel(fast_forward);
         (timed(&mut k, SIM_SECS), k.meter().total_energy())
     });
     assert_eq!(
-        idle_energy, skip_energy,
-        "idle_skip must be bit-identical on metered energy"
+        idle_energy, idle_ff_energy,
+        "idle jumps must be bit-identical on metered energy"
     );
     // The funded-peripheral steady state: a lit backlight must not pin the
     // loop — the fast-forward still engages, with identical observables.
-    let [(backlit_ms, backlit), (backlit_skip_ms, backlit_skip)] = alternate(|idle_skip| {
-        let mut k = backlit_idle_kernel(idle_skip);
+    let [(backlit_ms, backlit), (backlit_ff_ms, backlit_ff)] = alternate(|fast_forward| {
+        let mut k = backlit_idle_kernel(fast_forward);
         let wall_ms = timed(&mut k, SIM_SECS);
         let seen = (
             k.meter().total_energy(),
@@ -360,7 +352,7 @@ fn hot_path_report(_c: &mut Criterion) {
         (wall_ms, seen)
     });
     assert_eq!(
-        backlit, backlit_skip,
+        backlit, backlit_ff,
         "a lit peripheral must not perturb the fast-forward's observables"
     );
     let (_, backlit_drain, backlit_cuts) = backlit;
@@ -445,13 +437,14 @@ fn hot_path_report(_c: &mut Criterion) {
     let browser_speedup = browser_ms / browser_ff_ms;
 
     let quanta = SIM_SECS * 100; // default 10 ms quantum
-    let skip_speedup = idle_ms / skip_ms;
-    let backlit_speedup = backlit_ms / backlit_skip_ms;
+    let idle_speedup = idle_ms / idle_ff_ms;
+    let backlit_speedup = backlit_ms / backlit_ff_ms;
     println!(
         "kernel_hot_path: busy {busy_ms:.2} ms ({:.0} ns/quantum), duty-cycled {duty_ms:.2} ms \
          vs fast_forward {duty_ff_ms:.3} ms ({duty_speedup:.0}x, {:.0}% of quanta in {} duty \
-         jumps), idle {idle_ms:.2} ms vs idle_skip {skip_ms:.3} ms ({skip_speedup:.0}x), backlit idle \
-         {backlit_ms:.2} ms vs skip {backlit_skip_ms:.3} ms ({backlit_speedup:.0}x), netd pooling \
+         jumps), idle {idle_ms:.2} ms vs fast_forward {idle_ff_ms:.3} ms ({idle_speedup:.0}x), backlit \
+         idle {backlit_ms:.2} ms vs fast_forward {backlit_ff_ms:.3} ms ({backlit_speedup:.0}x), \
+         netd pooling \
          1 h {pool_ms:.2} ms vs fast_forward {pool_ff_ms:.3} ms ({pool_speedup:.1}x, {:.0}% of \
          quanta in {} pooled jumps), retrying pollers 1 h {retry_ms:.2} ms vs fast_forward \
          {retry_ff_ms:.3} ms ({retry_speedup:.1}x, {:.0}% of quanta gated), browser \
@@ -473,10 +466,10 @@ fn hot_path_report(_c: &mut Criterion) {
          {busy_ms:.3}, \"ns_per_quantum\": {:.1} }},\n  \"duty_cycled_spinner\": {{ \"ff_off_wall_ms\": \
          {duty_ms:.3}, \"fast_forward_wall_ms\": {duty_ff_ms:.4}, \"skip_speedup\": \
          {duty_speedup:.1}, \"duty_jumps\": {}, \"duty_quanta_share\": {duty_share:.3}, \
-         \"observables_bit_identical\": true }},\n  \"idle_heavy\": {{ \"no_skip_wall_ms\": {idle_ms:.3}, \
-         \"idle_skip_wall_ms\": {skip_ms:.4}, \"skip_speedup\": {skip_speedup:.1}, \
-         \"metered_energy_bit_identical\": true }},\n  \"backlit_idle\": {{ \"no_skip_wall_ms\": \
-         {backlit_ms:.3}, \"idle_skip_wall_ms\": {backlit_skip_ms:.4}, \"skip_speedup\": \
+         \"observables_bit_identical\": true }},\n  \"idle_heavy\": {{ \"ff_off_wall_ms\": {idle_ms:.3}, \
+         \"fast_forward_wall_ms\": {idle_ff_ms:.4}, \"skip_speedup\": {idle_speedup:.1}, \
+         \"metered_energy_bit_identical\": true }},\n  \"backlit_idle\": {{ \"ff_off_wall_ms\": \
+         {backlit_ms:.3}, \"fast_forward_wall_ms\": {backlit_ff_ms:.4}, \"skip_speedup\": \
          {backlit_speedup:.1}, \"backlight_drain_j\": {:.3}, \"forced_shutdowns\": {backlit_cuts}, \
          \"observables_bit_identical\": true }},\n  \"netd_pooling\": {{ \"sim_seconds\": \
          {POOLING_SECS}, \"quantum_ms\": 100, \"ff_off_wall_ms\": {pool_ms:.3}, \

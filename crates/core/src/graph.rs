@@ -1537,28 +1537,6 @@ impl ResourceGraph {
         self.consume(actor, id, amount.raw())
     }
 
-    /// [`ResourceGraph::consume_with_debt`] with a kind-tagged amount.
-    pub fn consume_with_debt_typed(
-        &mut self,
-        actor: &Actor,
-        id: ReserveId,
-        amount: Quantity,
-    ) -> Result<(), GraphError> {
-        self.check_kind("consume", id, amount.kind())?;
-        self.consume_with_debt(actor, id, amount.raw())
-    }
-
-    /// [`ResourceGraph::inject`] with a kind-tagged amount (kernel-only).
-    pub fn inject_typed(
-        &mut self,
-        actor: &Actor,
-        id: ReserveId,
-        amount: Quantity,
-    ) -> Result<(), GraphError> {
-        self.check_kind("inject", id, amount.kind())?;
-        self.inject(actor, id, amount.raw())
-    }
-
     /// [`ResourceGraph::create_tap`] with a kind-tagged constant rate: the
     /// rate's kind must match the source reserve's (the raw constructor then
     /// enforces source kind == sink kind).

@@ -29,8 +29,6 @@
 //! (pick → run the thread's program → charge), and the figure experiments
 //! read the per-task [`PowerEstimator`]s to draw their stacked plots.
 
-use std::collections::VecDeque;
-
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
 
 use crate::accounting::PowerEstimator;
@@ -104,11 +102,11 @@ impl Default for SchedulerConfig {
 #[derive(Debug)]
 pub struct ResourceScheduler {
     tasks: Arena<Task>,
-    queue: VecDeque<TaskId>,
+    queue: Vec<TaskId>,
     config: SchedulerConfig,
     /// Tasks currently in [`TaskState::Ready`], maintained on every state
     /// transition so [`ResourceScheduler::has_ready`] — the kernel's
-    /// idle-skip guard — and the all-idle [`ResourceScheduler::pick_next`]
+    /// idle-jump guard — and the all-idle [`ResourceScheduler::pick_next`]
     /// are O(1) instead of scans.
     ready_count: usize,
     /// When exactly one task is Ready *and* it is known which, that task —
@@ -119,11 +117,6 @@ pub struct ResourceScheduler {
     sole_ready: Option<TaskId>,
     /// Memoised `power × quantum` for [`ResourceScheduler::charge`].
     quantum_cost: Option<(Power, Energy)>,
-    /// Scratch for [`ResourceScheduler::pick_next`]'s queue scan: the
-    /// tasks it passed over, and the Ready ones among them it throttled.
-    /// Cleared on every scan and reused, so picking allocates nothing.
-    skipped: Vec<TaskId>,
-    throttled: Vec<TaskId>,
 }
 
 impl ResourceScheduler {
@@ -131,13 +124,11 @@ impl ResourceScheduler {
     pub fn new(config: SchedulerConfig) -> Self {
         ResourceScheduler {
             tasks: Arena::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
             config,
             ready_count: 0,
             sole_ready: None,
             quantum_cost: None,
-            skipped: Vec::new(),
-            throttled: Vec::new(),
         }
     }
 
@@ -160,7 +151,7 @@ impl ResourceScheduler {
             estimator: PowerEstimator::new(self.config.estimate_window),
             throttled_quanta: 0,
         }));
-        self.queue.push_back(id);
+        self.queue.push(id);
         self.ready_count += 1;
         self.sole_ready = if self.ready_count == 1 {
             Some(id)
@@ -269,55 +260,40 @@ impl ResourceScheduler {
             }
             return None;
         }
-        let n = self.queue.len();
-        self.skipped.clear();
-        self.throttled.clear();
+        // One pass in queue order. Everyone examined and skipped keeps
+        // their position; the chosen task goes to the back.
         let mut picked = None;
-        for _ in 0..n {
-            let Some(id) = self.queue.pop_front() else {
-                break;
+        let (mut throttled, mut last_throttled) = (0, None);
+        let mut i = 0;
+        while let Some(&id) = self.queue.get(i) {
+            let live = self.tasks.get_mut(id.0);
+            // Removed and exited tasks drop from the queue for good.
+            let Some(task) = live.filter(|t| t.state != TaskState::Exited) else {
+                self.queue.remove(i);
+                continue;
             };
-            let Some(task) = self.tasks.get(id.0) else {
-                continue; // removed task: drop from queue permanently
-            };
-            if task.state == TaskState::Exited {
-                continue; // exited is terminal: drop from queue
-            }
             if task.state == TaskState::Ready {
                 let runnable = task.reserves[ResourceKind::Energy.index()]
                     .and_then(|r| graph.reserve(r))
                     .is_some_and(|r| r.is_nonempty());
                 if runnable {
-                    // The chosen task goes to the back; everyone examined
-                    // and skipped keeps their position at the front.
                     picked = Some(id);
-                    self.queue.push_back(id);
+                    self.queue[i..].rotate_left(1);
                     break;
                 }
-                self.throttled.push(id);
+                // Tasks that wanted to run but were reserve-gated count a
+                // throttled quantum — the paper's isolation experiments
+                // hinge on this.
+                task.throttled_quanta += 1;
+                throttled += 1;
+                last_throttled = Some(id);
             }
-            self.skipped.push(id);
-        }
-        for &id in self.skipped.iter().rev() {
-            self.queue.push_front(id);
+            i += 1;
         }
         // Re-learn the sole Ready task for the fast path above: either the
         // one we picked, or the single one the scan throttled.
         if self.ready_count == 1 {
-            self.sole_ready = picked.or_else(|| {
-                if self.throttled.len() == 1 {
-                    Some(self.throttled[0])
-                } else {
-                    None
-                }
-            });
-        }
-        // Tasks that wanted to run but were reserve-gated count a throttled
-        // quantum — the paper's isolation experiments hinge on this.
-        for &id in &self.throttled {
-            if let Some(t) = self.tasks.get_mut(id.0) {
-                t.throttled_quanta += 1;
-            }
+            self.sole_ready = picked.or(last_throttled.filter(|_| throttled == 1));
         }
         picked
     }
@@ -528,11 +504,6 @@ impl ResourceScheduler {
     /// only be revived by a queued wake event.
     pub fn has_ready(&self) -> bool {
         self.ready_count > 0
-    }
-
-    /// All task ids, in creation order.
-    pub fn task_ids(&self) -> Vec<TaskId> {
-        self.tasks.iter().map(|(id, _)| TaskId(id)).collect()
     }
 }
 

@@ -176,7 +176,6 @@ fn simulate_device_inner(spec: &DeviceSpec, scratch: &mut DeviceScratch) -> Devi
     let mut config = KernelConfig {
         battery: spec.battery,
         seed: spec.seed,
-        idle_skip: true,
         fast_forward: spec.fast_forward,
         sched: SchedulerConfig {
             quantum: spec.quantum,
@@ -624,7 +623,9 @@ mod tests {
     #[test]
     fn run_profile_accounts_for_every_quantum() {
         // One device of every workload tag, fast-forward on and off: the
-        // path counters sum to exactly the quanta the run advanced.
+        // path counters sum to exactly the quanta the run advanced, and
+        // with it off the run loop steps every quantum and consults no
+        // certificate.
         let mut seen = Vec::new();
         for spec in Scenario::all_workloads("profile", 5, 11).specs() {
             if seen.contains(&spec.workload.tag()) {
@@ -639,13 +640,22 @@ mod tests {
                 };
                 let mut scratch = DeviceScratch::default();
                 simulate_device_with(&spec, &mut scratch);
+                let p = scratch.profile;
+                let tag = spec.workload.tag();
                 assert_eq!(
-                    scratch.profile.quanta(),
+                    p.quanta(),
                     spec.horizon.as_micros() / spec.quantum.as_micros(),
-                    "{} ff={fast_forward}: {:?}",
-                    spec.workload.tag(),
-                    scratch.profile
+                    "{tag} ff={fast_forward}: {p:?}"
                 );
+                if !fast_forward {
+                    let stepped = RunProfile {
+                        full_quanta: p.quanta(),
+                        lane_ticks: p.lane_ticks,
+                        lane_ticks_stepped: p.lane_ticks_stepped,
+                        ..RunProfile::default()
+                    };
+                    assert_eq!(p, stepped, "{tag} ff=false takes the literal loop");
+                }
             }
         }
         assert_eq!(seen.len(), 9, "every tag covered: {seen:?}");

@@ -246,14 +246,6 @@ impl FleetReport {
         let (twin, distributions) = self.aggregate();
         twin.render_json(distributions)
     }
-
-    /// Writes [`FleetReport::to_json`] to `path`.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(path, self.to_json())
-    }
 }
 
 /// Average platform power of device `d` over a `horizon_s`-second run, in

@@ -194,12 +194,11 @@ pub struct DeviceSpec {
     pub data_plan: Option<DataPlan>,
     /// Offload economy, if the scenario carries one.
     pub offload: Option<OffloadProfile>,
-    /// Enable the kernel's frozen and pooled fast-forward
-    /// ([`cinder_kernel::KernelConfig::fast_forward`]): bit-exact
-    /// closed-form advance through drained steady states and netd's
-    /// pooling spans. Fleet scenarios
-    /// default to `true`; the differential tests flip it off to prove the
-    /// reports identical either way.
+    /// Enable the kernel's fast-forward
+    /// ([`cinder_kernel::KernelConfig::fast_forward`]): bit-exact idle,
+    /// frozen, pooled and duty jumps. Fleet scenarios default to `true`;
+    /// the differential tests flip it off, which steps every quantum, to
+    /// prove the reports identical either way.
     pub fast_forward: bool,
     /// Policy engine configuration, if the scenario carries one. Plain
     /// data copied off the scenario *after* the device's RNG draws —

@@ -73,18 +73,12 @@ pub struct KernelConfig {
     pub meter_trace: bool,
     /// Attach a laptop NIC (the image-viewer platform, §6.2).
     pub laptop: Option<LaptopNet>,
-    /// Fast-forward the run loop over provably idle quanta (no Ready
-    /// thread — with `fast_forward`, none but reserve-gated ones —, idle
-    /// net stack, no event or radio transition due). The
-    /// simulation is bit-identical with or without this flag — taps, decay,
-    /// metering, and wake-ups all integrate over the skipped span — but
-    /// device-hours of mostly-sleeping workloads run orders of magnitude
-    /// faster, which is what makes fleet-scale studies practical. Off by
-    /// default so single-device experiments run the literal paper loop.
-    pub idle_skip: bool,
-    /// Fast-forward spans `idle_skip` cannot cross, with three more jump
-    /// kinds of the run loop's one certificate:
+    /// Fast-forward the run loop over spans it can settle in closed form,
+    /// with the four jump kinds of its one certificate:
     ///
+    /// * *idle* — no Ready thread but reserve-gated ones, a quiet net
+    ///   stack, and no event or radio transition due: only flows and the
+    ///   meter integrate until the next wake source;
     /// * *frozen* — threads exist (Ready but provably unfundable, or
     ///   blocked in a pooling net stack) yet the whole device is inert:
     ///   the resource graph is frozen
@@ -94,26 +88,26 @@ pub struct KernelConfig {
     /// * *pooled* — netd pools: the waiters' constant feeds and netd's
     ///   sweeps settle whole flow ticks in closed form
     ///   ([`cinder_core::ResourceGraph::pooled_run`]) up to the tick before
-    ///   the pool could reach its grant threshold.
-    ///
+    ///   the pool could reach its grant threshold;
     /// * *duty* — one Ready thread on queued compute, which each quantum
     ///   runs if its reserve is funded and throttles if not: the reserve is
     ///   a charged decay lane, or the graph is ticked between its quanta
     ///   ([`cinder_core::ResourceGraph::settle_duty`]), and the scheduler,
     ///   estimator and meter replay the quanta in bulk.
     ///
-    /// It also lets idle and pooled jumps cross Ready threads that are
-    /// *reserve-gated* — every crossed `pick_next` provably throttles
-    /// them: a netd waiter's reserve is swept to zero or below after every
-    /// tick of a pooled run, and a reserve in deficit stays there while
-    /// its constant feeds cannot close it
-    /// ([`cinder_core::ResourceGraph::quiet_ticks`]).
+    /// Idle and pooled jumps cross Ready threads that are *reserve-gated*
+    /// — every crossed `pick_next` provably throttles them: a netd
+    /// waiter's reserve is swept to zero or below after every tick of a
+    /// pooled run, and a reserve in deficit stays there while its constant
+    /// feeds cannot close it ([`cinder_core::ResourceGraph::quiet_ticks`]).
     ///
     /// Bit-identical by construction: throttled-quanta accounting is
-    /// replayed in bulk, flows and sweeps settle exactly as when stepped,
-    /// and netd's memoised refusal advances by the total swept. Off by
-    /// default, like `idle_skip`; with it off the loop steps every quantum
-    /// that has a Ready thread.
+    /// replayed in bulk, flows, decay, sweeps and metering settle exactly
+    /// as when stepped, and netd's memoised refusal advances by the total
+    /// swept. Device-hours of mostly-sleeping or throttled workloads run
+    /// orders of magnitude faster, which is what makes fleet-scale studies
+    /// practical. Off by default, so single-device experiments run the
+    /// literal paper loop: every quantum steps.
     pub fast_forward: bool,
 }
 
@@ -127,7 +121,6 @@ impl Default for KernelConfig {
             seed: 0,
             meter_trace: false,
             laptop: None,
-            idle_skip: false,
             fast_forward: false,
         }
     }
@@ -189,18 +182,20 @@ pub struct FaultCounters {
 }
 
 /// Where the run loop's simulated time went: always-on plain counters,
-/// never part of any report, so they cannot move a digest.
+/// never part of any report, so they cannot move a digest. With
+/// [`KernelConfig::fast_forward`] off every quantum is a full one, and
+/// every jump counter and refusal tally stays zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunProfile {
     /// Quanta stepped by the full loop.
     pub full_quanta: u64,
-    /// Quanta crossed by idle jumps (`KernelConfig::idle_skip`).
+    /// Quanta crossed by idle jumps.
     pub idle_quanta: u64,
-    /// Quanta crossed by frozen jumps (`KernelConfig::fast_forward`).
+    /// Quanta crossed by frozen jumps.
     pub frozen_quanta: u64,
-    /// Quanta crossed by pooled jumps (`KernelConfig::fast_forward`).
+    /// Quanta crossed by pooled jumps.
     pub pooled_quanta: u64,
-    /// Quanta crossed by duty jumps (`KernelConfig::fast_forward`).
+    /// Quanta crossed by duty jumps.
     pub duty_quanta: u64,
     /// Idle jumps taken.
     pub idle_jumps: u64,
@@ -258,8 +253,7 @@ pub enum Obstacle {
     /// A lit peripheral is not provably funded across the span.
     Peripheral,
     /// The pooling stack's polls are not certified: no memoised grant
-    /// check, a granted backlog, a poll clock off the flow grid, or
-    /// `fast_forward` off.
+    /// check, a granted backlog, or a poll clock off the flow grid.
     NetPolls,
     /// A waiter holds energy its next sweep would move.
     WaiterHolds,
@@ -592,11 +586,6 @@ impl Kernel {
         &self.arm9
     }
 
-    /// The platform power model.
-    pub fn platform_mut(&mut self) -> &mut PlatformPower {
-        &mut self.platform
-    }
-
     /// The root container.
     pub fn root_container(&self) -> ObjectId {
         self.root
@@ -631,11 +620,6 @@ impl Kernel {
     /// Installs the offload backend the `offload` syscall consults.
     pub fn install_offload(&mut self, backend: Box<dyn OffloadBackend>) {
         self.offload = Some(backend);
-    }
-
-    /// Whether an offload backend is installed.
-    pub fn has_offload(&self) -> bool {
-        self.offload.is_some()
     }
 
     /// Kernel-wide offload telemetry.
@@ -1366,11 +1350,6 @@ impl Kernel {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// The thread's active energy reserve.
-    pub fn thread_reserve(&self, tid: ThreadId) -> Option<ReserveId> {
-        self.thread_reserve_kind(tid, ResourceKind::Energy)
-    }
-
     /// The thread's active reserve for a kind, if one is attached.
     pub fn thread_reserve_kind(&self, tid: ThreadId, kind: ResourceKind) -> Option<ReserveId> {
         self.thread(tid)
@@ -1487,11 +1466,12 @@ impl Kernel {
         }
     }
 
-    /// After each quantum: land the jump [`Kernel::certify`] allows, or,
-    /// after a quantum that ran nothing, tally its refusal per
-    /// [`Obstacle`]. Quanta no jump crosses run through the full loop.
+    /// After each quantum, under [`KernelConfig::fast_forward`]: land the
+    /// jump [`Kernel::certify`] allows, or, after a quantum that ran
+    /// nothing, tally its refusal per [`Obstacle`]. Quanta no jump crosses
+    /// run through the full loop.
     fn try_jump(&mut self, end: SimTime, ran: bool) {
-        if !(self.config.idle_skip || self.config.fast_forward) {
+        if !self.config.fast_forward {
             return;
         }
         match self.certify(end, ran) {
@@ -1508,13 +1488,13 @@ impl Kernel {
     /// only a duty jump ([`Kernel::certify_duty`]), else three kinds, each
     /// bit-identical to stepping every quantum:
     ///
-    /// * **Idle** (`idle_skip`) — the stack quiet and nothing Ready but
-    ///   reserve-gated threads (those under `fast_forward`): only flows
-    ///   and the meter integrate until the next wake source.
-    /// * **Frozen** (`fast_forward`) — the graph is frozen
+    /// * **Idle** — the stack quiet and nothing Ready but reserve-gated
+    ///   threads: only flows and the meter integrate until the next wake
+    ///   source.
+    /// * **Frozen** — the graph is frozen
     ///   ([`ResourceGraph::flow_is_frozen`]): Ready threads stay unfundable
     ///   and a pooling stack's sweeps are all zero until the next wake.
-    /// * **Pooled** (`fast_forward`) — netd pools and every Ready thread is
+    /// * **Pooled** — netd pools and every Ready thread is
     ///   gated: each flow tick's constant taps fill the waiters, each poll
     ///   sweeps them into the pool, and netd's memoised refusal holds, so
     ///   whole ticks settle in closed form ([`ResourceGraph::pooled_run`]).
@@ -1534,46 +1514,35 @@ impl Kernel {
         }
         let ready = self.sched.has_ready();
         let stack_quiet = self.link_down || self.net.as_ref().is_none_or(|n| n.is_idle());
-        let mut refusal = if ready {
-            Obstacle::Ready
-        } else {
-            Obstacle::NetPolls
-        };
-        // How many ticks an idle jump may cross: Ready threads only under
-        // `fast_forward`, and only while gated.
+        // How many ticks an idle jump may cross: Ready threads only while
+        // gated.
         let mut idle_ticks = (!ready).then_some(u64::MAX);
-        if self.config.fast_forward {
-            if ready && stack_quiet {
-                match self.gated_ticks(&[]) {
-                    Ok(ticks) => idle_ticks = Some(ticks),
-                    Err(reserve) if self.graph.fed_by_live_source(reserve) => {
-                        return Err(Obstacle::Ready)
-                    }
-                    Err(_) => {}
+        if ready && stack_quiet {
+            match self.gated_ticks(&[]) {
+                Ok(ticks) => idle_ticks = Some(ticks),
+                Err(reserve) if self.graph.fed_by_live_source(reserve) => {
+                    return Err(Obstacle::Ready)
                 }
-            }
-            match self.certify_frozen(end, ready, stack_quiet) {
-                Ok(quanta) => {
-                    return Ok(Jump {
-                        quanta,
-                        kind: JumpKind::Frozen,
-                    })
-                }
-                Err(obstacle) => refusal = obstacle,
-            }
-            if !stack_quiet {
-                return self.certify_pooled(end, ready);
+                Err(_) => {}
             }
         }
-        match idle_ticks {
-            Some(ticks) if stack_quiet && self.config.idle_skip => {
-                self.certify_idle(end, ticks).map(|quanta| Jump {
+        let refusal = match self.certify_frozen(end, ready, stack_quiet) {
+            Ok(quanta) => {
+                return Ok(Jump {
                     quanta,
-                    kind: JumpKind::Idle,
+                    kind: JumpKind::Frozen,
                 })
             }
-            _ => Err(refusal),
+            Err(obstacle) => obstacle,
+        };
+        if !stack_quiet {
+            return self.certify_pooled(end, ready);
         }
+        let ticks = idle_ticks.ok_or(refusal)?;
+        self.certify_idle(end, ticks).map(|quanta| Jump {
+            quanta,
+            kind: JumpKind::Idle,
+        })
     }
 
     /// How many of the next flow ticks every Ready thread stays
@@ -1825,17 +1794,15 @@ impl Kernel {
 
     /// The duty certificate, after a quantum in which the sole Ready thread
     /// ran on queued compute, so that each next one runs it if its reserve
-    /// is positive and throttles it if not. Cheapest check first:
-    /// `fast_forward`, no sampling meter, held send or lit peripheral, a
-    /// flow tick of whole quanta, one known Ready thread, and a quiet
-    /// stack. The span, which ends before a flow tick, is the least of the
-    /// wake bound, the queued compute, and the graph's half
-    /// ([`ResourceGraph::duty_run`]), which refuses only the battery and
-    /// non-energy reserves.
+    /// is positive and throttles it if not. Cheapest check first: no
+    /// sampling meter, held send or lit peripheral, a flow tick of whole
+    /// quanta, one known Ready thread, and a quiet stack. The span, which
+    /// ends before a flow tick, is the least of the wake bound, the queued
+    /// compute, and the graph's half ([`ResourceGraph::duty_run`]), which
+    /// refuses only the battery and non-energy reserves.
     fn certify_duty(&self, end: SimTime) -> Option<Jump> {
         let quantum = self.sched.quantum();
-        if !self.config.fast_forward
-            || self.config.meter_trace
+        if self.config.meter_trace
             || self.byte_waiters > 0
             || self.enabled_peripherals != 0
             || !self.net_poll_snappable

@@ -154,14 +154,15 @@ pub trait NetStack {
     }
 
     /// Whether the stack has no queued work and its `poll` would be a
-    /// no-op. The kernel's idle fast-forward only skips quanta while the
-    /// stack is idle, so a pooling stack (netd) still gets polled every
-    /// flow tick while blocked senders wait for their taps to fill the
-    /// pool.
+    /// no-op. The kernel's idle jumps cross quanta only while the stack is
+    /// idle (or its link is down); a stack with queued work, such as netd
+    /// while blocked senders wait for their taps to fill the pool, is
+    /// jumped only under [`NetStack::pooling`]'s certificate and is
+    /// otherwise polled every flow tick.
     ///
     /// The default is `false` — "never skip my polls" — so a stack that
     /// does real work in `poll` but forgets to implement this is merely
-    /// slower under `idle_skip`, never wrong. Stacks whose `poll` is a
+    /// slower under `fast_forward`, never wrong. Stacks whose `poll` is a
     /// no-op (or that hold no queued work) should override and return
     /// `true` to let the fast-forward engage.
     fn is_idle(&self) -> bool {

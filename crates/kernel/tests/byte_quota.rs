@@ -6,24 +6,26 @@
 //! block is observably distinct from energy throttling
 //! (`thread_bytes_blocked` / `thread_awaiting_bytes` vs
 //! `thread_throttled`), taps refilling the plan un-block the send at the
-//! next net poll, and the idle fast-forward stays bit-identical with
-//! byte-gated workloads in the graph.
+//! next net poll, and the fast-forward stays bit-identical with byte-gated
+//! workloads in the graph.
 
 use cinder_apps::{PeriodicPoller, PollerLog};
 use cinder_core::{quota, Actor, GraphConfig, Quantity, RateSpec, ReserveId, ResourceKind};
-use cinder_kernel::{Ctx, FnProgram, Kernel, KernelConfig, NetSendStatus, Step, ThreadId};
+use cinder_kernel::{
+    Ctx, FnProgram, Kernel, KernelConfig, NetSendStatus, RunProfile, Step, ThreadId,
+};
 use cinder_label::Label;
 use cinder_net::{CoopNetd, UncoopStack};
 use cinder_sim::{Energy, Power, SimDuration, SimTime};
 
-fn kernel_no_decay(idle_skip: bool) -> Kernel {
+fn kernel_no_decay(fast_forward: bool) -> Kernel {
     Kernel::new(KernelConfig {
         graph: GraphConfig {
             decay: None,
             ..GraphConfig::default()
         },
         seed: 11,
-        idle_skip,
+        fast_forward,
         ..KernelConfig::default()
     })
 }
@@ -253,9 +255,10 @@ fn killing_a_byte_blocked_thread_drops_its_pending_send() {
     assert_all_kinds_conserved(&k);
 }
 
-/// The idle fast-forward must stay bit-identical with byte-gated senders
-/// in the graph — blocked-on-bytes quanta are not skippable (the plan may
-/// be refilling), and everything else still is.
+/// The fast-forward must stay bit-identical with byte-gated senders in the
+/// graph — blocked-on-bytes quanta are not jumpable (the plan may be
+/// refilling), and everything else still is, netd's pooling spans
+/// included.
 #[test]
 fn idle_skip_is_bit_identical_with_byte_quotas() {
     #[derive(Debug, PartialEq)]
@@ -268,8 +271,8 @@ fn idle_skip_is_bit_identical_with_byte_quotas() {
         ops: u64,
     }
 
-    let run = |idle_skip: bool, coop: bool, plan_bytes: u64| -> Fingerprint {
-        let mut k = kernel_no_decay(idle_skip);
+    let run = |fast_forward: bool, coop: bool, plan_bytes: u64| -> (Fingerprint, RunProfile) {
+        let mut k = kernel_no_decay(fast_forward);
         if coop {
             let netd = CoopNetd::with_defaults(k.graph_mut());
             k.install_net(Box::new(netd));
@@ -307,7 +310,7 @@ fn idle_skip_is_bit_identical_with_byte_quotas() {
         k.run_until(SimTime::from_secs(900));
         assert_all_kinds_conserved(&k);
         let ops = log.borrow().sends.len() as u64;
-        Fingerprint {
+        let fingerprint = Fingerprint {
             meter_uj: k.meter().total_energy().as_microjoules(),
             balances: k
                 .graph()
@@ -318,18 +321,21 @@ fn idle_skip_is_bit_identical_with_byte_quotas() {
             radio_tx: k.arm9().radio().stats().tx_bytes,
             activations: k.arm9().radio().stats().activations,
             ops,
-        }
+        };
+        (fingerprint, k.run_profile())
     };
 
     for coop in [false, true] {
         // A plan that exhausts mid-run and one that never binds.
         for plan_bytes in [30_000u64, 5_000_000] {
-            let plain = run(false, coop, plan_bytes);
-            let skipped = run(true, coop, plan_bytes);
+            let (plain, _) = run(false, coop, plan_bytes);
+            let (fast, profile) = run(true, coop, plan_bytes);
             assert_eq!(
-                plain, skipped,
-                "idle_skip diverged (coop={coop}, plan={plan_bytes})"
+                plain, fast,
+                "fast_forward diverged (coop={coop}, plan={plan_bytes})"
             );
+            // Only netd pools: the uncoop stack sends at once.
+            assert_eq!(profile.pooled_jumps > 0, coop, "{profile:?}");
         }
     }
 }

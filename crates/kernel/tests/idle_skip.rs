@@ -1,20 +1,22 @@
-//! Differential tests for the run loop's fast paths (`KernelConfig::idle_skip`
-//! and `KernelConfig::fast_forward`: idle, frozen, pooled and duty jumps,
-//! and the jumps across reserve-gated Ready threads).
+//! Differential tests for the run loop's fast paths
+//! (`KernelConfig::fast_forward`: idle, frozen, pooled and duty jumps, and
+//! the jumps across reserve-gated Ready threads), each against the literal
+//! loop that the flag off leaves, which steps every quantum.
 //!
-//! The flags must be a pure wall-clock optimisation: every observable — the
+//! The flag must be a pure wall-clock optimisation: every observable — the
 //! meter's integrated energy, every reserve balance and accounting stat,
 //! radio statistics, per-thread accounting including throttled time — is
-//! bit-identical with and without them, across sleeping workloads, radio
+//! bit-identical with and without it, across sleeping workloads, radio
 //! episodes, the pooling (netd) stack whose blocked senders must keep being
 //! polled, and Ready threads held at or below zero — swept by netd, or in
-//! a deficit their constant feeds cannot close — which only `fast_forward`
-//! crosses. So are a sole hog's run-or-throttle quanta, which duty jumps
-//! cross (the fingerprint compares every thread's power estimate, the
-//! window the duty landing replays). The gate's refusals (a proportional feed, the tightest of
+//! a deficit their constant feeds cannot close. So are a sole hog's
+//! run-or-throttle quanta, which duty jumps cross (the fingerprint
+//! compares every thread's power estimate, the window the duty landing
+//! replays). The gate's refusals (a proportional feed, the tightest of
 //! several deficits, a quantum finer than the flow tick, a re-rated feed,
-//! a battery that decay refills) are differentials too. Each test checks through `Kernel::run_profile`
-//! that the path it targets ran.
+//! a battery that decay refills) are differentials too. Each test checks
+//! through `Kernel::run_profile` that the path it targets ran, and the
+//! two-way harnesses check that the stepped run took no jump.
 
 use cinder_apps::{build_browser, BrowserConfig, PeriodicPoller, PollerLog, Spinner};
 use cinder_core::{Actor, GraphConfig, RateSpec, ReserveId, SchedulerConfig, TapId};
@@ -84,10 +86,10 @@ fn fingerprint(k: &mut Kernel) -> Fingerprint {
     }
 }
 
-fn config(idle_skip: bool) -> KernelConfig {
+fn config(fast_forward: bool) -> KernelConfig {
     KernelConfig {
         seed: 11,
-        idle_skip,
+        fast_forward,
         ..KernelConfig::default()
     }
 }
@@ -112,12 +114,12 @@ fn tapped(k: &mut Kernel, name: &str, uw: u64) -> ReserveId {
     r
 }
 
-/// Sleep-heavy square wave (the shape idle skip accelerates most), with
-/// decay ON so the skipped spans also exercise the decay grid.
+/// Sleep-heavy square wave (the shape idle jumps accelerate most), with
+/// decay ON so the jumped spans also exercise the decay grid.
 #[test]
 fn square_wave_identical_with_and_without_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         let r = tapped(&mut k, "wave", 200_000);
         let mut computing = false;
         k.spawn_unprivileged(
@@ -142,8 +144,8 @@ fn square_wave_identical_with_and_without_skip() {
 /// land on identical boundaries under the fast-forward.
 #[test]
 fn uncoop_pollers_identical_with_and_without_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         k.install_net(Box::new(UncoopStack::new()));
         let log = PollerLog::shared();
         let r_rss = tapped(&mut k, "rss", 37_500);
@@ -161,8 +163,8 @@ fn uncoop_pollers_identical_with_and_without_skip() {
 /// reports non-idle), so pooling grants land at identical instants.
 #[test]
 fn coop_netd_identical_with_and_without_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         let netd = CoopNetd::with_defaults(k.graph_mut());
         k.install_net(Box::new(netd));
         let log = PollerLog::shared();
@@ -185,20 +187,34 @@ fn coop_netd_identical_with_and_without_skip() {
     assert!(base_blocked >= 2, "scenario must exercise pooling");
 }
 
-/// Runs a scenario stepped (both fast paths off), with `idle_skip` only,
-/// and with `fast_forward` too; asserts all three fingerprints agree and
-/// returns the three run profiles in that order.
-fn three_ways(run: impl Fn(bool, bool) -> (Fingerprint, RunProfile)) -> [RunProfile; 3] {
-    let (stepped, stepped_profile) = run(false, false);
-    let (reduced, reduced_profile) = run(true, false);
-    let (fast, fast_profile) = run(true, true);
-    assert_eq!(stepped, reduced, "idle_skip");
+/// Asserts that a run took the literal loop: every quantum a full one, no
+/// jump taken and no refusal tallied (only the flow engine's lane
+/// counters may move).
+fn assert_stepped(p: &RunProfile) {
+    let stepped = RunProfile {
+        full_quanta: p.quanta(),
+        lane_ticks: p.lane_ticks,
+        lane_ticks_stepped: p.lane_ticks_stepped,
+        ..RunProfile::default()
+    };
+    assert_eq!(*p, stepped, "fast_forward off must step every quantum");
+}
+
+/// Runs a scenario stepped (`fast_forward` off) and fast (on); asserts
+/// both fingerprints agree, the stepped run took the literal loop, and
+/// both advanced the same quanta; returns the two run profiles in that
+/// order.
+fn two_ways(run: impl Fn(bool) -> (Fingerprint, RunProfile)) -> [RunProfile; 2] {
+    let (stepped, stepped_profile) = run(false);
+    let (fast, fast_profile) = run(true);
     assert_eq!(stepped, fast, "fast_forward");
-    for profile in [reduced_profile, fast_profile] {
-        assert_eq!(profile.quanta(), stepped_profile.quanta(), "{profile:?}");
-    }
-    assert_eq!(reduced_profile.gated_quanta, 0, "{reduced_profile:?}");
-    [stepped_profile, reduced_profile, fast_profile]
+    assert_stepped(&stepped_profile);
+    assert_eq!(
+        fast_profile.quanta(),
+        stepped_profile.quanta(),
+        "{fast_profile:?}"
+    );
+    [stepped_profile, fast_profile]
 }
 
 /// A spinner on `quantum_ms` quanta fed by constant taps of the given
@@ -207,18 +223,16 @@ fn three_ways(run: impl Fn(bool, bool) -> (Fingerprint, RunProfile)) -> [RunProf
 /// but throttled until its feeds close the deficit. Returns the kernel,
 /// the thread's reserve, and the feed taps.
 fn trickle_kernel(
-    idle_skip: bool,
     fast_forward: bool,
     quantum_ms: u64,
     feeds_uw: &[u64],
 ) -> (Kernel, ReserveId, Vec<TapId>) {
     let mut k = Kernel::new(KernelConfig {
-        fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(quantum_ms),
             ..SchedulerConfig::default()
         },
-        ..config(idle_skip)
+        ..config(fast_forward)
     });
     let root = Actor::kernel();
     let battery = k.battery();
@@ -261,16 +275,16 @@ fn trickle_kernel(
 }
 
 /// A ready-but-starved thread: a 200 µW tap leaves it in a deficit for
-/// seconds after every quantum it runs. Stepped and `idle_skip` runs step
-/// every quantum it waits (its tap may refill it at any tick), while
+/// seconds after every quantum it runs. The stepped run steps every
+/// quantum it waits (its tap may refill it at any tick), while
 /// `fast_forward` proves how many ticks the deficit outlasts and jumps
 /// them — on the fleet's 100 ms quantum and the paper's 10 ms — with the
 /// throttled-time accounting agreeing exactly.
 #[test]
 fn starved_ready_thread_jumps_only_under_fast_forward() {
     for quantum_ms in [100, 10] {
-        let [stepped, reduced, fast] = three_ways(|idle_skip, fast_forward| {
-            let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, quantum_ms, &[200]);
+        let [stepped, fast] = two_ways(|fast_forward| {
+            let (mut k, _, _) = trickle_kernel(fast_forward, quantum_ms, &[200]);
             k.run_until(SimTime::from_secs(120));
             let t = k.thread_by_name("trickle").unwrap();
             assert!(
@@ -279,9 +293,8 @@ fn starved_ready_thread_jumps_only_under_fast_forward() {
             );
             (fingerprint(&mut k), k.run_profile())
         });
-        assert_eq!(stepped.full_quanta, stepped.quanta());
-        assert_eq!(reduced.full_quanta, reduced.quanta(), "{reduced:?}");
-        assert!(reduced.refused(Obstacle::Ready) > 0, "{reduced:?}");
+        assert_eq!(stepped.full_quanta, stepped.quanta(), "{stepped:?}");
+        assert_eq!(stepped.refused(Obstacle::Ready), 0, "{stepped:?}");
         assert!(fast.idle_jumps > 0, "{fast:?}");
         assert!(fast.gated_quanta * 10 >= fast.quanta() * 9, "{fast:?}");
         assert!(fast.full_quanta * 10 < fast.quanta(), "{fast:?}");
@@ -293,8 +306,8 @@ fn starved_ready_thread_jumps_only_under_fast_forward() {
 /// (after the frozen certificate has looked) rather than bounding it.
 #[test]
 fn gate_refuses_a_proportionally_fed_deficit() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-        let (mut k, r, _) = trickle_kernel(idle_skip, fast_forward, 10, &[]);
+    let [_, fast] = two_ways(|fast_forward| {
+        let (mut k, r, _) = trickle_kernel(fast_forward, 10, &[]);
         let root = Actor::kernel();
         let battery = k.battery();
         let g = k.graph_mut();
@@ -325,8 +338,8 @@ fn gate_refuses_a_proportionally_fed_deficit() {
 /// throttle counts both.
 #[test]
 fn gate_takes_the_tightest_of_two_deficits() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-        let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, 10, &[200]);
+    let [_, fast] = two_ways(|fast_forward| {
+        let (mut k, _, _) = trickle_kernel(fast_forward, 10, &[200]);
         let other = tapped(&mut k, "other", 530);
         k.spawn_unprivileged(
             "other",
@@ -348,8 +361,8 @@ fn gate_takes_the_tightest_of_two_deficits() {
 /// thread, which usually falls between ticks rather than on one.
 #[test]
 fn gated_jumps_stop_short_of_the_funding_tick() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-        let (mut k, _, _) = trickle_kernel(idle_skip, fast_forward, 10, &[173, 311]);
+    let [_, fast] = two_ways(|fast_forward| {
+        let (mut k, _, _) = trickle_kernel(fast_forward, 10, &[173, 311]);
         k.run_until(SimTime::from_secs(120));
         (fingerprint(&mut k), k.run_profile())
     });
@@ -362,11 +375,10 @@ fn gated_jumps_stop_short_of_the_funding_tick() {
 /// never deficit-gated, however few taps feed the battery.
 #[test]
 fn gate_refuses_a_battery_that_decay_refills() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
+    let [_, fast] = two_ways(|fast_forward| {
         let mut k = Kernel::new(KernelConfig {
             battery: Energy::from_joules(20),
-            fast_forward,
-            ..config(idle_skip)
+            ..config(fast_forward)
         });
         let root = Actor::kernel();
         let battery = k.battery();
@@ -400,8 +412,8 @@ fn gate_refuses_a_battery_that_decay_refills() {
 /// only tap counts.
 #[test]
 fn gate_follows_a_re_rated_feed() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-        let (mut k, _, taps) = trickle_kernel(idle_skip, fast_forward, 10, &[200]);
+    let [_, fast] = two_ways(|fast_forward| {
+        let (mut k, _, taps) = trickle_kernel(fast_forward, 10, &[200]);
         for (secs, uw) in [(30, 9_000), (60, 90), (90, 200)] {
             k.run_span(SimTime::from_secs(secs));
             k.rerate_tap(taps[0], Power::from_microwatts(uw)).unwrap();
@@ -413,12 +425,12 @@ fn gate_follows_a_re_rated_feed() {
     assert!(fast.gated_quanta * 2 > fast.quanta(), "{fast:?}");
 }
 
-/// Sanity: with everything exited, the skip sprints to the horizon and the
-/// meter still integrates the idle floor exactly.
+/// Sanity: with everything exited, an idle jump sprints to the horizon
+/// and the meter still integrates the idle floor exactly.
 #[test]
 fn idle_tail_meters_exactly() {
     let mut k = Kernel::new(KernelConfig {
-        idle_skip: true,
+        fast_forward: true,
         graph: GraphConfig {
             decay: None,
             ..GraphConfig::default()
@@ -454,12 +466,11 @@ fn idle_tail_meters_exactly() {
 }
 
 /// The fleet's kernel shape: 100 ms quanta on the 100 ms flow grid, a
-/// small battery, and both fast paths on or off.
+/// small battery, and `fast_forward` on or off.
 fn drained_coop_kernel(fast_forward: bool) -> Kernel {
     let mut k = Kernel::new(KernelConfig {
         seed: 11,
         battery: Energy::from_joules(100),
-        idle_skip: true,
         fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(100),
@@ -531,14 +542,13 @@ type Hook<'a> = &'a dyn Fn(&mut Kernel, u64);
 
 impl PoolRig {
     /// The rig's kernel, its poll log, and the pollers' reserves.
-    fn kernel(&self, idle_skip: bool, fast_forward: bool) -> (Kernel, SharedLog, Vec<ReserveId>) {
+    fn kernel(&self, fast_forward: bool) -> (Kernel, SharedLog, Vec<ReserveId>) {
         let mut graph = GraphConfig::default();
         if !self.decay {
             graph.decay = None;
         }
         let mut k = Kernel::new(KernelConfig {
             seed: 5,
-            idle_skip,
             fast_forward,
             graph,
             sched: SchedulerConfig {
@@ -573,8 +583,8 @@ impl PoolRig {
         (k, log, reserves)
     }
 
-    fn run_with(&self, idle_skip: bool, fast_forward: bool, secs: u64, hook: Hook) -> PoolRun {
-        let (mut k, log, reserves) = self.kernel(idle_skip, fast_forward);
+    fn run_with(&self, fast_forward: bool, secs: u64, hook: Hook) -> PoolRun {
+        let (mut k, log, reserves) = self.kernel(fast_forward);
         hook(&mut k, 0);
         // One-second spans: split points are invisible to the run, and
         // their ends sample the poller reserves.
@@ -596,23 +606,19 @@ impl PoolRig {
         (fingerprint(&mut k), sends, lowest, k.run_profile())
     }
 
-    /// Runs stepped (both fast paths off), idle-skip-only (`idle_skip`),
-    /// and with every fast path on; asserts all three agree exactly and
-    /// returns the fast run.
+    /// Runs stepped (`fast_forward` off) and with every fast path on;
+    /// asserts both agree exactly and the stepped run took the literal
+    /// loop, and returns the fast run.
     fn differential(&self, secs: u64) -> PoolRun {
         self.differential_with(secs, &|_, _| {})
     }
 
     fn differential_with(&self, secs: u64, hook: Hook) -> PoolRun {
-        let stepped = self.run_with(false, false, secs, hook);
-        let reduced = self.run_with(true, false, secs, hook);
-        let fast = self.run_with(true, true, secs, hook);
+        let stepped = self.run_with(false, secs, hook);
+        let fast = self.run_with(true, secs, hook);
         assert_eq!(stepped.0, fast.0, "fingerprint");
         assert_eq!(stepped.1, fast.1, "poll log");
-        assert_eq!(reduced.0, fast.0, "fingerprint vs reduced");
-        assert_eq!(reduced.1, fast.1, "poll log vs reduced");
-        assert_eq!(reduced.3.pooled_jumps, 0);
-        assert_eq!(reduced.3.gated_quanta, 0);
+        assert_stepped(&stepped.3);
         assert!(!stepped.1.is_empty(), "scenario must grant some polls");
         let quanta = secs * 1_000 / self.quantum_ms;
         assert_eq!(fast.3.quanta(), quanta, "{:?}", fast.3);
@@ -839,7 +845,7 @@ fn idle_jumps_cross_a_link_flap_while_netd_holds_a_send() {
         "netd must hold the sends across the flap: {sends:?}"
     );
     // The fast run's path counters across the flap, in one span.
-    let (mut k, _, _) = rig.kernel(true, true);
+    let (mut k, _, _) = rig.kernel(true);
     k.run_span(down);
     flap(&mut k, DOWN_S);
     let before = k.run_profile();
@@ -862,18 +868,16 @@ fn idle_jumps_cross_a_link_flap_while_netd_holds_a_send() {
 /// every other quantum. `tweak` edits the configuration first. Returns the
 /// kernel, the hog's reserve, and its feed.
 fn hog_kernel(
-    idle_skip: bool,
     fast_forward: bool,
     quantum_ms: u64,
     tweak: impl FnOnce(&mut KernelConfig),
 ) -> (Kernel, ReserveId, TapId) {
     let mut config = KernelConfig {
-        fast_forward,
         sched: SchedulerConfig {
             quantum: SimDuration::from_millis(quantum_ms),
             ..SchedulerConfig::default()
         },
-        ..config(idle_skip)
+        ..config(fast_forward)
     };
     tweak(&mut config);
     let mut k = Kernel::new(config);
@@ -883,16 +887,11 @@ fn hog_kernel(
     (k, r, feed)
 }
 
-/// Runs `run` three ways (see [`three_ways`]) and checks that duty jumps
+/// Runs `run` both ways (see [`two_ways`]) and checks that duty jumps
 /// took at least `share_pct`% of the quanta they and the full loop took
-/// in the fast run, and that neither slower run took one.
-fn duty_three_ways(
-    share_pct: u64,
-    run: impl Fn(bool, bool) -> (Fingerprint, RunProfile),
-) -> RunProfile {
-    let [stepped, reduced, fast] = three_ways(run);
-    assert_eq!(stepped.full_quanta, stepped.quanta(), "{stepped:?}");
-    assert_eq!(reduced.duty_jumps, 0, "{reduced:?}");
+/// in the fast run.
+fn duty_two_ways(share_pct: u64, run: impl Fn(bool) -> (Fingerprint, RunProfile)) -> RunProfile {
+    let [_, fast] = two_ways(run);
     assert!(fast.duty_jumps > 0, "{fast:?}");
     assert!(
         fast.duty_quanta * 100 >= (fast.duty_quanta + fast.full_quanta) * share_pct,
@@ -909,8 +908,8 @@ fn duty_three_ways(
 #[test]
 fn duty_jumps_cross_a_sole_hog() {
     for quantum_ms in [100, 10] {
-        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        let fast = duty_two_ways(99, |fast_forward| {
+            let (mut k, _, _) = hog_kernel(fast_forward, quantum_ms, |_| {});
             k.run_until(SimTime::from_secs(600));
             let hog = k.thread_by_name("hog").unwrap();
             let throttled = k.thread_throttled(hog);
@@ -928,8 +927,8 @@ fn duty_jumps_cross_a_sole_hog() {
 #[test]
 fn duty_jumps_leak_a_full_reserve_while_the_hog_runs() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        duty_two_ways(99, |fast_forward| {
+            let (mut k, r, _) = hog_kernel(fast_forward, quantum_ms, |_| {});
             let battery = k.battery();
             k.graph_mut()
                 .transfer(&Actor::kernel(), battery, r, Energy::from_joules(20))
@@ -946,8 +945,8 @@ fn duty_jumps_leak_a_full_reserve_while_the_hog_runs() {
 /// reads the new rate's carries and coverage.
 #[test]
 fn duty_jumps_follow_a_re_rated_feed() {
-    let fast = duty_three_ways(95, |idle_skip, fast_forward| {
-        let (mut k, _, feed) = hog_kernel(idle_skip, fast_forward, 10, |_| {});
+    let fast = duty_two_ways(95, |fast_forward| {
+        let (mut k, _, feed) = hog_kernel(fast_forward, 10, |_| {});
         for (secs, uw) in [(30, 90_000), (60, 9_013), (90, 68_500)] {
             k.run_span(SimTime::from_secs(secs));
             k.rerate_tap(feed, Power::from_microwatts(uw)).unwrap();
@@ -965,8 +964,8 @@ fn duty_jumps_follow_a_re_rated_feed() {
 #[test]
 fn duty_jumps_stop_at_the_battery_coverage() {
     for decay in [true, false] {
-        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, 100, |c| {
+        let fast = duty_two_ways(99, |fast_forward| {
+            let (mut k, _, _) = hog_kernel(fast_forward, 100, |c| {
                 c.battery = Energy::from_joules(5);
                 if !decay {
                     c.graph.decay = None;
@@ -989,9 +988,8 @@ fn duty_jumps_stop_at_the_battery_coverage() {
 #[test]
 fn duty_jumps_carry_two_feeds() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, r, taps) =
-                trickle_kernel(idle_skip, fast_forward, quantum_ms, &[40_013, 29_347]);
+        duty_two_ways(99, |fast_forward| {
+            let (mut k, r, taps) = trickle_kernel(fast_forward, quantum_ms, &[40_013, 29_347]);
             let source = k.graph().tap(taps[1]).unwrap().source();
             k.graph_mut()
                 .set_decay_exempt(&Actor::kernel(), source, true)
@@ -1009,8 +1007,8 @@ fn duty_jumps_carry_two_feeds() {
 #[test]
 fn duty_jumps_without_decay() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |c| {
+        duty_two_ways(99, |fast_forward| {
+            let (mut k, _, _) = hog_kernel(fast_forward, quantum_ms, |c| {
                 c.graph.decay = None;
             });
             k.run_until(SimTime::from_secs(300));
@@ -1024,8 +1022,8 @@ fn duty_jumps_without_decay() {
 /// when the thread next sleeps.
 #[test]
 fn duty_jumps_stop_at_the_queued_compute() {
-    let fast = duty_three_ways(95, |idle_skip, fast_forward| {
-        let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 10, |_| {});
+    let fast = duty_two_ways(95, |fast_forward| {
+        let (mut k, r, _) = hog_kernel(fast_forward, 10, |_| {});
         let hog = k.thread_by_name("hog").unwrap();
         k.kill(hog);
         let mut computing = false;
@@ -1053,8 +1051,8 @@ fn duty_jumps_stop_at_the_queued_compute() {
 #[test]
 fn duty_jumps_cross_a_drained_reserve() {
     for quantum_ms in [100, 10] {
-        let fast = duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        let fast = duty_two_ways(99, |fast_forward| {
+            let (mut k, r, _) = hog_kernel(fast_forward, quantum_ms, |_| {});
             let battery = k.battery();
             let g = k.graph_mut();
             g.transfer(&Actor::kernel(), battery, r, Energy::from_joules(20))
@@ -1083,8 +1081,8 @@ fn duty_jumps_cross_a_drained_reserve() {
 #[test]
 fn duty_jumps_cross_a_proportionally_fed_reserve() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        duty_two_ways(99, |fast_forward| {
+            let (mut k, r, _) = hog_kernel(fast_forward, quantum_ms, |_| {});
             let root = Actor::kernel();
             let battery = k.battery();
             let g = k.graph_mut();
@@ -1113,8 +1111,8 @@ fn duty_jumps_cross_a_proportionally_fed_reserve() {
 #[test]
 fn duty_jumps_cross_a_decay_exempt_reserve() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(99, |idle_skip, fast_forward| {
-            let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        duty_two_ways(99, |fast_forward| {
+            let (mut k, r, _) = hog_kernel(fast_forward, quantum_ms, |_| {});
             let battery = k.battery();
             let g = k.graph_mut();
             g.set_decay_exempt(&Actor::kernel(), r, true).unwrap();
@@ -1133,8 +1131,8 @@ fn duty_jumps_cross_a_decay_exempt_reserve() {
 /// break-even: each run is ticked rather than planned.
 #[test]
 fn duty_jumps_tick_spans_below_the_break_even() {
-    let fast = duty_three_ways(65, |idle_skip, fast_forward| {
-        let (mut k, r, _) = hog_kernel(idle_skip, fast_forward, 100, |_| {});
+    let fast = duty_two_ways(65, |fast_forward| {
+        let (mut k, r, _) = hog_kernel(fast_forward, 100, |_| {});
         let hog = k.thread_by_name("hog").unwrap();
         k.kill(hog);
         let mut computing = false;
@@ -1161,8 +1159,8 @@ fn duty_jumps_tick_spans_below_the_break_even() {
 /// certificate refuses, matching all the same.
 #[test]
 fn duty_jumps_refuse_a_sampling_meter() {
-    let [_, _, fast] = three_ways(|idle_skip, fast_forward| {
-        let (mut k, _, _) = hog_kernel(idle_skip, fast_forward, 10, |c| {
+    let [_, fast] = two_ways(|fast_forward| {
+        let (mut k, _, _) = hog_kernel(fast_forward, 10, |c| {
             c.meter_trace = true;
         });
         k.run_until(SimTime::from_secs(120));
@@ -1174,7 +1172,7 @@ fn duty_jumps_refuse_a_sampling_meter() {
 
 /// The hog for the count's edge cases: `hog_kernel` on `quantum_ms`
 /// quanta, decay on or off, its feed re-rated to `feed_uw` and, before it
-/// runs ten minutes, `setup` applied. Checks the run three ways and
+/// runs ten minutes, `setup` applied. Checks the run both ways and
 /// returns the fast run's profile.
 fn counted_hog(
     quantum_ms: u64,
@@ -1182,8 +1180,8 @@ fn counted_hog(
     feed_uw: u64,
     setup: impl Fn(&mut Kernel, ReserveId, TapId),
 ) -> RunProfile {
-    duty_three_ways(95, |idle_skip, fast_forward| {
-        let (mut k, r, feed) = hog_kernel(idle_skip, fast_forward, quantum_ms, |c| {
+    duty_two_ways(95, |fast_forward| {
+        let (mut k, r, feed) = hog_kernel(fast_forward, quantum_ms, |c| {
             if !decay {
                 c.graph.decay = None;
             }
@@ -1279,14 +1277,13 @@ fn duty_counts_after_head_quanta() {
 #[test]
 fn duty_jumps_tick_fig6b_windows_in_the_kernel() {
     for quantum_ms in [100, 10] {
-        let fast = duty_three_ways(50, |idle_skip, fast_forward| {
+        let fast = duty_two_ways(50, |fast_forward| {
             let mut k = Kernel::new(KernelConfig {
-                fast_forward,
                 sched: SchedulerConfig {
                     quantum: SimDuration::from_millis(quantum_ms),
                     ..SchedulerConfig::default()
                 },
-                ..config(idle_skip)
+                ..config(fast_forward)
             });
             let h = build_browser(&mut k, BrowserConfig::fig6b()).unwrap();
             k.run_until(SimTime::from_secs(3_600));
@@ -1304,8 +1301,8 @@ fn duty_jumps_tick_fig6b_windows_in_the_kernel() {
 #[test]
 fn duty_jumps_slot_an_untapped_reserve() {
     for quantum_ms in [100, 10] {
-        duty_three_ways(90, |idle_skip, fast_forward| {
-            let (mut k, r, feed) = hog_kernel(idle_skip, fast_forward, quantum_ms, |_| {});
+        duty_two_ways(90, |fast_forward| {
+            let (mut k, r, feed) = hog_kernel(fast_forward, quantum_ms, |_| {});
             let root = Actor::kernel();
             tapped(&mut k, "bystander", 41_017);
             let battery = k.battery();

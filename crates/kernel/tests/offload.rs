@@ -9,20 +9,20 @@
 use cinder_core::{quota, Actor, GraphConfig, Quantity, ReserveId, ResourceKind};
 use cinder_kernel::{
     Ctx, FnProgram, Kernel, KernelConfig, OffloadBackend, OffloadOutcome, OffloadRequest,
-    OffloadStatus, OffloadVerdict, Step, ThreadId,
+    OffloadStatus, OffloadVerdict, RunProfile, Step, ThreadId,
 };
 use cinder_label::Label;
 use cinder_net::{CoopNetd, UncoopStack};
 use cinder_sim::{Energy, SimDuration, SimTime};
 
-fn kernel_no_decay(idle_skip: bool) -> Kernel {
+fn kernel_no_decay(fast_forward: bool) -> Kernel {
     Kernel::new(KernelConfig {
         graph: GraphConfig {
             decay: None,
             ..GraphConfig::default()
         },
         seed: 23,
-        idle_skip,
+        fast_forward,
         ..KernelConfig::default()
     })
 }
@@ -343,8 +343,10 @@ fn killing_an_offload_waiter_cleans_up() {
 }
 
 /// The fast-forward differential: a run with offloaders in the mix is
-/// bit-identical with and without `idle_skip` — blocked offload waiters
-/// are skip-safe because both their wake sources are queued events.
+/// bit-identical with `fast_forward` on and off — blocked offload waiters
+/// are jump-safe because both their wake sources are queued events. With
+/// decay off and no tap the graph is frozen throughout, so the fast runs
+/// cross the waits and sleeps in frozen jumps.
 #[test]
 fn idle_skip_is_bit_identical_with_offloaders() {
     #[derive(Debug, PartialEq)]
@@ -356,8 +358,8 @@ fn idle_skip_is_bit_identical_with_offloaders() {
         activations: u64,
     }
 
-    let run = |idle_skip: bool, delay_ms: u64| -> Fingerprint {
-        let mut k = kernel_no_decay(idle_skip);
+    let run = |fast_forward: bool, delay_ms: u64| -> (Fingerprint, RunProfile) {
+        let mut k = kernel_no_decay(fast_forward);
         k.install_net(Box::new(UncoopStack::new()));
         k.install_offload(Box::new(FixedBackend {
             delay: SimDuration::from_millis(delay_ms),
@@ -395,7 +397,7 @@ fn idle_skip_is_bit_identical_with_offloaders() {
         );
         k.run_until(SimTime::from_secs(600));
         assert_all_kinds_conserved(&k);
-        Fingerprint {
+        let fingerprint = Fingerprint {
             meter_uj: k.meter().total_energy().as_microjoules(),
             balances: k
                 .graph()
@@ -405,14 +407,16 @@ fn idle_skip_is_bit_identical_with_offloaders() {
             stats: k.offload_stats(),
             radio_tx: k.arm9().radio().stats().tx_bytes,
             activations: k.arm9().radio().stats().activations,
-        }
+        };
+        (fingerprint, k.run_profile())
     };
 
     // A delay that completes and one that always times out.
     for delay_ms in [300u64, 30_000] {
-        let plain = run(false, delay_ms);
-        let skipped = run(true, delay_ms);
-        assert_eq!(plain, skipped, "idle_skip diverged (delay={delay_ms} ms)");
+        let (plain, _) = run(false, delay_ms);
+        let (fast, profile) = run(true, delay_ms);
+        assert_eq!(plain, fast, "fast_forward diverged (delay={delay_ms} ms)");
         assert!(plain.stats.accepted > 1, "the loop must have offloaded");
+        assert!(profile.frozen_jumps > 0, "{profile:?}");
     }
 }

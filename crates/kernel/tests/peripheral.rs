@@ -1,8 +1,8 @@
 //! Reserve-gated peripheral tests: exact accounting, forced shutdown, and
 //! differential bit-identity of the fast paths with peripherals lit.
 //!
-//! The peripheral layer must compose with `KernelConfig::idle_skip` as a
-//! pure wall-clock optimisation, netd pooling included: a
+//! The peripheral layer must compose with `KernelConfig::fast_forward` as
+//! a pure wall-clock optimisation, netd pooling included: a
 //! funded lit peripheral is steady state the fast-forward may jump, while a
 //! near-empty peripheral reserve pins the slow path so the forced shutdown
 //! lands on exactly the boundary per-quantum stepping would choose.
@@ -69,10 +69,10 @@ fn fingerprint(k: &Kernel) -> Fingerprint {
     }
 }
 
-fn config(idle_skip: bool) -> KernelConfig {
+fn config(fast_forward: bool) -> KernelConfig {
     KernelConfig {
         seed: 23,
-        idle_skip,
+        fast_forward,
         ..KernelConfig::default()
     }
 }
@@ -270,8 +270,8 @@ fn drained_reserve_forces_the_peripheral_down() {
 /// exercised too).
 #[test]
 fn lit_backlight_identical_with_and_without_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         let screen_r = tapped(&mut k, "screen", 600_000, 30_000_000);
         let cpu_r = tapped(&mut k, "cpu", 10_000, 2_000_000);
         let mut step = 0;
@@ -317,8 +317,8 @@ fn lit_backlight_identical_with_and_without_skip() {
 /// sleep — every phase boundary lands identically under the fast-forward.
 #[test]
 fn duty_cycled_gps_identical_with_and_without_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         let gps_r = tapped(&mut k, "gps", 60_000, 8_000_000);
         let cpu_r = tapped(&mut k, "cpu", 10_000, 2_000_000);
         let mut acquired = false;
@@ -355,11 +355,11 @@ fn duty_cycled_gps_identical_with_and_without_skip() {
 
 /// A peripheral outrunning its trickle feed keeps crossing the shutdown
 /// threshold: the near-empty reserve must pin the slow path so every
-/// forced shutdown lands on the same boundary, skip or no skip.
+/// forced shutdown lands on the same boundary, fast-forward on or off.
 #[test]
 fn forced_shutdowns_land_identically_under_skip() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         // 150 mW feed for a 555 mW screen: lights for a stretch, browns
         // out, recovers, repeats.
         let screen_r = tapped(&mut k, "screen", 150_000, 4_000_000);
@@ -402,8 +402,8 @@ fn forced_shutdowns_land_identically_under_skip() {
 /// boundary whether or not the fast-forward is on.
 #[test]
 fn second_outbound_tap_pins_the_slow_path_identically() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         // 40 J funds ~72 s of backlight alone — but a 2 W sibling tap
         // (another consumer sharing the budget) empties it in ~15.6 s.
         let screen_r = tapped(&mut k, "screen", 0, 40_000_000);
@@ -508,13 +508,14 @@ fn protected_reserve_locks_out_stranger_control() {
     assert_eq!(k.peripheral_drive_ppm(PeripheralKind::Backlight), 1_000_000);
 }
 
-/// Pooling netd (blocked senders, each pooling quantum stepped) composed
-/// with a lit backlight: grants, wakes, and the screen's drain all land on
-/// identical boundaries.
+/// Pooling netd (blocked senders) composed with a lit backlight: grants,
+/// wakes, and the screen's drain all land on identical boundaries. Pooled
+/// jumps refuse while anything is lit, so the fast run takes them once
+/// the screen is off.
 #[test]
 fn netd_pooling_with_lit_backlight_identical() {
-    let run = |idle_skip: bool| {
-        let mut k = Kernel::new(config(idle_skip));
+    let run = |fast_forward: bool| {
+        let mut k = Kernel::new(config(fast_forward));
         let netd = CoopNetd::with_defaults(k.graph_mut());
         k.install_net(Box::new(netd));
         let log = PollerLog::shared();
@@ -549,13 +550,14 @@ fn netd_pooling_with_lit_backlight_identical() {
             let log = log.borrow();
             (log.sends.clone(), log.blocked_first)
         };
-        (fingerprint(&k), sends, blocked)
+        (fingerprint(&k), sends, blocked, k.run_profile())
     };
-    let (base, base_sends, base_blocked) = run(false);
-    let (fast, fast_sends, fast_blocked) = run(true);
+    let (base, base_sends, base_blocked, _) = run(false);
+    let (fast, fast_sends, fast_blocked, profile) = run(true);
     assert_eq!(base, fast);
     assert_eq!(base_sends, fast_sends);
     assert_eq!(base_blocked, fast_blocked);
     assert!(base_blocked >= 2, "scenario must exercise pooling");
     assert!(base.peripheral_energy_uj[PeripheralKind::Backlight.index()] > 0);
+    assert!(profile.pooled_jumps > 0, "{profile:?}");
 }

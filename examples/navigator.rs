@@ -19,7 +19,7 @@ use std::rc::Rc;
 fn device(feed_uw: u64, seed_j: i64) -> (Kernel, ReserveId, Rc<RefCell<NavLog>>) {
     let mut k = Kernel::new(KernelConfig {
         seed: 7,
-        idle_skip: true,
+        fast_forward: true,
         ..KernelConfig::default()
     });
     let root = Actor::kernel();

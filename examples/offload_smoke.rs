@@ -26,7 +26,7 @@ const HORIZON: SimDuration = SimDuration::from_secs(3_600);
 fn device(profile: OffloadProfile) -> (OffloadStats, u64, u64, u64) {
     let mut k = Kernel::new(KernelConfig {
         seed: 11,
-        idle_skip: true,
+        fast_forward: true,
         ..KernelConfig::default()
     });
     let netd = CoopNetd::with_defaults(k.graph_mut());
