@@ -43,6 +43,14 @@
 //! after short bands. It asserts every pair of sides ends bit-identical,
 //! with equal run and throttle counts.
 //!
+//! `lane_pairs` is a coop poller's lanes while they fill: the pollers'
+//! graph (two lanes fed from the battery) against the same graph with one
+//! lane, each flowed from empty in 200-tick spans through `flow_until`
+//! while every lane-tick is stepped. Lanes fed at most once step two at a
+//! time, so the two graphs time a pair against a lone lane. It reports ns
+//! per lane-tick on each side and asserts each ends bit-identical with the
+//! reference.
+//!
 //! `ticked_runs` is the browser plugin's sole-Ready window: Fig 6b's graph
 //! flowed an hour in windows of 1, 2, 4 and 20 ticks, each settled as one
 //! duty run of the plugin in the flow kernel against as many compiled
@@ -498,6 +506,73 @@ fn ticked_runs_report() -> String {
     )
 }
 
+/// Ticks `lane_pairs` flows each graph from empty: the pollers' lanes,
+/// fed 37.5 mW, reach their band-jump range after about 10,750.
+const PAIR_TICKS: u64 = 10_000;
+
+/// Ticks per `flow_until` call of `lane_pairs`.
+const PAIR_SPAN_TICKS: u64 = 200;
+
+/// Graphs per timed `lane_pairs` run.
+const PAIR_GRAPHS: u64 = 8;
+
+/// Flows `PAIR_GRAPHS` fresh `build()` graphs `PAIR_TICKS` ticks each in
+/// `PAIR_SPAN_TICKS`-tick spans, through the engine or the reference.
+/// Returns the wall time in ns per lane-tick, `lanes` lanes a graph, and
+/// the last graph's end state. On the engine every lane-tick is stepped.
+fn pair_spans(
+    build: fn() -> ResourceGraph,
+    lanes: u64,
+    engine: bool,
+) -> (f64, Vec<(Energy, ReserveStats)>) {
+    let mut graphs: Vec<_> = (0..PAIR_GRAPHS).map(|_| build()).collect();
+    let start = Instant::now();
+    for g in &mut graphs {
+        for span in 1..=PAIR_TICKS / PAIR_SPAN_TICKS {
+            let now = black_box(SimTime::from_millis(100 * PAIR_SPAN_TICKS * span));
+            if engine {
+                g.flow_until(now);
+            } else {
+                g.flow_until_reference(now);
+            }
+        }
+    }
+    let lane_ticks = PAIR_GRAPHS * PAIR_TICKS * lanes;
+    let ns = start.elapsed().as_secs_f64() * 1e9 / lane_ticks as f64;
+    let last = graphs.last().expect("PAIR_GRAPHS > 0");
+    if engine {
+        assert_eq!(last.lane_ticks(), (PAIR_TICKS * lanes, PAIR_TICKS * lanes));
+    }
+    (ns, end_state(last))
+}
+
+/// `lane_pairs`, as a JSON object: ns per lane-tick of two lanes stepped
+/// as a pair and of one stepped alone, the median of seven runs a side,
+/// alternating which goes first, each side's end state asserted
+/// bit-identical with the reference's.
+fn lane_pairs() -> String {
+    let sides: [(fn() -> ResourceGraph, u64); 2] = [(decay_lane_graph, 1), (idle_pollers_graph, 2)];
+    for (build, lanes) in sides {
+        assert_eq!(
+            pair_spans(build, lanes, true).1,
+            pair_spans(build, lanes, false).1,
+            "engine and reference diverged on {lanes} lanes"
+        );
+    }
+    let mut ns = [Vec::new(), Vec::new()];
+    for run in 0..7 {
+        for side in [run % 2, 1 - run % 2] {
+            let (build, lanes) = sides[side];
+            ns[side].push(pair_spans(build, lanes, true).0);
+        }
+    }
+    let [alone, paired] = ns.map(|mut v| median(&mut v));
+    println!("flow_hot_path lane pairs: {paired:.2} ns per lane-tick paired, {alone:.2} alone ({PAIR_TICKS} ticks in {PAIR_SPAN_TICKS}-tick spans)");
+    format!(
+        "{{ \"ticks\": {PAIR_TICKS}, \"ticks_per_span\": {PAIR_SPAN_TICKS}, \"paired_ns_per_lane_tick\": {paired:.2}, \"alone_ns_per_lane_tick\": {alone:.2}, \"bit_identical\": true }}"
+    )
+}
+
 /// The band lengths `lane_closed_forms` times, in ticks.
 const BAND_TICKS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
@@ -787,6 +862,7 @@ fn speedup_report(_c: &mut Criterion) {
     let [fig6b_planned, fig6b_ticked] = plan_vs_tick(|| browser_graph().0, "Fig 6b");
     let closed_forms = lane_closed_forms();
     let ticked = ticked_runs_report();
+    let pairs = lane_pairs();
 
     println!("flow_hot_path speedup (const, fast-forward): {speedup:.1}x  (reference {reference_ms:.2} ms -> engine {engine_ms:.4} ms)");
     println!("flow_hot_path speedup (mixed, partitioned):  {mixed_speedup:.1}x  (reference {reference_mixed_ms:.2} ms -> engine {engine_mixed_ms:.2} ms)");
@@ -809,7 +885,7 @@ fn speedup_report(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }},\n  \"lane_closed_forms\": {closed_forms},\n  \"ticked_runs\": {ticked}\n}}\n"
+        "{{\n  \"bench\": \"flow_hot_path\",\n  \"scenario\": {{ \"reserves\": {RESERVES}, \"taps\": {TAPS}, \"sim_seconds\": 3600, \"flow_tick_ms\": 100 }},\n  \"multi_kind_scenario\": {{ \"byte_reserves\": {BYTE_RESERVES}, \"byte_taps\": {BYTE_TAPS} }},\n  \"const_all_fast_forward\": {{ \"reference_ms\": {reference_ms:.3}, \"engine_ms\": {engine_ms:.4}, \"speedup\": {speedup:.1} }},\n  \"mixed_20pct_proportional\": {{ \"reference_ms\": {reference_mixed_ms:.3}, \"engine_ms\": {engine_mixed_ms:.3}, \"speedup\": {mixed_speedup:.2} }},\n  \"mixed_partitioned_island\": {{ \"reference_ms\": {reference_island_ms:.3}, \"engine_ms\": {engine_island_ms:.3}, \"speedup\": {island_speedup:.1} }},\n  \"multi_kind_all_fast_forward\": {{ \"reference_ms\": {reference_mk_ms:.3}, \"engine_ms\": {engine_mk_ms:.4}, \"speedup\": {multi_kind_speedup:.1} }},\n  \"single_tick_browser\": {{ \"ticks\": {BROWSER_TICKS}, \"engine_ns_per_tick\": {tick_ns:.1}, \"reference_ns_per_tick\": {reference_tick_ns:.1}, \"bit_identical\": true }},\n  \"idle_decay_lanes\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {LANE_SPAN_TICKS}, \"engine_ms\": {lanes_ms:.4}, \"reference_ms\": {reference_lanes_ms:.3}, \"speedup\": {lanes_speedup:.1}, \"bit_identical\": true }},\n  \"plan_vs_tick\": {{ \"ticks\": {BROWSER_TICKS}, \"ticks_per_span\": {PLAN_SPANS:?}, \"decay_lane_planned_ns\": {lane_planned}, \"decay_lane_ticked_ns\": {lane_ticked}, \"fig6b_planned_ns\": {fig6b_planned}, \"fig6b_ticked_ns\": {fig6b_ticked}, \"bit_identical\": true }},\n  \"lane_closed_forms\": {closed_forms},\n  \"ticked_runs\": {ticked},\n  \"lane_pairs\": {pairs}\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

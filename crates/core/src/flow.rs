@@ -387,8 +387,7 @@ fn delivered(feeds: &[Feed], t: u64) -> i64 {
     feeds.iter().map(|f| split::<1_000_000>(total(f)).0).sum()
 }
 
-/// Advances `feeds` one tick; returns what they deliver. [`deliver`]'s
-/// one-tick case without its multiply, for the stepping loops.
+/// Advances `feeds` one tick; returns what they deliver.
 #[inline]
 fn deliver_tick(feeds: &mut [Feed]) -> i64 {
     let mut moved = 0;
@@ -399,18 +398,8 @@ fn deliver_tick(feeds: &mut [Feed]) -> i64 {
     moved
 }
 
-/// Advances `feeds` `t` ticks; returns what they deliver.
-fn deliver(feeds: &mut [Feed], t: u64) -> i64 {
-    let mut moved = 0;
-    for f in feeds {
-        let (grains, carry) = split::<1_000_000>(f.carry + f.step * u128::from(t));
-        (moved, f.carry) = (moved + grains, carry);
-    }
-    moved
-}
-
 /// ⌊n/d⌋ for `d > 0`, in i64 when both fit.
-fn div_floor(n: i128, d: i128) -> i128 {
+pub(crate) fn div_floor(n: i128, d: i128) -> i128 {
     match (i64::try_from(n), i64::try_from(d)) {
         (Ok(n), Ok(d)) => n.div_euclid(d).into(),
         _ => n.div_euclid(d),
@@ -439,6 +428,14 @@ pub(crate) fn band_reach(ppm: u64, min_band: u64) -> Option<u64> {
 /// takes the summed leaks once, and the feeds settle in closed form.
 /// Scratch for [`FlowEngine::run_span`] and
 /// [`crate::ResourceGraph::settle_pooled`].
+///
+/// An uncharged lane steps a tick by [`Plain::next`]: its feed's carry
+/// advances by an addition and a compare, and its leak ⌊x·ppm/10⁶⌋ is one
+/// u64 multiply by a reciprocal, exact while the level stays under a bound
+/// checked once per settle ([`narrow_leak`]). Each lane's steps are one
+/// dependency chain through that multiply, so the lanes fed at most once
+/// step two at a time ([`step_pair`]), their chains overlapping, until
+/// either's next tick needs more than a plain step.
 ///
 /// A lane counts rather than steps wherever its trajectory is piecewise
 /// linear. The leak is q on a *band* of levels, [⌈q·10⁶/ppm⌉,
@@ -497,7 +494,8 @@ impl Lanes {
 
     /// Runs every lane `ticks` ticks, debits each lane's leaks as decay,
     /// credits their sum to `battery`, and closes the lanes. `duty`'s lane
-    /// also runs its quanta, its charges debited as consumption.
+    /// also runs its quanta, its charges debited as consumption. Uncharged
+    /// lanes that step plainly go in pairs, in the order they were opened.
     pub(crate) fn settle(
         &mut self,
         reserves: &mut Arena<Reserve>,
@@ -507,29 +505,47 @@ impl Lanes {
         mut duty: Option<&mut Duty>,
     ) {
         self.feeds.sort_unstable_by_key(|f| f.lane);
-        let mut reclaimed = 0;
+        let recip = leak_recip(ppm);
+        let (mut reclaimed, mut stepped) = (0, 0);
+        let mut settled = |reserves: &mut Arena<Reserve>, reserve, (leaked, steps): (i64, u64)| {
+            stepped += steps;
+            if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
+                r.debit_decay(Energy::from_microjoules(leaked));
+                reclaimed += leaked;
+            }
+        };
+        // A lane that pairs, waiting for the next.
+        let mut waiting: Option<(RawId, Lane)> = None;
         let mut rest = &mut self.feeds[..];
         for (lane, &(reserve, level)) in self.lanes.iter().enumerate() {
             let fed = rest.iter().take_while(|f| f.lane == lane).count();
             let (feeds, others) = std::mem::take(&mut rest).split_at_mut(fed);
             rest = others;
-            let charged = duty.as_deref_mut().filter(|d| d.reserve == reserve);
-            let (leaked, stepped) = match charged {
-                Some(d) => {
-                    let settled = settle_charged(d, feeds, level, ppm, ticks);
-                    if let Some(r) = reserves.get_mut(reserve) {
-                        r.debit_consumed(d.charged());
-                    }
-                    settled
+            if let Some(d) = duty.as_deref_mut().filter(|d| d.reserve == reserve) {
+                let run = settle_charged(d, feeds, level, ppm, ticks);
+                if let Some(r) = reserves.get_mut(reserve) {
+                    r.debit_consumed(d.charged());
                 }
-                None => settle_decay(feeds, level, ppm, self.reach, ticks),
-            };
-            self.ticks = (self.ticks.0 + ticks, self.ticks.1 + stepped);
-            if let Some(r) = reserves.get_mut(reserve).filter(|_| leaked > 0) {
-                r.debit_decay(Energy::from_microjoules(leaked));
-                reclaimed += leaked;
+                settled(reserves, reserve, run);
+                continue;
             }
+            let mut lane = Lane::new(level, feeds, self.reach, recip, ticks);
+            if lane.narrow.is_some() && fed <= 1 {
+                let Some((first, mut other)) = waiting.take() else {
+                    waiting = Some((reserve, lane));
+                    continue;
+                };
+                step_pair(&mut other, &mut lane, ticks);
+                settled(reserves, first, other.settle(&mut [], ppm, ticks));
+            }
+            let more = feeds.get_mut(1..).unwrap_or_default();
+            settled(reserves, reserve, lane.settle(more, ppm, ticks));
         }
+        if let Some((reserve, lane)) = waiting {
+            settled(reserves, reserve, lane.settle(&mut [], ppm, ticks));
+        }
+        let opened = ticks * self.lanes.len() as u64;
+        self.ticks = (self.ticks.0 + opened, self.ticks.1 + stepped);
         if reclaimed > 0 {
             reserves
                 .get_mut(battery)
@@ -541,79 +557,245 @@ impl Lanes {
     }
 }
 
-/// Settles an uncharged lane `ticks` ticks from `level`. A lane with at
-/// most one feed jumps each leak band whose leak q has |rate − q·10⁶| at
-/// most `reach`, `rate` being its feed's, unless one of its last two whole
-/// bands that came back shorter than [`MIN_BAND_JUMP`] leaked q: a lane
-/// fed between two leaks ends up hovering at the boundary of their bands.
-/// A lane fed more than once steps. Returns what it leaked and the ticks
-/// it stepped.
-fn settle_decay(
-    feeds: &mut [Feed],
-    mut level: i64,
-    ppm: u64,
-    reach: Option<u64>,
-    ticks: u64,
-) -> (i64, u64) {
-    let rate: u128 = feeds.iter().map(|f| f.step).sum();
-    // Leaks in [lo, hi], within `reach` of rate/10⁶, are worth jumping (a
-    // jump is exact wherever it starts). One compare a tick: q is in range
-    // iff q − lo, unsigned, is at most hi − lo; lo = −1 and width 0 admit
-    // no leak.
-    let (lo, width) = reach
-        .filter(|_| feeds.len() <= 1)
-        .map(|reach| {
-            let reach = u128::from(reach);
-            let lo = split::<1_000_000>(rate.saturating_sub(reach) + 999_999).0;
-            (lo, split::<1_000_000>(rate + reach).0 - lo)
-        })
-        .filter(|&(_, width)| width >= 0)
-        .map_or((-1, 0), |(lo, width)| (lo, width as u64));
-    // The leaks of the last two whole bands too short to have paid a jump
-    // (the settle may begin inside its first band).
-    let mut short = [-1; 2];
-    let (mut leaked, mut t, mut jumped) = (0, 0, 0);
-    while t < ticks {
-        let x = level + deliver_tick(feeds);
-        let q = if x > 0 { decay_leak(x, ppm) } else { 0 };
-        if q == 0 && rate == 0 {
-            break; // unfed, the level only falls: the leak stays zero
-        }
-        (level, leaked, t) = (x - q, leaked + q, t + 1);
-        if q.wrapping_sub(lo) as u64 > width || t == ticks || short.contains(&q) {
-            continue;
-        }
-        let n = band_ticks(level, q, feeds.first(), ppm, ticks - t);
-        if n + 1 < MIN_BAND_JUMP && t > 1 {
-            short = [q, short[0]];
-        }
-        if n > 0 {
-            let leak = n as i64 * q;
-            (level, leaked) = (level + deliver(feeds, n) - leak, leaked + leak);
-            (t, jumped) = (t + n, jumped + n);
-        }
-    }
-    (leaked, t - jumped)
+/// The highest level, µJ, whose leak [`narrow_leak`] computes exactly:
+/// ⌊(2⁶⁴ − 1)/10⁶⌋, about 18 MJ.
+const NARROW: u64 = u64::MAX / 1_000_000;
+
+/// ⌈ppm·2⁶⁴/10⁶⌉, the reciprocal [`narrow_leak`] multiplies by, in u64 for
+/// ppm < 10⁶: 2⁶⁴ = [`NARROW`]·10⁶ + r, so it is ppm·NARROW + ⌈ppm·r/10⁶⌉.
+fn leak_recip(ppm: u64) -> Option<u64> {
+    let r = u64::MAX % 1_000_000 + 1;
+    (ppm < 1_000_000).then(|| ppm * NARROW + (ppm * r).div_ceil(1_000_000))
 }
 
-/// How many more ticks, at most `max`, a lane at `level` that just leaked
-/// `q` goes on leaking `q`, fed by `feed` alone or unfed. Its post-feed
-/// level j ticks on, x_j = level + q + ⌊(carry + j·(step − q·10⁶))/10⁶⌋,
-/// moves one way and must stay in q's band, so the band's last tick is one
-/// division.
+/// The leak ⌊x·ppm/10⁶⌋ of a post-feed level x ≤ [`NARROW`] (none for x ≤
+/// 0) by one multiply: `recip` ([`leak_recip`]) exceeds ppm·2⁶⁴/10⁶ by less
+/// than one, so x·recip/2⁶⁴ exceeds x·ppm/10⁶ by less than x/2⁶⁴ < 10⁻⁶,
+/// while x·ppm/10⁶ sits at least 10⁻⁶ below the next integer.
+#[inline(always)]
+fn narrow_leak(x: i64, recip: u64) -> i64 {
+    ((x.max(0) as u128 * u128::from(recip)) >> 64) as i64
+}
+
+/// A lane's level and its first feed, for the plain step: the feed is
+/// `whole` grains and `frac` millionths of one a tick, and its carry; an
+/// unfed lane's is zero.
+#[derive(Debug, Clone, Copy)]
+struct Plain {
+    level: i64,
+    carry: u64,
+    whole: i64,
+    frac: u64,
+}
+
+impl Plain {
+    /// The lane a tick on, and its leak: the feed's carry advances by an
+    /// addition and a compare, `more` lands from its other feeds, and the
+    /// post-feed level x leaks `leak(x)`. The one per-tick step of every
+    /// uncharged lane.
+    #[inline(always)]
+    fn next(self, more: i64, leak: impl Fn(i64) -> i64) -> (Plain, i64) {
+        let carry = self.carry + self.frac;
+        let (carry, whole) = match carry.checked_sub(1_000_000) {
+            Some(c) => (c, self.whole + 1),
+            None => (carry, self.whole),
+        };
+        let x = self.level + whole + more;
+        let q = leak(x);
+        (
+            Plain {
+                level: x - q,
+                carry,
+                ..self
+            },
+            q,
+        )
+    }
+
+    /// Jumps `n` ticks leaking `q` each: the feed's carry telescopes.
+    fn jump(&mut self, n: u64, q: i64) {
+        let (grains, carry) =
+            split::<1_000_000>(u128::from(self.carry) + u128::from(self.frac) * u128::from(n));
+        let fed = i128::from(self.whole) * i128::from(n) + i128::from(grains);
+        let level = i128::from(self.level) + fed - i128::from(q) * i128::from(n);
+        (self.level, self.carry) = (level as i64, carry as u64);
+    }
+}
+
+/// An uncharged lane being settled: where it stands, and how it steps.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    plain: Plain,
+    /// What it has leaked, over how many ticks.
+    leaked: i64,
+    t: u64,
+    /// Leaks worth a band jump: q is in range iff q − lo, unsigned, is at
+    /// most `width`. An unfed lane's range holds zero, where it stops.
+    lo: i64,
+    width: u64,
+    unfed: bool,
+    /// Its post-feed level stays at most [`NARROW`] all settle, so it
+    /// leaks by [`narrow_leak`] with this reciprocal; `None` by
+    /// [`decay_leak`].
+    narrow: Option<u64>,
+}
+
+impl Lane {
+    /// A lane at `level` fed by `feeds`, to settle `ticks` ticks under a
+    /// decay whose reciprocal is `recip` ([`leak_recip`]), jumping bands
+    /// within `reach` of its feed rate if fed at most once.
+    fn new(level: i64, feeds: &[Feed], reach: Option<u64>, recip: Option<u64>, ticks: u64) -> Lane {
+        let rate: u128 = feeds.iter().map(|f| f.step).sum();
+        // Leaks in [lo, hi], within `reach` of rate/10⁶, are worth jumping
+        // (a jump is exact wherever it starts); lo = −1 and width 0 admit
+        // no leak.
+        let (lo, width) = reach
+            .filter(|_| feeds.len() <= 1)
+            .map(|reach| {
+                let reach = u128::from(reach);
+                let lo = split::<1_000_000>(rate.saturating_sub(reach) + 999_999).0;
+                (lo, split::<1_000_000>(rate + reach).0 - lo)
+            })
+            .filter(|&(_, width)| width >= 0)
+            .map_or((-1, 0), |(lo, width)| (lo, width as u64));
+        let (step, carry) = feeds.first().map_or((0, 0), |f| (f.step, f.carry));
+        debug_assert!(carry < 1_000_000, "a constant tap's carry is a remainder");
+        let (whole, frac) = split::<1_000_000>(step);
+        // Only the feeds raise its level, each by at most ⌊step/10⁶⌋ + 1 a
+        // tick.
+        let most: u128 = feeds
+            .iter()
+            .map(|f| split::<1_000_000>(f.step).0 as u128 + 1)
+            .sum();
+        let peak = most
+            .saturating_mul(u128::from(ticks))
+            .saturating_add(level.max(0) as u128);
+        Lane {
+            plain: Plain {
+                level,
+                carry: carry as u64,
+                whole,
+                frac: frac as u64,
+            },
+            leaked: 0,
+            t: 0,
+            lo: if rate == 0 { 0 } else { lo },
+            width,
+            unfed: rate == 0,
+            narrow: recip.filter(|_| peak <= u128::from(NARROW)),
+        }
+    }
+
+    /// Whether leak `q` is in the band-jump range.
+    #[inline(always)]
+    fn jumps(&self, q: i64) -> bool {
+        q.wrapping_sub(self.lo) as u64 <= self.width
+    }
+
+    /// Settles the lane up to `ticks` from where it stands, `more` being
+    /// its feeds past the first. After a tick whose leak q is in range it
+    /// jumps q's band, unless one of its last two whole bands that came
+    /// back shorter than [`MIN_BAND_JUMP`] leaked q: a lane fed between two
+    /// leaks ends up hovering at the boundary of their bands. An unfed lane
+    /// stops once its leak is zero. Returns what it leaked and the ticks it
+    /// stepped.
+    fn settle(self, more: &mut [Feed], ppm: u64, ticks: u64) -> (i64, u64) {
+        // A narrow lane fed at most once, the common case, compiles to its
+        // own loop; the rest take the wide leak.
+        match self.narrow.filter(|_| more.is_empty()) {
+            Some(recip) => self.bands(&mut [], ppm, ticks, |x| narrow_leak(x, recip)),
+            None => self.bands(
+                more,
+                ppm,
+                ticks,
+                |x| if x > 0 { decay_leak(x, ppm) } else { 0 },
+            ),
+        }
+    }
+
+    /// [`Lane::settle`]'s loop, leaking by `leak`.
+    #[inline(always)]
+    fn bands(
+        self,
+        more: &mut [Feed],
+        ppm: u64,
+        ticks: u64,
+        leak: impl Fn(i64) -> i64 + Copy,
+    ) -> (i64, u64) {
+        let Lane {
+            mut plain,
+            mut leaked,
+            mut t,
+            unfed,
+            ..
+        } = self;
+        // The leaks of the last two whole bands too short to have paid a
+        // jump (the settle may begin inside its first band).
+        let (mut short, mut jumped) = ([-1; 2], 0);
+        while t < ticks {
+            let (next, q) = plain.next(deliver_tick(more), leak);
+            if q == 0 && unfed {
+                break; // its level only falls: the leak stays zero
+            }
+            (plain, leaked, t) = (next, leaked + q, t + 1);
+            if !self.jumps(q) || t == ticks || short.contains(&q) {
+                continue;
+            }
+            let n = band_ticks(plain, q, ppm, ticks - t);
+            if n + 1 < MIN_BAND_JUMP && t > 1 {
+                short = [q, short[0]];
+            }
+            if n > 0 {
+                plain.jump(n, q);
+                (leaked, t, jumped) = (leaked + n as i64 * q, t + n, jumped + n);
+            }
+        }
+        (leaked, t - jumped)
+    }
+}
+
+/// Steps `a` and `b`, each narrow and fed at most once, together from the
+/// same tick by [`Plain::next`] until either's next tick needs more than a
+/// plain step (its leak enters its band-jump range, which for an unfed
+/// lane holds zero) or `ticks` end. [`Lane::settle`] resumes each from
+/// exactly where this stops.
+fn step_pair(a: &mut Lane, b: &mut Lane, ticks: u64) {
+    let (Some(ra), Some(rb)) = (a.narrow, b.narrow) else {
+        unreachable!("only narrow lanes pair");
+    };
+    debug_assert_eq!(a.t, b.t);
+    let (mut pa, mut pb, mut t) = (a.plain, b.plain, a.t);
+    let (mut la, mut lb) = (0, 0);
+    while t < ticks {
+        let (na, qa) = pa.next(0, |x| narrow_leak(x, ra));
+        let (nb, qb) = pb.next(0, |x| narrow_leak(x, rb));
+        if a.jumps(qa) || b.jumps(qb) {
+            break;
+        }
+        (pa, pb, la, lb, t) = (na, nb, la + qa, lb + qb, t + 1);
+    }
+    (a.plain, a.leaked, a.t) = (pa, a.leaked + la, t);
+    (b.plain, b.leaked, b.t) = (pb, b.leaked + lb, t);
+}
+
+/// How many more ticks, at most `max`, a lane standing at `lane` that
+/// just leaked `q` goes on leaking `q`, fed by its one feed or unfed. Its
+/// post-feed level j ticks on, x_j = level + q + ⌊(carry + j·(step −
+/// q·10⁶))/10⁶⌋, moves one way and must stay in q's band, so the band's
+/// last tick is one division.
 #[inline(never)] // once a band: kept out of the stepping loop's body
-fn band_ticks(level: i64, q: i64, feed: Option<&Feed>, ppm: u64, max: u64) -> u64 {
+fn band_ticks(lane: Plain, q: i64, ppm: u64, max: u64) -> u64 {
     const M: i128 = 1_000_000;
     let (q, ppm, at) = (
         i128::from(q),
         i128::from(ppm),
-        i128::from(level) + i128::from(q),
+        i128::from(lane.level) + i128::from(q),
     );
     // The foot of leak q's band, ⌈q·10⁶/ppm⌉: only the bound the level
     // moves toward is computed.
     let foot = |q: i128| div_floor(q * M + ppm - 1, ppm);
-    let (step, carry) = feed.map_or((0, 0), |f| (f.step as i128, f.carry as i128));
-    let drift = step - q * M;
+    let step = i128::from(lane.whole) * M + i128::from(lane.frac);
+    let (drift, carry) = (step - q * M, i128::from(lane.carry));
     let ticks = match drift.signum() {
         1 => div_floor((foot(q + 1) - at) * M - carry - 1, drift),
         -1 => div_floor(carry - (foot(q) - at) * M, -drift),
@@ -1766,7 +1948,7 @@ mod differential {
     use cinder_sim::{Energy, Power, SimDuration, SimTime};
     use proptest::prelude::*;
 
-    use super::Duty;
+    use super::{leak_recip, narrow_leak, Duty, NARROW};
     use crate::graph::{Actor, GraphConfig, ResourceGraph};
     use crate::kind::{Quantity, ResourceKind};
     use crate::reserve::ReserveStats;
@@ -2923,6 +3105,186 @@ mod differential {
                 .unwrap();
             feed(g, battery, lane, 37_513);
         });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Two lanes fed once each, with independent jittered feeds, start
+        /// levels and carries (a warm-up of a few single ticks leaves the
+        /// carries mid-way), settled together over spans of 1 to 4,000
+        /// ticks: wherever either leaves the pair, both land where the
+        /// reference's ticks do.
+        #[test]
+        fn paired_lanes_match_reference(
+            lanes in proptest::collection::vec((0usize..3, 0u64..1_000_000, 1u64..400_000), 2..3),
+            warmup in 1u64..10,
+            spans in proptest::collection::vec(1u64..4_000, 1..5),
+        ) {
+            let spans_ms: Vec<u64> = std::iter::once(warmup)
+                .chain(spans)
+                .map(|ticks| ticks * 100)
+                .collect();
+            lanes_match_reference(15_000, &spans_ms, |g| {
+                let battery = g.battery();
+                for &(band, mantissa, uw) in &lanes {
+                    let lane = reserve(g, "lane");
+                    start_lane(g, lane, band, mantissa);
+                    feed(g, battery, lane, uw + 7);
+                }
+            })?;
+        }
+    }
+
+    /// Two lanes fed 39 mW, whose leaks jump within 1,077 µJ of 3,900: one
+    /// starts at 24 J, a few hundred ticks below that range, and leaves the
+    /// pair on entering it to jump its bands; the other starts empty and
+    /// steps on alone, its leak below the range all run.
+    #[test]
+    fn lane_leaving_the_pair_for_its_bands_matches_reference() {
+        let g = decay_lanes_match_reference(15_000, &[100, 2_000, 60_000, 600_000], |g| {
+            let battery = g.battery();
+            let rising = reserve(g, "rising");
+            g.transfer(&Actor::kernel(), battery, rising, Energy::from_joules(24))
+                .unwrap();
+            feed(g, battery, rising, 39_000);
+            let empty = reserve(g, "empty");
+            feed(g, battery, empty, 39_000);
+        });
+        // Of each lane's 6,620 planned ticks the empty one steps all and
+        // the rising one under a third.
+        let (settled, stepped) = g.lane_ticks();
+        assert_eq!(settled, 2 * 6_620);
+        assert!((6_620..6_620 + 2_200).contains(&stepped), "{stepped}");
+    }
+
+    /// An unfed lane at 50 mJ beside a lane fed 39 mW. With every band
+    /// stepped ([`ResourceGraph::flow_lane_ticks`] without band jumps) its
+    /// leak reaches zero in the third span, where it leaves the pair and
+    /// stops, while the fed lane steps on alone; with band jumps its leak
+    /// starts in range, so it never pairs.
+    #[test]
+    fn unfed_lane_reaching_a_zero_leak_beside_a_fed_one_matches_reference() {
+        for band_jumps in [false, true] {
+            let initial = Energy::from_joules(15_000);
+            let mut engine_g = ResourceGraph::with_config(initial, GraphConfig::default());
+            let mut reference_g = ResourceGraph::with_config(initial, GraphConfig::default());
+            for g in [&mut engine_g, &mut reference_g] {
+                let k = Actor::kernel();
+                let battery = g.battery();
+                let unfed = reserve(g, "unfed");
+                g.transfer(&k, battery, unfed, Energy::from_millijoules(50))
+                    .unwrap();
+                let fed = reserve(g, "fed");
+                feed(g, battery, fed, 39_000);
+            }
+            let tick = GraphConfig::default().flow_tick;
+            for ticks in [300, 4_000, 20_000] {
+                engine_g.flow_lane_ticks(ticks, band_jumps);
+                reference_g.flow_until_reference(engine_g.now());
+                assert_eq!(dump(&engine_g), dump(&reference_g), "{band_jumps} {ticks}");
+            }
+            let unfed = engine_g
+                .reserves()
+                .find(|(_, r)| r.name() == "unfed")
+                .unwrap();
+            let foot = 1_000_000u64.div_ceil(default_ppm()) as i64;
+            assert!(unfed.1.balance() < Energy::from_microjoules(foot));
+            assert_eq!(engine_g.now(), SimTime::ZERO + tick * 24_300);
+        }
+    }
+
+    /// Lanes fed once, twice and once: the lane fed twice steps by the
+    /// wide arithmetic, and the two fed once pair across it.
+    #[test]
+    fn lane_fed_twice_between_single_fed_ones_matches_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let k = Actor::kernel();
+            let battery = g.battery();
+            let exempt = reserve(g, "exempt");
+            g.transfer(&k, battery, exempt, Energy::from_joules(5_000))
+                .unwrap();
+            g.set_decay_exempt(&k, exempt, true).unwrap();
+            let first = reserve(g, "first");
+            feed(g, battery, first, 37_513);
+            let twice = reserve(g, "twice");
+            feed(g, battery, twice, 36_977);
+            feed(g, exempt, twice, 511_111);
+            let last = reserve(g, "last");
+            feed(g, battery, last, 1_234_567);
+        });
+    }
+
+    /// Three lanes, an odd count: a pair, whose members leave it at
+    /// different ticks, and a third stepping alone. The first is fed 39
+    /// mW from 20 J, the second the same from empty, the third is unfed
+    /// from 15 J.
+    #[test]
+    fn three_lanes_match_reference() {
+        decay_lanes_match_reference(15_000, &IDLE_SPANS_MS, |g| {
+            let k = Actor::kernel();
+            let battery = g.battery();
+            for (name, start_j, uw) in [("a", 20, 39_000), ("b", 0, 39_000), ("c", 15, 0)] {
+                let lane = reserve(g, name);
+                g.transfer(&k, battery, lane, Energy::from_joules(start_j))
+                    .unwrap();
+                if uw > 0 {
+                    feed(g, battery, lane, uw);
+                }
+            }
+        });
+    }
+
+    /// Two lanes at the edge of the narrow leak's bound, about 18 MJ, fed
+    /// from a decay-exempt hoard: one ends each span below the bound and
+    /// leaks by the reciprocal, the other starts above it and leaks by
+    /// the wide arithmetic, so the two never pair.
+    #[test]
+    fn lanes_at_the_narrow_bound_match_reference() {
+        let narrow = NARROW as i64;
+        decay_lanes_match_reference(15_000, &[100, 1_000, 60_000, 12_345], |g| {
+            let k = Actor::kernel();
+            let hoard = reserve(g, "hoard");
+            g.inject(&k, hoard, Energy::from_microjoules(narrow))
+                .unwrap();
+            g.set_decay_exempt(&k, hoard, true).unwrap();
+            for (name, start) in [("below", narrow - 10_000_000), ("above", narrow + 1)] {
+                let lane = reserve(g, name);
+                g.inject(&k, lane, Energy::from_microjoules(start)).unwrap();
+                feed(g, hoard, lane, 39_000);
+            }
+        });
+    }
+
+    /// The reciprocal leak is exact up to [`NARROW`]. Its error grows with
+    /// the level, so each residue of x·ppm mod 10⁶ is worst at the largest
+    /// level that has it, all within the last 10⁶ levels under the bound:
+    /// those are checked whole for rates from 1 ppm up.
+    #[test]
+    fn narrow_leak_is_exact_up_to_its_bound() {
+        let exact = |x: u64, ppm: u64| (u128::from(x) * u128::from(ppm) / 1_000_000) as i64;
+        for ppm in [1, 116, 65_537, 999_999] {
+            let recip = leak_recip(ppm).unwrap();
+            for x in NARROW - 999_999..=NARROW {
+                assert_eq!(
+                    narrow_leak(x as i64, recip),
+                    exact(x, ppm),
+                    "{x} at {ppm} ppm"
+                );
+            }
+        }
+        for ppm in [0, 2, 7, 500_000, 999_998] {
+            let recip = leak_recip(ppm).unwrap();
+            for x in [NARROW, NARROW - 1, 1_000_000, 123_456_789, 1] {
+                assert_eq!(
+                    narrow_leak(x as i64, recip),
+                    exact(x, ppm),
+                    "{x} at {ppm} ppm"
+                );
+            }
+        }
+        assert_eq!(narrow_leak(-5, leak_recip(116).unwrap()), 0);
+        assert_eq!(leak_recip(1_000_000), None);
     }
 
     /// Fig 6b's proportional island (a plugin fed 70 mW, leaking 10%/s

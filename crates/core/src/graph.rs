@@ -60,7 +60,7 @@ use cinder_sim::{Energy, Power, SimDuration, SimTime};
 use crate::arena::{Arena, RawId};
 use crate::decay::DecayConfig;
 use crate::errors::GraphError;
-use crate::flow::{gallop, Duty, FlowEngine, SourceRun, MIN_PARTITIONED_SPAN};
+use crate::flow::{div_floor, gallop, Duty, FlowEngine, SourceRun, MIN_PARTITIONED_SPAN};
 use crate::kind::{Quantity, Rate, ResourceKind};
 use crate::reserve::Reserve;
 use crate::tap::{RateSpec, Tap};
@@ -241,9 +241,14 @@ struct PoolTap {
 }
 
 impl PoolTap {
-    /// µJ moved over `ticks` unclamped ticks ([`Tap::bulk_advance_const`]).
+    /// µJ moved over `ticks` unclamped ticks ([`Tap::bulk_advance_const`]),
+    /// divided in u64 where the sum fits.
     fn moved(&self, ticks: u64) -> u128 {
-        (self.carry + self.step * ticks as u128) / 1_000_000
+        let total = self.carry + self.step * u128::from(ticks);
+        match u64::try_from(total) {
+            Ok(total) => u128::from(total / 1_000_000),
+            Err(_) => total / 1_000_000,
+        }
     }
 }
 
@@ -276,6 +281,77 @@ impl PoolPlan {
             })
             .sum();
         covered && swept < shortfall.as_microjoules() as i128
+    }
+
+    /// Σ carry and Σ step of the covered taps `pick` selects, 10⁻⁶ µJ.
+    fn line(&self, pick: impl Fn(&PoolTap) -> bool) -> (i128, i128) {
+        let sum = |(c, s), t: &PoolTap| (c + t.carry as i128, s + t.step as i128);
+        self.taps.iter().filter(|t| pick(t)).fold((0, 0), sum)
+    }
+
+    /// The closed form's floor-free bound: the longest run, at most
+    /// `max_ticks`, that [`PoolPlan::fits`] passes when each source's taps,
+    /// and each waiter's, are summed before the division by 10⁶. Flooring
+    /// each tap apart moves no more (Σ⌊xᵢ⌋ ≤ ⌊Σxᵢ⌋), so the bound fits
+    /// whenever it is positive.
+    ///
+    /// A source at balance B with summed carry c and step s covers t ticks
+    /// while c + t·s < B·10⁶. Waiter w sweeps max(0, aᵥᵥ + t·sᵥᵥ)/10⁶, with
+    /// aᵥᵥ = start·10⁶ + Σ carry, so the sweep is convex and piecewise
+    /// linear in t. Solved for the waiters still in debt at the current
+    /// bound, its line lies at or below the sweep up to that bound, so the
+    /// solution is a bound again; once the waiters in debt stop changing
+    /// it is exact.
+    fn floor_free(&self, max_ticks: u64, shortfall: Energy) -> u64 {
+        const M: i128 = 1_000_000;
+        let goal = i128::from(shortfall.as_microjoules()) * M;
+        if goal <= 0 {
+            return 0;
+        }
+        let mut t = i128::from(max_ticks);
+        for (i, &(_, balance)) in self.sources.iter().enumerate() {
+            let (carry, step) = self.line(|tap| tap.source == i);
+            t = t.min(div_floor(balance as i128 * M - carry - 1, step));
+        }
+        let waiter = |i: usize, w: &PoolWaiter| {
+            let (carry, step) = self.line(|tap| tap.waiter == Some(i));
+            (w.start * M + carry, step)
+        };
+        // The fed waiters above zero at `at` (every fed one for `None`):
+        // how many, and their lines summed.
+        let sweeping = |at: Option<i128>| {
+            let lines = self.waiters.iter().enumerate().map(|(i, w)| waiter(i, w));
+            lines
+                .filter(|&(a, s)| s > 0 && at.is_none_or(|t| a + t.saturating_mul(s) > 0))
+                .fold((0, 0, 0), |(n, a0, s0), (a, s)| (n + 1, a0 + a, s0 + s))
+        };
+        let mut at = None;
+        loop {
+            let (n, a, s) = sweeping(at);
+            if s > 0 {
+                t = t.min(div_floor(goal - a - 1, s));
+            }
+            if sweeping(Some(t)).0 == n {
+                return t.max(0) as u64;
+            }
+            at = Some(t);
+        }
+    }
+
+    /// The longest run, at most `max_ticks`, that fits: `gallop(max_ticks,
+    /// fits)`. The wake bound caps most runs, so it is probed first;
+    /// otherwise the search gallops up from the floor-free bound.
+    fn run(&self, max_ticks: u64, shortfall: Energy) -> u64 {
+        let fits = |ticks| self.fits(ticks, shortfall);
+        match max_ticks {
+            0 => 0,
+            max if fits(max) => max,
+            max => {
+                let lo = self.floor_free(max, shortfall);
+                debug_assert!(lo < max && (lo == 0 || fits(lo)), "{lo} of {max}");
+                lo + gallop(max - 1 - lo, |n| fits(lo + n))
+            }
+        }
     }
 }
 
@@ -1133,8 +1209,7 @@ impl ResourceGraph {
         shortfall: Energy,
     ) -> Result<u64, PoolRefusal> {
         let plan = self.pool_plan(waiters, gated, pool)?;
-        // Both bounds are monotone in the run length: gallop, then bisect.
-        match gallop(max_ticks, |ticks| plan.fits(ticks, shortfall)) {
+        match plan.run(max_ticks, shortfall) {
             0 => Err(PoolRefusal::NoRoom),
             ticks => Ok(ticks),
         }
@@ -2376,6 +2451,52 @@ mod tests {
                 let balance = g.reserve(r).unwrap().balance();
                 proptest::prop_assert!(!balance.is_positive(), "{balance} within {quiet} ticks");
             }
+        }
+
+        /// The pooled run's search returns what its oracle, `gallop(max_ticks,
+        /// fits)`, does, and the floor-free bound it searches up from never
+        /// passes it. Plans draw one to three covered sources, zero to three
+        /// waiters in debt, taps (each source has one) with any carries,
+        /// per-tick steps from sub-µJ to milliwatts on a 100 ms tick, and the
+        /// shortfall and wake bound from zero up.
+        #[test]
+        fn pooled_search_is_the_gallop(
+            balances in proptest::collection::vec((0u32..34, 1u64..1_000), 1..4),
+            debts in proptest::collection::vec(0i64..5_000_000, 0..4),
+            taps in proptest::collection::vec(
+                (0usize..3, 0usize..5, 0u32..24, 1u64..1_000, 0u64..1_000_000),
+                0..5,
+            ),
+            shortfall in (0u32..40, 0i64..1_000),
+            max_ticks in 0u64..=1_000_000,
+        ) {
+            let id = graph().battery();
+            let waiters = debts
+                .iter()
+                .map(|&debt| PoolWaiter { id, start: -i128::from(debt), decays: false, worst_tick: 0 })
+                .collect();
+            let sources = balances
+                .iter()
+                .map(|&(exp, mantissa)| (id, (u128::from(mantissa) << exp) / 1_000))
+                .map(|(id, balance)| (id, balance.max(1)))
+                .collect::<Vec<_>>();
+            // Every source feeds one tap at least; the rest go anywhere.
+            let taps = (0..sources.len())
+                .map(|i| (i, usize::MAX, 10, 500, 0))
+                .chain(taps)
+                .map(|(source, waiter, exp, mantissa, carry)| PoolTap {
+                    source: source % sources.len(),
+                    waiter: (waiter < debts.len()).then_some(waiter),
+                    step: u128::from(mantissa) << exp,
+                    carry: u128::from(carry),
+                })
+                .collect();
+            let plan = PoolPlan { waiters, sources, taps };
+            let shortfall = Energy::from_microjoules((shortfall.1 << shortfall.0.min(30)) / 1_000);
+            let oracle = gallop(max_ticks, |ticks| plan.fits(ticks, shortfall));
+            proptest::prop_assert_eq!(plan.run(max_ticks, shortfall), oracle);
+            let floor_free = plan.floor_free(max_ticks, shortfall);
+            proptest::prop_assert!(floor_free <= oracle, "{floor_free} > {oracle}");
         }
     }
 }
