@@ -530,7 +530,7 @@ impl Lanes {
                 continue;
             }
             let mut lane = Lane::new(level, feeds, self.reach, recip, ticks);
-            if lane.narrow.is_some() && fed <= 1 {
+            if lane.narrow.is_some() {
                 let Some((first, mut other)) = waiting.take() else {
                     waiting = Some((reserve, lane));
                     continue;
@@ -634,9 +634,9 @@ struct Lane {
     lo: i64,
     width: u64,
     unfed: bool,
-    /// Its post-feed level stays at most [`NARROW`] all settle, so it
-    /// leaks by [`narrow_leak`] with this reciprocal; `None` by
-    /// [`decay_leak`].
+    /// Fed at most once, its post-feed level stays at most [`NARROW`] all
+    /// settle, so it leaks by [`narrow_leak`] with this reciprocal; `None`
+    /// by [`decay_leak`].
     narrow: Option<u64>,
 }
 
@@ -661,13 +661,8 @@ impl Lane {
         let (step, carry) = feeds.first().map_or((0, 0), |f| (f.step, f.carry));
         debug_assert!(carry < 1_000_000, "a constant tap's carry is a remainder");
         let (whole, frac) = split::<1_000_000>(step);
-        // Only the feeds raise its level, each by at most ⌊step/10⁶⌋ + 1 a
-        // tick.
-        let most: u128 = feeds
-            .iter()
-            .map(|f| split::<1_000_000>(f.step).0 as u128 + 1)
-            .sum();
-        let peak = most
+        // Only its feed raises its level, by at most ⌊step/10⁶⌋ + 1 a tick.
+        let peak = (whole as u128 + 1)
             .saturating_mul(u128::from(ticks))
             .saturating_add(level.max(0) as u128);
         Lane {
@@ -682,7 +677,7 @@ impl Lane {
             lo: if rate == 0 { 0 } else { lo },
             width,
             unfed: rate == 0,
-            narrow: recip.filter(|_| peak <= u128::from(NARROW)),
+            narrow: recip.filter(|_| feeds.len() <= 1 && peak <= u128::from(NARROW)),
         }
     }
 
@@ -700,9 +695,9 @@ impl Lane {
     /// stops once its leak is zero. Returns what it leaked and the ticks it
     /// stepped.
     fn settle(self, more: &mut [Feed], ppm: u64, ticks: u64) -> (i64, u64) {
-        // A narrow lane fed at most once, the common case, compiles to its
-        // own loop; the rest take the wide leak.
-        match self.narrow.filter(|_| more.is_empty()) {
+        // A narrow lane, the common case, compiles to its own loop; the
+        // rest take the wide leak.
+        match self.narrow {
             Some(recip) => self.bands(&mut [], ppm, ticks, |x| narrow_leak(x, recip)),
             None => self.bands(
                 more,
@@ -754,11 +749,11 @@ impl Lane {
     }
 }
 
-/// Steps `a` and `b`, each narrow and fed at most once, together from the
-/// same tick by [`Plain::next`] until either's next tick needs more than a
-/// plain step (its leak enters its band-jump range, which for an unfed
-/// lane holds zero) or `ticks` end. [`Lane::settle`] resumes each from
-/// exactly where this stops.
+/// Steps `a` and `b`, each narrow, together from the same tick by
+/// [`Plain::next`] until either's next tick needs more than a plain step
+/// (its leak enters its band-jump range, which for an unfed lane holds
+/// zero) or `ticks` end. [`Lane::settle`] resumes each from exactly where
+/// this stops.
 fn step_pair(a: &mut Lane, b: &mut Lane, ticks: u64) {
     let (Some(ra), Some(rb)) = (a.narrow, b.narrow) else {
         unreachable!("only narrow lanes pair");
@@ -3191,6 +3186,12 @@ mod differential {
             let foot = 1_000_000u64.div_ceil(default_ppm()) as i64;
             assert!(unfed.1.balance() < Energy::from_microjoules(foot));
             assert_eq!(engine_g.now(), SimTime::ZERO + tick * 24_300);
+            // The unfed lane stopped stepping once its leak was zero.
+            let (settled, stepped) = engine_g.lane_ticks();
+            assert!(
+                stepped + 4_000 < settled,
+                "{band_jumps}: {settled} {stepped}"
+            );
         }
     }
 

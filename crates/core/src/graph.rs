@@ -296,12 +296,12 @@ impl PoolPlan {
     /// whenever it is positive.
     ///
     /// A source at balance B with summed carry c and step s covers t ticks
-    /// while c + t·s < B·10⁶. Waiter w sweeps max(0, aᵥᵥ + t·sᵥᵥ)/10⁶, with
-    /// aᵥᵥ = start·10⁶ + Σ carry, so the sweep is convex and piecewise
-    /// linear in t. Solved for the waiters still in debt at the current
-    /// bound, its line lies at or below the sweep up to that bound, so the
-    /// solution is a bound again; once the waiters in debt stop changing
-    /// it is exact.
+    /// while c + t·s < B·10⁶. A waiter sweeps max(0, a + t·s)/10⁶, a being
+    /// its start·10⁶ plus its carries, so the total sweep is convex and
+    /// piecewise linear in t. The line summed over the waiters sweeping at
+    /// the current bound lies at or below the total up to that bound, so
+    /// where it reaches the shortfall is a bound again; once that set of
+    /// waiters stops shrinking the bound is exact.
     fn floor_free(&self, max_ticks: u64, shortfall: Energy) -> u64 {
         const M: i128 = 1_000_000;
         let goal = i128::from(shortfall.as_microjoules()) * M;
@@ -1200,6 +1200,14 @@ impl ResourceGraph {
     /// sum of its per-tick sweeps, every tap's carry telescopes exactly as
     /// the flow engine's closed form does, and a decay lane, fed only by
     /// covered or starved constant taps, advances alone.
+    ///
+    /// Both bounds are monotone in the run length. The wake bound caps
+    /// most runs, so `max_ticks` is probed first, and a capped run costs
+    /// one probe. Otherwise the search gallops up from the closed form's
+    /// floor-free bound (each source's and each waiter's taps summed
+    /// before flooring), which fits whenever it is positive and usually
+    /// lies within a tick of the answer. Either way the run is the largest
+    /// that fits, as galloping up from one tick and bisecting finds.
     pub fn pooled_run(
         &self,
         waiters: &[ReserveId],
