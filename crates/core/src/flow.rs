@@ -494,8 +494,9 @@ impl Lanes {
 
     /// Runs every lane `ticks` ticks, debits each lane's leaks as decay,
     /// credits their sum to `battery`, and closes the lanes. `duty`'s lane
-    /// also runs its quanta, its charges debited as consumption. Uncharged
-    /// lanes that step plainly go in pairs, in the order they were opened.
+    /// also runs its quanta, its charges debited as consumption. Narrow
+    /// uncharged lanes (see [`Lane`]) step in pairs, in the order they
+    /// were opened.
     pub(crate) fn settle(
         &mut self,
         reserves: &mut Arena<Reserve>,
